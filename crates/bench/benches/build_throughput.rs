@@ -4,8 +4,9 @@
 //! The paper charges preprocessing nothing (the cell-probe model measures
 //! queries); the lazy-oracle implementation's real build cost is sketching
 //! the database under every `M_i` and `N_j`. That cost is now table
-//! lookups: `SketchMatrix::sketch_all` (Method of Four Russians) XORs
-//! `d/4` precomputed column-subset entries per point, where the per-query
+//! lookups: `SketchMatrix::sketch_all_into` (Method of Four Russians) XORs
+//! `d/4` precomputed column-subset entries per point straight into the
+//! point's region of the matrix's limb slab, where the per-query
 //! row path (`SketchMatrix::sketch`) takes one AND+parity pass per row —
 //! the `m0_*` pair compares the two on one matrix. Matrices are
 //! independent jobs, so `DbSketches::build` runs them on
@@ -36,8 +37,9 @@ fn bench_builds(c: &mut Criterion) {
         let params = SketchParams::practical(2.0, 7);
         let family = SketchFamily::generate(D, n, &params);
         let m0 = &family.m_matrices()[0];
-        group.bench_function(format!("m0_sketch_all_n{n}"), |b| {
-            b.iter(|| m0.sketch_all(ds.points()))
+        let mut slab = vec![0u64; n * m0.sketch_limbs()];
+        group.bench_function(format!("m0_sketch_all_into_n{n}"), |b| {
+            b.iter(|| m0.sketch_all_into(ds.points(), &mut slab))
         });
         group.bench_function(format!("m0_row_path_n{n}"), |b| {
             b.iter(|| ds.points().iter().map(|x| m0.sketch(x)).collect::<Vec<_>>())

@@ -1,5 +1,8 @@
-//! Micro-benchmarks of the hot kernels: Hamming distance, GF(2) sketching,
-//! sketch distance, and one lazy-table cell evaluation (a `C_i` scan).
+//! Micro-benchmarks of the hot kernels at the serving benchmark's
+//! unique-large shape (d = 512, n = 32768): Hamming distance, GF(2)
+//! sketching, sketch distance, and the lazy-table cell evaluations — a
+//! `C_i` first-member scan (a `T_i` cell read) and a `|C_i|` count scan
+//! (an auxiliary cell's denominator) over one scale's sketch slab.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -8,23 +11,24 @@ use anns_sketch::{DbSketches, SketchFamily, SketchParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+const D: u32 = 512;
+const N: usize = 32768;
+
 fn bench_kernels(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(3);
-    let d = 1024u32;
-    let a = Point::random(d, &mut rng);
-    let b = Point::random(d, &mut rng);
+    let a = Point::random(D, &mut rng);
+    let b = Point::random(D, &mut rng);
 
-    c.bench_function("hamming_distance_d1024", |bch| {
+    c.bench_function("hamming_distance_d512", |bch| {
         bch.iter(|| std::hint::black_box(&a).distance(std::hint::black_box(&b)))
     });
 
-    let n = 4096usize;
-    let ds = gen::uniform(n, d, &mut rng);
-    let family = SketchFamily::generate(d, n, &SketchParams::practical(2.0, 5));
+    let ds = gen::uniform(N, D, &mut rng);
+    let family = SketchFamily::generate(D, N, &SketchParams::practical(2.0, 5));
     let db = DbSketches::build(&family, &ds, 4);
     let mid_scale = family.top() / 2;
 
-    c.bench_function("sketch_point_d1024", |bch| {
+    c.bench_function("sketch_point_d512", |bch| {
         bch.iter(|| family.sketch_m(mid_scale, std::hint::black_box(&a)))
     });
 
@@ -34,11 +38,18 @@ fn bench_kernels(c: &mut Criterion) {
         bch.iter(|| std::hint::black_box(&sa).distance(std::hint::black_box(&sb)))
     });
 
-    c.bench_function("c_first_scan_n4096", |bch| {
+    // A uniform query has no near neighbour, so `C_i` at the middle scale
+    // is empty and the first-member scan reads the whole slab: the cost of
+    // a missed `T_i` cell.
+    c.bench_function("c_first_scan_n32768", |bch| {
         bch.iter(|| db.c_first(&family, mid_scale, std::hint::black_box(&sa)))
     });
 
-    c.bench_function("exact_nn_n4096_d1024", |bch| {
+    c.bench_function("c_count_scan_n32768", |bch| {
+        bch.iter(|| db.c_count(&family, mid_scale, std::hint::black_box(&sa)))
+    });
+
+    c.bench_function("exact_nn_n32768_d512", |bch| {
         bch.iter(|| ds.exact_nn(std::hint::black_box(&a)))
     });
 }

@@ -198,10 +198,7 @@ impl Table for ConcreteTables {
             t if t >= table_ids::AUX_BASE => {
                 let u = t - table_ids::AUX_BASE;
                 let key = decode_aux_key(&addr.key, inner.family.m_rows(), inner.family.n_rows());
-                let c_members: Vec<usize> = inner
-                    .db
-                    .c_members(&inner.family, u, &key.m_sketch)
-                    .collect();
+                let c_members = inner.db.c_members(&inner.family, u, &key.m_sketch);
                 let threshold = c_members.len() as f64
                     * (inner.dataset.len() as f64).powf(-1.0 / inner.family.params().s);
                 for (pos, (&scale, n_sketch)) in
@@ -212,7 +209,7 @@ impl Table for ConcreteTables {
                         .filter(|&&z| {
                             inner
                                 .family
-                                .n_passes(scale, n_sketch, inner.db.n_sketch(scale, z))
+                                .n_passes(scale, n_sketch, inner.db.n_limbs(scale, z))
                         })
                         .count();
                     if d_count as f64 > threshold {
@@ -340,15 +337,20 @@ impl AnnIndex {
 
     /// Restores an index from a snapshot (rebuilds only the hash
     /// structures; sketches are taken as stored).
+    ///
+    /// # Panics
+    /// Panics if the parts are inconsistent (see [`AnnIndex::from_parts`]).
     pub fn from_snapshot(snapshot: IndexSnapshot) -> Self {
-        assert_eq!(snapshot.dataset.dim(), snapshot.family.dim());
-        Self::assemble(snapshot.dataset, snapshot.family, snapshot.db, None)
+        Self::from_parts(snapshot.dataset, snapshot.family, snapshot.db, None)
+            .unwrap_or_else(|e| panic!("inconsistent snapshot: {e}"))
     }
 
     /// Reassembles an index from its stored parts — the binary-store
     /// decode path (`anns_core::store`). Unlike [`AnnIndex::from_snapshot`]
     /// this carries the erasure model too, so a reloaded fault-injection
-    /// instance probes identically to the freshly built one.
+    /// instance probes identically to the freshly built one. The db
+    /// sketches must match the family's shape ([`DbSketches::check_family`])
+    /// and cover every database point.
     pub fn from_parts(
         dataset: Dataset,
         family: SketchFamily,
@@ -369,6 +371,7 @@ impl AnnIndex {
                 dataset.len()
             ));
         }
+        db.check_family(&family)?;
         Ok(Self::assemble(dataset, family, db, erasures))
     }
 

@@ -260,6 +260,58 @@ mod tests {
         assert_eq!(l1, l2);
     }
 
+    /// An index payload with hand-encoded db sketches: `scales` scales per
+    /// kind, every M sketch `m_bits` and every N sketch `n_bits` wide (all
+    /// zero limbs), in the stored per-sketch layout.
+    fn payload_with_db(index: &AnnIndex, m_bits: u32, n_bits: u32, scales: usize) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        index.dataset().encode(&mut w);
+        index.family().encode(&mut w);
+        for bits in [m_bits, n_bits] {
+            w.put_u64(scales as u64);
+            for _ in 0..scales {
+                w.put_u64(index.dataset().len() as u64);
+                for _ in 0..index.dataset().len() {
+                    w.put_u32(bits);
+                    for _ in 0..bits.div_ceil(64) {
+                        w.put_u64(0);
+                    }
+                }
+            }
+        }
+        index.erasure_model().encode(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn db_sketches_of_the_wrong_shape_are_malformed() {
+        let (index, query) = small_index(None);
+        let family = index.family();
+        let (m_rows, n_rows) = (family.m_rows(), family.n_rows());
+        let scales = family.top() as usize + 1;
+        // Control: the family's shape decodes and serves.
+        let ok = AnnIndex::from_bytes(&payload_with_db(&index, m_rows, n_rows, scales))
+            .expect("family-shaped sketches decode");
+        let _ = ok.query(&query, 3);
+        // Narrower sketches (fewer limbs, or the same limbs but fewer
+        // bits), and too few or too many scales, are typed errors at
+        // decode instead of panics at the first query.
+        for (m_bits, n_bits, scales) in [
+            (8, 8, scales),
+            (m_rows - 1, n_rows, scales),
+            (m_rows, n_rows - 1, scales),
+            (m_rows + 64, n_rows, scales),
+            (m_rows, n_rows, scales - 1),
+            (m_rows, n_rows, scales + 1),
+        ] {
+            let bytes = payload_with_db(&index, m_bits, n_bits, scales);
+            assert!(
+                matches!(AnnIndex::from_bytes(&bytes), Err(StoreError::Malformed(_))),
+                "m_bits={m_bits} n_bits={n_bits} scales={scales}"
+            );
+        }
+    }
+
     #[test]
     fn spec_roundtrip_over_every_kind() {
         let specs = [

@@ -256,6 +256,48 @@ proptest! {
     }
 }
 
+/// A pooled index whose db sketches are narrower than its family's rows
+/// — every checksum, the pool table and the manifest re-stamped, so only
+/// the shape check can object — is a typed error at load, not a panic at
+/// the first query.
+#[test]
+fn narrow_db_sketches_in_the_pool_are_typed() {
+    use anns_store::{ByteWriter, Codec};
+    let index = shared_index();
+    let mut w = ByteWriter::new();
+    index.dataset().encode(&mut w);
+    index.family().encode(&mut w);
+    for _ in 0..2 {
+        w.put_u64(u64::from(index.family().top()) + 1);
+        for _ in 0..=index.family().top() {
+            w.put_u64(N as u64);
+            for _ in 0..N {
+                w.put_u32(8);
+                w.put_u64(0);
+            }
+        }
+    }
+    index.erasure_model().encode(&mut w);
+    let narrow = w.into_bytes();
+    let bytes = remanifested(|sections| {
+        let section = sections
+            .iter_mut()
+            .find(|s| s.tag == anns_store::section_tag::INDEX_POOL)
+            .expect("bundle has an IDXP section");
+        let entries = anns_store::pool::decode_pool_table(&section.payload).unwrap();
+        assert_eq!(entries.len(), 1, "one pooled index");
+        let entry = entries[0];
+        let stored = &section.payload[entry.offset as usize..(entry.offset + entry.len) as usize];
+        assert_eq!(stored, &index.to_bytes()[..], "the pool entry is the index");
+        section.payload = anns_store::pool::encode_pool(&[narrow]);
+    });
+    match Registry::load_bundle_from(&bytes[..]) {
+        Err(StoreError::Malformed(_)) => {}
+        Err(other) => panic!("unexpected error kind: {other:?}"),
+        Ok(_) => panic!("narrow db sketches loaded"),
+    }
+}
+
 #[test]
 fn bundle_corruption_yields_typed_errors() {
     let bytes = saved_bundle_bytes().to_vec();

@@ -24,6 +24,13 @@
 //!   tile whose smallest partial sum already exceeds the radius can skip
 //!   its remaining limb chunks without changing the answer.
 //!
+//! Row-major slabs — `w` limbs per row, rows back to back, the layout of
+//! the database sketch slabs in `anns-sketch` — get threshold scans
+//! instead: [`first_row_within`], [`count_rows_within`] and
+//! [`rows_within`] visit rows in order and compare each row's distance to
+//! the query against a threshold. Those rows are short (a few limbs), so
+//! row order keeps the first-hit early exit and needs no transpose.
+//!
 //! On x86-64 the kernels runtime-dispatch to copies compiled with the
 //! `popcnt` (and, when present, `avx2`) target features: the default
 //! x86-64 baseline is SSE2-only, which lowers `u64::count_ones` to a
@@ -38,6 +45,8 @@
 //! order) the same tie-breaks — which the proptests in
 //! `tests/kernel_properties.rs` enforce for every dimension across the
 //! tail-limb boundary and every block width.
+
+use std::ops::ControlFlow;
 
 use crate::point::{Point, LIMB_BITS};
 
@@ -381,6 +390,146 @@ impl PackedBlock {
     #[target_feature(enable = "popcnt")]
     unsafe fn within_core_popcnt(&self, q: &[u64], radius: u32) -> Vec<usize> {
         self.within_core(q, radius)
+    }
+}
+
+/// Index of the first row of a row-major slab within Hamming distance `t`
+/// of `query`.
+///
+/// `slab` holds rows of `query.len()` limbs back to back (row `z` at
+/// `[z·w, (z+1)·w)`), the layout of the database sketch slabs. The answer
+/// is the first `z` whose scalar fold `Σ (row ^ query).count_ones()` is at
+/// most `t`.
+///
+/// # Panics
+/// Panics if `query` is empty or `slab.len()` is not a multiple of it.
+pub fn first_row_within(slab: &[u64], query: &[u64], t: u32) -> Option<usize> {
+    let mut first = None;
+    scan_rows(slab, query, t, |z| {
+        first = Some(z);
+        ControlFlow::Break(())
+    });
+    first
+}
+
+/// Number of rows of a row-major slab within Hamming distance `t` of
+/// `query` (layout as in [`first_row_within`]).
+pub fn count_rows_within(slab: &[u64], query: &[u64], t: u32) -> usize {
+    let mut count = 0;
+    scan_rows(slab, query, t, |_| {
+        count += 1;
+        ControlFlow::Continue(())
+    });
+    count
+}
+
+/// Indices of all rows of a row-major slab within Hamming distance `t` of
+/// `query`, ascending (layout as in [`first_row_within`]).
+pub fn rows_within(slab: &[u64], query: &[u64], t: u32) -> Vec<usize> {
+    let mut out = Vec::new();
+    scan_rows(slab, query, t, |z| {
+        out.push(z);
+        ControlFlow::Continue(())
+    });
+    out
+}
+
+/// Calls `visit` on every row within `t` of `query`, in order, until it
+/// breaks; dispatched once per scan like the block kernels above.
+fn scan_rows(slab: &[u64], query: &[u64], t: u32, mut visit: impl FnMut(usize) -> ControlFlow<()>) {
+    assert!(!query.is_empty(), "slab rows need at least one limb");
+    assert_eq!(
+        slab.len() % query.len(),
+        0,
+        "slab length must be a whole number of rows"
+    );
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: avx2+popcnt verified at runtime.
+            return unsafe { scan_rows_avx2(slab, query, t, &mut visit) };
+        }
+        if std::arch::is_x86_feature_detected!("popcnt") {
+            // SAFETY: popcnt verified at runtime.
+            return unsafe { scan_rows_popcnt(slab, query, t, &mut visit) };
+        }
+    }
+    scan_rows_core(slab, query, t, &mut visit);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "popcnt")]
+unsafe fn scan_rows_avx2(
+    slab: &[u64],
+    query: &[u64],
+    t: u32,
+    visit: &mut impl FnMut(usize) -> ControlFlow<()>,
+) {
+    scan_rows_core(slab, query, t, visit);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "popcnt")]
+unsafe fn scan_rows_popcnt(
+    slab: &[u64],
+    query: &[u64],
+    t: u32,
+    visit: &mut impl FnMut(usize) -> ControlFlow<()>,
+) {
+    scan_rows_core(slab, query, t, visit);
+}
+
+/// The row scan; widths up to 8 limbs get a fixed-width body whose query
+/// limbs stay in registers — at 6 limbs (360-row sketches) and 32768 rows
+/// it scanned about 1.7× faster than the generic loop on a 2-vCPU AVX2
+/// host. Inlined into each dispatched copy.
+#[inline(always)]
+fn scan_rows_core(
+    slab: &[u64],
+    query: &[u64],
+    t: u32,
+    visit: &mut impl FnMut(usize) -> ControlFlow<()>,
+) {
+    match query.len() {
+        1 => scan_rows_fixed::<1>(slab, query, t, visit),
+        2 => scan_rows_fixed::<2>(slab, query, t, visit),
+        3 => scan_rows_fixed::<3>(slab, query, t, visit),
+        4 => scan_rows_fixed::<4>(slab, query, t, visit),
+        5 => scan_rows_fixed::<5>(slab, query, t, visit),
+        6 => scan_rows_fixed::<6>(slab, query, t, visit),
+        7 => scan_rows_fixed::<7>(slab, query, t, visit),
+        8 => scan_rows_fixed::<8>(slab, query, t, visit),
+        w => {
+            for (z, row) in slab.chunks_exact(w).enumerate() {
+                let dist: u32 = row
+                    .iter()
+                    .zip(query)
+                    .map(|(a, b)| (a ^ b).count_ones())
+                    .sum();
+                if dist <= t && visit(z).is_break() {
+                    return;
+                }
+            }
+        }
+    }
+}
+
+#[inline(always)]
+fn scan_rows_fixed<const W: usize>(
+    slab: &[u64],
+    query: &[u64],
+    t: u32,
+    visit: &mut impl FnMut(usize) -> ControlFlow<()>,
+) {
+    let q: [u64; W] = query.try_into().expect("query width");
+    for (z, row) in slab.chunks_exact(W).enumerate() {
+        let mut dist = 0u32;
+        for k in 0..W {
+            dist += (row[k] ^ q[k]).count_ones();
+        }
+        if dist <= t && visit(z).is_break() {
+            return;
+        }
     }
 }
 

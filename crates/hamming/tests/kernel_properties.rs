@@ -6,10 +6,11 @@
 //! and through the `Dataset` surfaces (`exact_nn`, `within`, `k_nearest`,
 //! `DistanceHistogram`) that now route over the packed view.
 
+use anns_hamming::kernel::{count_rows_within, first_row_within, rows_within};
 use anns_hamming::{gen, k_nearest, Dataset, DistanceHistogram, PackedBlock, Point};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Scalar reference: one-vs-many distances via `Point::distance`.
 fn scalar_distances(query: &Point, points: &[Point]) -> Vec<u32> {
@@ -21,6 +22,38 @@ fn random_points(n: usize, d: u32, seed: u64) -> (Vec<Point>, Point) {
     let points: Vec<Point> = (0..n).map(|_| Point::random(d, &mut rng)).collect();
     let query = Point::random(d, &mut rng);
     (points, query)
+}
+
+/// Scalar reference for the row-major slab scans: each row's distance as
+/// the plain `count_ones` fold.
+fn scalar_row_distances(slab: &[u64], query: &[u64]) -> Vec<u32> {
+    slab.chunks_exact(query.len())
+        .map(|row| {
+            row.iter()
+                .zip(query)
+                .fold(0, |acc, (a, b)| acc + (a ^ b).count_ones())
+        })
+        .collect()
+}
+
+/// Checks all three slab scans against the scalar fold at every threshold
+/// edge: 0, `u32::MAX`, and one below, at and above each row's distance.
+fn assert_slab_scans_match(slab: &[u64], query: &[u64]) {
+    let dists = scalar_row_distances(slab, query);
+    let mut thresholds = vec![0, u32::MAX];
+    for &d in &dists {
+        thresholds.extend([d.saturating_sub(1), d, d + 1]);
+    }
+    for t in thresholds {
+        let expect: Vec<usize> = (0..dists.len()).filter(|&z| dists[z] <= t).collect();
+        assert_eq!(rows_within(slab, query, t), expect, "t={t}");
+        assert_eq!(count_rows_within(slab, query, t), expect.len(), "t={t}");
+        assert_eq!(
+            first_row_within(slab, query, t),
+            expect.first().copied(),
+            "t={t}"
+        );
+    }
 }
 
 /// Strategy: dimensions covering the whole 1..=1024 range so the tail limb
@@ -132,6 +165,34 @@ proptest! {
         let back: Dataset = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(back.points(), ds.points());
         prop_assert_eq!(back.packed().distances(&query), ds.packed().distances(&query));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The row-major slab scans equal the scalar fold for widths 1–9
+    /// limbs (both sides of the fixed-width arms), empty slabs included.
+    #[test]
+    fn slab_scans_match_scalar_fold(w in 1usize..=9, rows in 0usize..40, seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let query: Vec<u64> = (0..w).map(|_| rng.gen()).collect();
+        // Rows near the query (sparse noise), so small thresholds split
+        // the slab instead of rejecting every row.
+        let slab: Vec<u64> = (0..rows * w)
+            .map(|k| query[k % w] ^ (rng.gen::<u64>() & rng.gen::<u64>() & rng.gen::<u64>()))
+            .collect();
+        assert_slab_scans_match(&slab, &query);
+    }
+}
+
+#[test]
+fn empty_slabs_scan_to_nothing() {
+    for w in 1..=9 {
+        let query = vec![u64::MAX; w];
+        assert_slab_scans_match(&[], &query);
+        assert_eq!(first_row_within(&[], &query, u32::MAX), None);
+        assert_eq!(count_rows_within(&[], &query, u32::MAX), 0);
     }
 }
 

@@ -9,9 +9,10 @@
 //! deterministically from a seed.
 //!
 //! [`DbSketches`] holds the table side's precomputation: the sketches of
-//! every database point under every matrix. Lazy table oracles answer a
-//! probed address by scanning these sketches — the `C_i` / `D_{i,j}`
-//! membership oracles at the bottom of this file.
+//! every database point under every matrix, as one flat limb slab per
+//! matrix. Lazy table oracles answer a probed address by scanning these
+//! slabs — the `C_i` / `D_{i,j}` membership oracles at the bottom of this
+//! file.
 
 use std::sync::Mutex;
 
@@ -19,7 +20,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use anns_hamming::{ceil_log_alpha, Dataset, Point};
+use anns_hamming::point::LIMB_BITS;
+use anns_hamming::{ceil_log_alpha, kernel, Dataset, Point};
 
 use crate::delta::{threshold_fraction, ThresholdMode};
 use crate::matrix::{Sketch, SketchMatrix};
@@ -267,33 +269,74 @@ impl SketchFamily {
         self.n_thresholds[j as usize]
     }
 
-    /// The accurate membership test: does sketch `b` fall within the scale-i
-    /// threshold of sketch (= cell address) `a`?
-    pub fn m_passes(&self, i: u32, a: &Sketch, b: &Sketch) -> bool {
-        a.distance(b) <= self.m_thresholds[i as usize]
+    /// The accurate membership test: does the sketch with limbs `b` (a
+    /// database slab row) fall within the scale-i threshold of sketch
+    /// (= cell address) `a`?
+    pub fn m_passes(&self, i: u32, a: &Sketch, b: &[u64]) -> bool {
+        a.distance_limbs(b) <= self.m_thresholds[i as usize]
     }
 
     /// The coarse membership test at scale `j`.
-    pub fn n_passes(&self, j: u32, a: &Sketch, b: &Sketch) -> bool {
-        a.distance(b) <= self.n_thresholds[j as usize]
+    pub fn n_passes(&self, j: u32, a: &Sketch, b: &[u64]) -> bool {
+        a.distance_limbs(b) <= self.n_thresholds[j as usize]
     }
 }
 
-/// Database-side sketches: `sketches_m[i][z] = M_i·B[z]`, likewise for `N_j`.
+/// All database sketches of one kind (every `M_i`, or every `N_j`) as flat
+/// limb slabs: one `Vec<u64>` per scale, `points · w` limbs with
+/// `w = ⌈rows/64⌉`, point `z` at `[z·w, (z+1)·w)`. The row count is stored
+/// once for the kind; tail bits past it are zero in every sketch.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub(crate) struct SketchSlabs {
+    pub(crate) rows: u32,
+    pub(crate) scales: Vec<Vec<u64>>,
+}
+
+impl SketchSlabs {
+    /// Limbs per sketch.
+    fn width(&self) -> usize {
+        self.rows.div_ceil(LIMB_BITS) as usize
+    }
+
+    /// Sketch of point `z` at scale `i`.
+    pub(crate) fn row(&self, i: u32, z: usize) -> &[u64] {
+        let w = self.width();
+        &self.scales[i as usize][z * w..(z + 1) * w]
+    }
+
+    /// The scale-`i` slab, checked against the width of the address it is
+    /// about to be scanned with.
+    fn scale(&self, i: u32, addr: &Sketch) -> &[u64] {
+        assert_eq!(addr.bits(), self.rows, "address/slab sketch width mismatch");
+        &self.scales[i as usize]
+    }
+}
+
+/// Database-side sketches: `M_i·B[z]` and `N_j·B[z]` for every scale and
+/// database point `z`.
 ///
-/// This is the table's preprocessing. Memory: `(top+1) · n` sketches of
-/// `c₁·log₂ n` bits each — genuinely polynomial, unlike the materialized
-/// tables (substitution S1). Serializable, so indices can be snapshotted
-/// and reloaded without re-sketching.
+/// This is the table's preprocessing: `(top+1) · n` sketches per kind, the
+/// polynomial space of paper §3.1 (unlike the materialized tables,
+/// substitution S1). Each kind is a set of flat limb slabs, one per scale,
+/// so the whole structure is `2·(top+1)` allocations holding
+/// `(top+1) · n · (⌈m_rows/64⌉ + ⌈n_rows/64⌉) · 8` bytes and nothing else.
+/// At the serving benchmark's unique-large shape (n = 32768, d = 512,
+/// 19 scales, 360 + 180 rows) that is 42.75 MiB, and decoding one
+/// index's sketches adds 43.0 MiB of RSS (x86-64, glibc). The `C_i` /
+/// `D_{i,j}` oracles scan a scale's slab contiguously with the
+/// `anns_hamming::kernel` row scans. Serializable, so indices can be
+/// snapshotted and reloaded without re-sketching.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct DbSketches {
-    m: Vec<Vec<Sketch>>,
-    n: Vec<Vec<Sketch>>,
+    points: usize,
+    m: SketchSlabs,
+    n: SketchSlabs,
 }
 
 impl DbSketches {
     /// Sketches every database point under every matrix with the batch
-    /// kernel [`SketchMatrix::sketch_all`], one job per matrix.
+    /// kernel [`SketchMatrix::sketch_all_into`], one job (one slab) per
+    /// matrix.
     ///
     /// The `2·(top+1)` jobs run on `min(threads, available parallelism,
     /// jobs)` scoped threads that claim them in order. The `M` jobs (twice
@@ -304,15 +347,15 @@ impl DbSketches {
         assert_eq!(dataset.dim(), family.dim(), "dataset/family dimension");
         let points = dataset.points();
         let total = family.m_mats.len() + family.n_mats.len();
-        let mut sketches: Vec<Vec<Sketch>> = vec![Vec::new(); total];
+        let mut slabs: Vec<Vec<u64>> = vec![Vec::new(); total];
         let jobs = Mutex::new(
             family
                 .m_mats
                 .iter()
                 .chain(&family.n_mats)
-                .zip(sketches.iter_mut()),
+                .zip(slabs.iter_mut()),
         );
-        // Each worker allocates the sketches it computes. Allocated on the
+        // Each worker allocates the slabs it fills. Allocated on the
         // calling thread instead, the freed sketches of a dropped index
         // stayed resident in its allocator arena, where the threads that
         // later decode mapped bundles never reuse them (swap-mixed rss_mb
@@ -320,7 +363,8 @@ impl DbSketches {
         let work = || loop {
             let job = jobs.lock().expect("a sketch worker panicked").next();
             let Some((mat, out)) = job else { break };
-            *out = mat.sketch_all(points);
+            *out = vec![0u64; points.len() * mat.sketch_limbs()];
+            mat.sketch_all_into(points, out);
         };
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let workers = threads.min(cores).min(total).max(1);
@@ -329,82 +373,123 @@ impl DbSketches {
                 scope.spawn(work);
             }
         });
-        let n = sketches.split_off(family.m_mats.len());
-        DbSketches { m: sketches, n }
+        let n = slabs.split_off(family.m_mats.len());
+        DbSketches {
+            points: points.len(),
+            m: SketchSlabs {
+                rows: family.m_rows(),
+                scales: slabs,
+            },
+            n: SketchSlabs {
+                rows: family.n_rows(),
+                scales: n,
+            },
+        }
     }
 
-    /// Reassembles database sketches from stored scale vectors (the store
-    /// decode path). Both kinds must cover the same scales and points.
-    pub fn from_parts(m: Vec<Vec<Sketch>>, n: Vec<Vec<Sketch>>) -> Result<Self, String> {
-        if m.is_empty() || m.len() != n.len() {
+    /// Reassembles database sketches from decoded slabs (the store decode
+    /// path, which has already checked that every slab holds exactly
+    /// `points` sketches of its kind's width). Both kinds must cover the
+    /// same scales.
+    pub(crate) fn from_slabs(
+        points: usize,
+        m: SketchSlabs,
+        n: SketchSlabs,
+    ) -> Result<Self, String> {
+        if m.scales.is_empty() || m.scales.len() != n.scales.len() {
             return Err(format!(
                 "db sketches need matching non-empty scale lists, got {}/{}",
-                m.len(),
-                n.len()
+                m.scales.len(),
+                n.scales.len()
             ));
         }
-        let points = m[0].len();
-        if m.iter().any(|v| v.len() != points) || n.iter().any(|v| v.len() != points) {
-            return Err("every scale must sketch every database point".into());
-        }
-        Ok(DbSketches { m, n })
+        Ok(DbSketches { points, m, n })
     }
 
-    /// Per-scale accurate sketches (the store encode path).
-    pub fn m_scales(&self) -> &[Vec<Sketch>] {
+    /// Errors unless these sketches were made by `family`'s shape: exactly
+    /// `top+1` scales per kind, `m_rows()` / `n_rows()` bits per sketch,
+    /// and full slabs (a deserialized JSON snapshot has had no decoder
+    /// check them). Decoded and deserialized indexes pass through this
+    /// before serving, so a mismatched bundle is rejected at load rather
+    /// than panicking at its first query.
+    pub fn check_family(&self, family: &SketchFamily) -> Result<(), String> {
+        let scales = family.top() as usize + 1;
+        if self.m.scales.len() != scales || self.n.scales.len() != scales {
+            return Err(format!(
+                "db sketches cover {}/{} scales, family has {scales}",
+                self.m.scales.len(),
+                self.n.scales.len()
+            ));
+        }
+        if self.m.rows != family.m_rows() || self.n.rows != family.n_rows() {
+            return Err(format!(
+                "db sketch widths {}/{} bits != family rows {}/{}",
+                self.m.rows,
+                self.n.rows,
+                family.m_rows(),
+                family.n_rows()
+            ));
+        }
+        for kind in [&self.m, &self.n] {
+            let want = self.points * kind.width();
+            if let Some(bad) = kind.scales.iter().find(|s| s.len() != want) {
+                return Err(format!(
+                    "every scale must sketch every database point: slab of {} limbs, \
+                     {} points need {want}",
+                    bad.len(),
+                    self.points
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// The accurate slabs (the store encode path).
+    pub(crate) fn m_slabs(&self) -> &SketchSlabs {
         &self.m
     }
 
-    /// Per-scale coarse sketches.
-    pub fn n_scales(&self) -> &[Vec<Sketch>] {
+    /// The coarse slabs.
+    pub(crate) fn n_slabs(&self) -> &SketchSlabs {
         &self.n
     }
 
-    /// `M_i`-sketch of database point `z`.
-    pub fn m_sketch(&self, i: u32, z: usize) -> &Sketch {
-        &self.m[i as usize][z]
+    /// Limbs of the `M_i`-sketch of database point `z`.
+    pub fn m_limbs(&self, i: u32, z: usize) -> &[u64] {
+        self.m.row(i, z)
     }
 
-    /// `N_j`-sketch of database point `z`.
-    pub fn n_sketch(&self, j: u32, z: usize) -> &Sketch {
-        &self.n[j as usize][z]
+    /// Limbs of the `N_j`-sketch of database point `z`.
+    pub fn n_limbs(&self, j: u32, z: usize) -> &[u64] {
+        self.n.row(j, z)
     }
 
     /// Database size.
     pub fn len(&self) -> usize {
-        self.m.first().map_or(0, |v| v.len())
+        self.points
     }
 
     /// Whether there are no points (never true for valid datasets).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.points == 0
     }
 
     /// Members of `C_i` relative to an address sketch `a` (which is `M_i x`
     /// when the algorithm probes): indices `z` with
-    /// `dist(a, M_i z) ≤ threshold_i`.
-    pub fn c_members<'a>(
-        &'a self,
-        family: &'a SketchFamily,
-        i: u32,
-        addr: &'a Sketch,
-    ) -> impl Iterator<Item = usize> + 'a {
-        self.m[i as usize]
-            .iter()
-            .enumerate()
-            .filter(move |(_, sz)| family.m_passes(i, addr, sz))
-            .map(|(z, _)| z)
+    /// `dist(a, M_i z) ≤ threshold_i`, ascending.
+    pub fn c_members(&self, family: &SketchFamily, i: u32, addr: &Sketch) -> Vec<usize> {
+        kernel::rows_within(self.m.scale(i, addr), addr.limbs(), family.m_threshold(i))
     }
 
     /// First member of `C_i` (the content the paper's `T_i` cell stores), if
     /// any.
     pub fn c_first(&self, family: &SketchFamily, i: u32, addr: &Sketch) -> Option<usize> {
-        self.c_members(family, i, addr).next()
+        kernel::first_row_within(self.m.scale(i, addr), addr.limbs(), family.m_threshold(i))
     }
 
     /// `|C_i|` for an address sketch.
     pub fn c_count(&self, family: &SketchFamily, i: u32, addr: &Sketch) -> usize {
-        self.c_members(family, i, addr).count()
+        kernel::count_rows_within(self.m.scale(i, addr), addr.limbs(), family.m_threshold(i))
     }
 
     /// `|D_{i,j}|` for address sketches `a = M_i x` and `b = N_j x`:
@@ -417,12 +502,10 @@ impl DbSketches {
         addr_m: &Sketch,
         addr_n: &Sketch,
     ) -> usize {
-        self.c_members(family, i, addr_m)
-            .filter(|&z| family.n_passes(j, addr_n, self.n_sketch(j, z)))
-            .count()
+        self.d_members(family, i, j, addr_m, addr_n).len()
     }
 
-    /// Members of `D_{i,j}` (for validation code).
+    /// Members of `D_{i,j}`, ascending.
     pub fn d_members(
         &self,
         family: &SketchFamily,
@@ -431,9 +514,9 @@ impl DbSketches {
         addr_m: &Sketch,
         addr_n: &Sketch,
     ) -> Vec<usize> {
-        self.c_members(family, i, addr_m)
-            .filter(|&z| family.n_passes(j, addr_n, self.n_sketch(j, z)))
-            .collect()
+        let mut members = self.c_members(family, i, addr_m);
+        members.retain(|&z| family.n_passes(j, addr_n, self.n_limbs(j, z)));
+        members
     }
 }
 
@@ -488,7 +571,7 @@ mod tests {
             for i in 0..=family.top() {
                 let addr = family.sketch_m(i, ds.point(z));
                 assert!(
-                    db.c_members(&family, i, &addr).any(|m| m == z),
+                    db.c_members(&family, i, &addr).contains(&z),
                     "point {z} missing from its own C_{i}"
                 );
             }
@@ -530,7 +613,7 @@ mod tests {
         let addr = family.sketch_m(i_in, &inst.query);
         assert!(
             db.c_members(&family, i_in, &addr)
-                .any(|z| z == inst.planted_index),
+                .contains(&inst.planted_index),
             "needle missing from C_{i_in}"
         );
         // Tiny scale: nothing within distance α^1, so C_1 ⊆ B_2 should be
@@ -569,12 +652,28 @@ mod tests {
             let par = DbSketches::build(&family, &ds, threads);
             for i in 0..=family.top() {
                 for z in 0..ds.len() {
-                    assert_eq!(seq.m_sketch(i, z), par.m_sketch(i, z), "t={threads}");
-                    assert_eq!(seq.n_sketch(i, z), par.n_sketch(i, z), "t={threads}");
-                    assert_eq!(seq.m_sketch(i, z), &family.sketch_m(i, ds.point(z)));
-                    assert_eq!(seq.n_sketch(i, z), &family.sketch_n(i, ds.point(z)));
+                    assert_eq!(seq.m_limbs(i, z), par.m_limbs(i, z), "t={threads}");
+                    assert_eq!(seq.n_limbs(i, z), par.n_limbs(i, z), "t={threads}");
+                    assert_eq!(seq.m_limbs(i, z), family.sketch_m(i, ds.point(z)).limbs());
+                    assert_eq!(seq.n_limbs(i, z), family.sketch_n(i, ds.point(z)).limbs());
                 }
             }
+        }
+    }
+
+    #[test]
+    fn check_family_rejects_other_shapes() {
+        let (family, _, db) = family_and_ds(14, 20, 96);
+        assert!(db.check_family(&family).is_ok());
+        let mut short = db.clone();
+        short.m.scales[1].pop();
+        let mut narrow = db.clone();
+        narrow.n.rows -= 1;
+        let mut fewer = db.clone();
+        fewer.m.scales.pop();
+        fewer.n.scales.pop();
+        for bad in [short, narrow, fewer] {
+            assert!(bad.check_family(&family).is_err());
         }
     }
 

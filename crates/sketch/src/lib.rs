@@ -42,7 +42,7 @@
 //! let sketch = family.sketch_m(0, &x);
 //! assert_eq!(sketch.bits(), family.m_rows());
 //! // Identical sketches always pass the C_i membership threshold.
-//! assert!(family.m_passes(0, &sketch, &sketch));
+//! assert!(family.m_passes(0, &sketch, sketch.limbs()));
 //! ```
 
 pub mod delta;

@@ -8,7 +8,7 @@
 //! ([`SketchMatrix::sketch`]) costs `rows × d/64` AND+XOR word operations
 //! and one popcount per row, and sketch distances are XOR+popcount — the
 //! same hot loop as raw Hamming distances, just in sketch space.
-//! Sketching a whole database ([`SketchMatrix::sketch_all`]) instead uses
+//! Sketching a whole database ([`SketchMatrix::sketch_all_into`]) instead uses
 //! the "Method of Four Russians": the matrix is transposed into columns,
 //! every 4-bit chunk of `x` gets a 16-entry table of its column XORs, and
 //! each point costs `d/4` table lookups of `⌈rows/64⌉` limbs each.
@@ -39,6 +39,25 @@ impl Sketch {
     /// Hamming distance between sketches.
     pub fn distance(&self, other: &Sketch) -> u32 {
         self.0.distance(&other.0)
+    }
+
+    /// Hamming distance to a sketch stored as raw limbs (a database
+    /// sketch slab row), tail bits zero.
+    ///
+    /// # Panics
+    /// Panics if `limbs` is not exactly this sketch's limb count.
+    pub fn distance_limbs(&self, limbs: &[u64]) -> u32 {
+        let own = self.0.limbs();
+        assert_eq!(own.len(), limbs.len(), "distance between mismatched dims");
+        own.iter()
+            .zip(limbs)
+            .map(|(a, b)| (a ^ b).count_ones())
+            .sum()
+    }
+
+    /// The raw limbs (little-endian bit order; tail bits are zero).
+    pub fn limbs(&self) -> &[u64] {
+        self.0.limbs()
     }
 
     /// The sketch as a byte string for use as a table-cell address.
@@ -144,7 +163,14 @@ impl SketchMatrix {
         Sketch(Point::from_limbs(self.rows(), limbs))
     }
 
-    /// Sketches every point of a batch: `sketch_all(ps)[k] == sketch(&ps[k])`.
+    /// Limbs of one sketch: `⌈rows/64⌉`.
+    pub fn sketch_limbs(&self) -> usize {
+        self.rows.len().div_ceil(LIMB)
+    }
+
+    /// Sketches every point of a batch into a row-major limb slab: with
+    /// `w = sketch_limbs()`, `out[k·w..(k+1)·w]` becomes the limbs of
+    /// `sketch(&points[k])`, tail bits zero.
     ///
     /// Method of Four Russians over GF(2). The rows are transposed into
     /// `d` column bit vectors; for every 4-bit chunk of the input a 16-entry
@@ -155,15 +181,21 @@ impl SketchMatrix {
     /// a single query point should use [`SketchMatrix::sketch`].
     ///
     /// # Panics
-    /// Panics if a point's dimension does not match the matrix.
-    pub fn sketch_all(&self, points: &[Point]) -> Vec<Sketch> {
+    /// Panics if a point's dimension does not match the matrix or
+    /// `out.len() != points.len() · sketch_limbs()`.
+    pub fn sketch_all_into(&self, points: &[Point], out: &mut [u64]) {
+        let out_limbs = self.sketch_limbs();
+        assert_eq!(
+            out.len(),
+            points.len() * out_limbs,
+            "output slab must hold one sketch per point"
+        );
         if points.is_empty() {
-            return Vec::new();
+            return;
         }
         // Output limbs are handled `BLOCK` at a time. Columns are padded to
         // whole input limbs (16 chunks per limb) and tables to whole blocks;
         // the padding is zero, as are a point's tail bits.
-        let out_limbs = self.rows.len().div_ceil(LIMB);
         let blocks = out_limbs.div_ceil(BLOCK);
         let width = self.dim.div_ceil(LIMB_BITS) as usize * LIMB;
         // cols[b · width + c] = block b of column c.
@@ -184,41 +216,36 @@ impl SketchMatrix {
                 table[v] = std::array::from_fn(|k| prev[k] ^ col[k]);
             }
         }
-        points
-            .iter()
-            .map(|x| {
-                assert_eq!(x.dim(), self.dim, "point/matrix dimension mismatch");
-                let mut limbs = vec![0u64; out_limbs];
-                for (dst, block_tables) in limbs
-                    .chunks_mut(BLOCK)
-                    .zip(tables.chunks_exact(width / 4 * 16))
+        for (x, limbs) in points.iter().zip(out.chunks_exact_mut(out_limbs)) {
+            assert_eq!(x.dim(), self.dim, "point/matrix dimension mismatch");
+            for (dst, block_tables) in limbs
+                .chunks_mut(BLOCK)
+                .zip(tables.chunks_exact(width / 4 * 16))
+            {
+                // A fixed-width accumulator stays in registers.
+                let mut acc = [0u64; BLOCK];
+                for (&word, limb_tables) in x
+                    .limbs()
+                    .iter()
+                    .zip(block_tables.chunks_exact(LIMB / 4 * 16))
                 {
-                    // A fixed-width accumulator stays in registers.
-                    let mut acc = [0u64; BLOCK];
-                    for (&word, limb_tables) in x
-                        .limbs()
-                        .iter()
-                        .zip(block_tables.chunks_exact(LIMB / 4 * 16))
-                    {
-                        for (nibble, table) in limb_tables.chunks_exact(16).enumerate() {
-                            let entry = table[(word >> (4 * nibble)) as usize & 15];
-                            for (a, e) in acc.iter_mut().zip(entry) {
-                                *a ^= e;
-                            }
+                    for (nibble, table) in limb_tables.chunks_exact(16).enumerate() {
+                        let entry = table[(word >> (4 * nibble)) as usize & 15];
+                        for (a, e) in acc.iter_mut().zip(entry) {
+                            *a ^= e;
                         }
                     }
-                    dst.copy_from_slice(&acc[..dst.len()]);
                 }
-                Sketch(Point::from_limbs(self.rows(), limbs))
-            })
-            .collect()
+                dst.copy_from_slice(&acc[..dst.len()]);
+            }
+        }
     }
 }
 
 /// Bits per limb, as a `usize` for indexing.
 const LIMB: usize = LIMB_BITS as usize;
 
-/// Output limbs [`SketchMatrix::sketch_all`] accumulates per pass over the
+/// Output limbs [`SketchMatrix::sketch_all_into`] accumulates per pass over the
 /// tables. At d = 512, 360 rows and n = 32768 on a 2-vCPU x86-64 host,
 /// width 2 ran about twice as fast as width 1 and within noise of widths
 /// 3, 4 and 8, and of an accumulator sized to the exact row count.

@@ -89,7 +89,7 @@ pub fn validate_sandwich(
             let mut lower = false;
             let mut upper = false;
             for (z, &dist) in dists.iter().enumerate() {
-                let in_c = family.m_passes(i, &addr, db.m_sketch(i, z));
+                let in_c = family.m_passes(i, &addr, db.m_limbs(i, z));
                 if dist <= r_in && !in_c {
                     lower = true;
                 }
@@ -139,10 +139,10 @@ pub fn validate_fractions(
         let dists: Vec<u32> = dataset.points().iter().map(|z| x.distance(z)).collect();
         for i in (0..=top).step_by(stride) {
             let addr_m = family.sketch_m(i, x);
-            let c_members: Vec<usize> = db.c_members(family, i, &addr_m).collect();
+            let c_members = db.c_members(family, i, &addr_m);
             for j in (0..=i).step_by(stride) {
                 let addr_n = family.sketch_n(j, x);
-                let in_d = |z: usize| family.n_passes(j, &addr_n, db.n_sketch(j, z));
+                let in_d = |z: usize| family.n_passes(j, &addr_n, db.n_limbs(j, z));
                 let r_j = scale_radius(j, alpha);
                 let r_j1 = scale_radius(j + 1, alpha);
                 // Side 1: fraction of B_j missing from D_{i,j}.

@@ -1,6 +1,6 @@
-//! The batch kernel `SketchMatrix::sketch_all` is bit-identical to the
-//! per-point row path `SketchMatrix::sketch`, across partial 4-bit tail
-//! chunks, partial input and output limbs, and every density regime.
+//! The batch kernel `SketchMatrix::sketch_all_into` is bit-identical to
+//! the per-point row path `SketchMatrix::sketch`, across partial 4-bit
+//! tail chunks, partial input and output limbs, and every density regime.
 
 use anns_hamming::Point;
 use anns_sketch::SketchMatrix;
@@ -29,10 +29,15 @@ fn assert_kernel_matches_rows(d: u32, rows: u32, p: f64, n: usize, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let m = SketchMatrix::sample(rows, d, p, &mut rng);
     let xs = points(n, d, &mut rng);
-    let batch = m.sketch_all(&xs);
-    assert_eq!(batch.len(), xs.len());
-    for (k, (got, x)) in batch.iter().zip(&xs).enumerate() {
-        assert_eq!(got, &m.sketch(x), "d={d} rows={rows} p={p} point {k}");
+    let w = m.sketch_limbs();
+    let mut batch = vec![u64::MAX; xs.len() * w];
+    m.sketch_all_into(&xs, &mut batch);
+    for (k, (got, x)) in batch.chunks_exact(w).zip(&xs).enumerate() {
+        assert_eq!(
+            got,
+            m.sketch(x).limbs(),
+            "d={d} rows={rows} p={p} point {k}"
+        );
     }
 }
 
@@ -51,7 +56,7 @@ fn every_grid_shape_matches_the_row_path() {
 fn an_empty_batch_sketches_to_nothing() {
     let mut rng = StdRng::seed_from_u64(1);
     let m = SketchMatrix::sample(65, 129, 0.25, &mut rng);
-    assert!(m.sketch_all(&[]).is_empty());
+    m.sketch_all_into(&[], &mut []);
 }
 
 #[test]
@@ -59,7 +64,7 @@ fn an_empty_batch_sketches_to_nothing() {
 fn a_mismatched_point_panics() {
     let mut rng = StdRng::seed_from_u64(2);
     let m = SketchMatrix::sample(8, 64, 0.25, &mut rng);
-    let _ = m.sketch_all(&[Point::zeros(64), Point::zeros(65)]);
+    m.sketch_all_into(&[Point::zeros(64), Point::zeros(65)], &mut [0; 2]);
 }
 
 proptest! {
