@@ -2613,9 +2613,9 @@ fn cmd_load(flags: HashMap<String, String>) {
 
 fn cmd_inspect(flags: HashMap<String, String>) {
     let path = required(&flags, "store");
-    let mut reader = anns_store::open_file(&path)
+    let store = anns_store::MappedStore::open(&path)
         .unwrap_or_else(|e| die(&format!("cannot open store {path}: {e}")));
-    let header = *reader.header();
+    let header = *store.header();
     let kind_name = if header.kind == anns_store::KIND_BUNDLE {
         "bundle".to_string()
     } else {
@@ -2627,47 +2627,44 @@ fn cmd_inspect(flags: HashMap<String, String>) {
     println!("store      : {path}");
     println!("format     : v{} {kind_name}", header.version);
     println!("sections   : {}", header.sections);
-    // Stream the sections: checksums verify as a side effect of reading,
-    // and META yields the shard directory without instantiating indexes.
-    loop {
-        match reader.next_section() {
-            Ok(None) => break,
-            Ok(Some(section)) => {
+    // Verify every section through its latch, in file order; META yields
+    // the shard directory without instantiating indexes.
+    for idx in 0..store.section_count() {
+        let section = store.section(idx).expect("index in range");
+        let payload = section
+            .bytes()
+            .unwrap_or_else(|e| die(&format!("store damaged: {e}")));
+        println!(
+            "  {} {:>10} bytes  crc32 {:#010x}  ok",
+            String::from_utf8_lossy(&section.tag()),
+            payload.len(),
+            section.crc()
+        );
+        if section.tag() == anns_store::section_tag::META {
+            let meta = anns_engine::BundleMeta::from_bytes(payload)
+                .unwrap_or_else(|e| die(&format!("bad META section: {e}")));
+            println!("    tool   : {}", meta.tool);
+            println!("    indexes: {}", meta.indexes);
+            for shard in &meta.shards {
                 println!(
-                    "  {} {:>10} bytes  crc32 {:#010x}  ok",
-                    String::from_utf8_lossy(&section.tag),
-                    section.payload.len(),
-                    section.crc
+                    "    shard  : {} [{}] {}",
+                    shard.name,
+                    anns_store::scheme_kind::name(shard.kind),
+                    shard.label
                 );
-                if section.tag == anns_store::section_tag::META {
-                    let meta = anns_engine::BundleMeta::from_bytes(&section.payload)
-                        .unwrap_or_else(|e| die(&format!("bad META section: {e}")));
-                    println!("    tool   : {}", meta.tool);
-                    println!("    indexes: {}", meta.indexes);
-                    for shard in &meta.shards {
-                        println!(
-                            "    shard  : {} [{}] {}",
-                            shard.name,
-                            anns_store::scheme_kind::name(shard.kind),
-                            shard.label
-                        );
-                    }
-                }
-                if section.tag == anns_store::section_tag::MANIFEST {
-                    let manifest = anns_store::Manifest::from_bytes(&section.payload)
-                        .unwrap_or_else(|e| die(&format!("bad MNFT section: {e}")));
-                    println!("    tool   : {}", manifest.tool);
-                    for digest in &manifest.sections {
-                        println!(
-                            "    covers : {} {:>10} bytes  crc32 {:#010x}",
-                            digest.tag_string(),
-                            digest.len,
-                            digest.crc
-                        );
-                    }
-                }
             }
-            Err(e) => die(&format!("store damaged: {e}")),
+        }
+    }
+    // The parser already verified the manifest against every prelude.
+    if let Some(manifest) = store.manifest() {
+        println!("    tool   : {}", manifest.tool);
+        for digest in &manifest.sections {
+            println!(
+                "    covers : {} {:>10} bytes  crc32 {:#010x}",
+                digest.tag_string(),
+                digest.len,
+                digest.crc
+            );
         }
     }
 }

@@ -16,8 +16,7 @@
 //! [`RoundExecutor`]: crate::executor::RoundExecutor
 
 use std::collections::HashMap;
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::space::SpaceModel;
 use crate::table::{Address, Table, TableId};
@@ -40,14 +39,17 @@ impl<'a> PurityAuditTable<'a> {
 
     /// Number of distinct cells read so far.
     pub fn distinct_cells(&self) -> usize {
-        self.seen.lock().len()
+        self.seen
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 }
 
 impl Table for PurityAuditTable<'_> {
     fn read(&self, addr: &Address) -> Word {
         let word = self.inner.read(addr);
-        let mut seen = self.seen.lock();
+        let mut seen = self.seen.lock().unwrap_or_else(PoisonError::into_inner);
         match seen.get(addr) {
             Some(prev) => assert_eq!(
                 prev, &word,
@@ -82,26 +84,31 @@ impl<'a> CountingTable<'a> {
 
     /// Probe count of one table id.
     pub fn count(&self, table: TableId) -> usize {
-        self.counts.lock().get(&table).copied().unwrap_or(0)
+        self.counts().get(&table).copied().unwrap_or(0)
     }
 
     /// All `(table id, probes)` pairs, sorted by id.
     pub fn snapshot(&self) -> Vec<(TableId, usize)> {
-        let mut v: Vec<(TableId, usize)> =
-            self.counts.lock().iter().map(|(&t, &c)| (t, c)).collect();
+        let mut v: Vec<(TableId, usize)> = self.counts().iter().map(|(&t, &c)| (t, c)).collect();
         v.sort_unstable();
         v
     }
 
     /// Total probes across all tables.
     pub fn total(&self) -> usize {
-        self.counts.lock().values().sum()
+        self.counts().values().sum()
+    }
+
+    /// The counters; a panic elsewhere while they were held cannot
+    /// corrupt a count, so a poisoned lock is recovered.
+    fn counts(&self) -> MutexGuard<'_, HashMap<TableId, usize>> {
+        self.counts.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 impl Table for CountingTable<'_> {
     fn read(&self, addr: &Address) -> Word {
-        *self.counts.lock().entry(addr.table).or_insert(0) += 1;
+        *self.counts().entry(addr.table).or_insert(0) += 1;
         self.inner.read(addr)
     }
 
@@ -144,7 +151,7 @@ mod tests {
         struct Mutating(Mutex<u64>);
         impl Table for Mutating {
             fn read(&self, _addr: &Address) -> Word {
-                let mut v = self.0.lock();
+                let mut v = self.0.lock().unwrap_or_else(PoisonError::into_inner);
                 *v += 1;
                 Word::from_u64(*v)
             }

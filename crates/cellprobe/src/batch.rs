@@ -4,7 +4,7 @@
 //! beyond parallelizing the probes *within* a round ([`RoundExecutor`]),
 //! whole queries are independent of each other and batch workloads shard
 //! across threads. This module provides that driver for benches and
-//! experiments: deterministic output order, crossbeam scoped threads, no
+//! experiments: deterministic output order, `std` scoped threads, no
 //! unsafe.
 //!
 //! [`RoundExecutor`]: crate::executor::RoundExecutor

@@ -216,7 +216,7 @@ pub trait RoundSource: Sync {
 }
 
 /// Reads a batch of addresses from a table, words in address order, on up
-/// to `threads` crossbeam scoped threads (sequential when `threads <= 1`
+/// to `threads` scoped threads (sequential when `threads <= 1`
 /// or the batch is a single address).
 ///
 /// Probes within a round are independent by the model's definition, so
@@ -280,7 +280,7 @@ pub fn read_batch_observed(
     read_batch_tiled(table, addrs, threads, tile)
 }
 
-/// Maps `f` over `items` on up to `threads` crossbeam scoped threads
+/// Maps `f` over `items` on up to `threads` scoped threads
 /// (contiguous chunks, never an empty-range worker), results in item
 /// order; runs inline when `threads <= 1` or there is at most one item.
 /// The one scatter/gather primitive behind [`read_batch`], the batch
@@ -298,17 +298,16 @@ where
     let chunk = items.len().div_ceil(workers).max(1);
     let mut out: Vec<Option<R>> = Vec::new();
     out.resize_with(items.len(), || None);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (slot_chunk, item_chunk) in out.chunks_mut(chunk).zip(items.chunks(chunk)) {
             let f = &f;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (slot, item) in slot_chunk.iter_mut().zip(item_chunk.iter()) {
                     *slot = Some(f(item));
                 }
             });
         }
-    })
-    .expect("parallel worker panicked");
+    });
     out.into_iter()
         .map(|r| r.expect("item not processed"))
         .collect()

@@ -21,11 +21,11 @@
 //!   and the adaptive baseline, so complexity accounting is uniform;
 //! * [`space`] — table-size accounting, including the public-coin →
 //!   private-coin translation of Lemma 5 / Proposition 6 (Newman's theorem);
-//! * [`batch`] — a crossbeam-based parallel driver for query batches.
+//! * [`batch`] — a scoped-thread parallel driver for query batches.
 //!
 //! Probes inside one round are *independent by definition of the model*;
 //! [`RoundExecutor`] optionally executes them on parallel threads
-//! (crossbeam scoped threads), which is precisely the parallelism the paper
+//! (`std::thread::scope`), which is precisely the parallelism the paper
 //! says limited adaptivity exposes ("the ability to be implemented in
 //! parallel", §1).
 //!

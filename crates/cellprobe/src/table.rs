@@ -17,8 +17,8 @@
 //!   per probe is identical to reading a materialized cell.
 
 use std::collections::HashMap;
+use std::sync::{PoisonError, RwLock};
 
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 
 use crate::space::SpaceModel;
@@ -99,12 +99,18 @@ impl MaterializedTable {
 
     /// Writes one cell (preprocessing time — not charged as a probe).
     pub fn write(&self, addr: Address, word: Word) {
-        self.cells.write().insert(addr, word);
+        self.cells
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(addr, word);
     }
 
     /// Number of cells explicitly stored.
     pub fn populated_cells(&self) -> usize {
-        self.cells.read().len()
+        self.cells
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 }
 
@@ -112,6 +118,7 @@ impl Table for MaterializedTable {
     fn read(&self, addr: &Address) -> Word {
         self.cells
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .get(addr)
             .cloned()
             .unwrap_or_else(Word::empty)

@@ -26,7 +26,7 @@
 //!   by the bundle of the epoch that admitted their window;
 //! * **Injectable time** — every deadline decision reads the
 //!   [`Clock`] seam, so tier-1 tests drive a
-//!   [`crate::clock::VirtualClock`] and *prove* deadline sealing,
+//!   [`crate::VirtualClock`] and *prove* deadline sealing,
 //!   deadline-vs-fill races, overload shedding and swap-during-enqueue
 //!   behavior deterministically, with no sleeps anywhere.
 //!
@@ -42,7 +42,7 @@
 //! use std::sync::Arc;
 //! use std::time::Duration;
 //! use anns_core::{AnnIndex, BuildOptions};
-//! use anns_engine::clock::VirtualClock;
+//! use anns_engine::VirtualClock;
 //! use anns_engine::{
 //!     AdmissionOptions, AdmissionQueue, Engine, EngineOptions, NamedRequest, Registry,
 //!     SealReason,
@@ -92,8 +92,8 @@ use std::time::Duration;
 
 use anns_obs::TraceEvent;
 
-use crate::clock::Clock;
 use crate::engine::{Engine, NamedRequest, ServeError, Served};
+use crate::Clock;
 
 /// Admission-window configuration.
 #[derive(Clone, Copy, Debug)]
@@ -501,7 +501,7 @@ impl AdmissionQueue {
     /// sealable at the current clock reading.
     ///
     /// This is the deterministic test surface: with a
-    /// [`crate::clock::VirtualClock`], a test fully controls when windows
+    /// [`crate::VirtualClock`], a test fully controls when windows
     /// can seal and in what state the queue is when they do.
     pub fn pump_now(&self) -> Option<WindowTrace> {
         let window = {

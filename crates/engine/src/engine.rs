@@ -410,7 +410,7 @@ impl Engine {
             obs,
         );
         let mut slots: Vec<Option<Served>> = (0..requests.len()).map(|_| None).collect();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for ((slot, request), out) in requests.iter().enumerate().zip(slots.iter_mut()) {
                 let generation = &generation;
                 assert!(
@@ -423,7 +423,7 @@ impl Engine {
                 let scheme = epoch.scheme(request.shard);
                 let exec = self.opts.exec;
                 let mount_epoch = epoch.epoch();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let started = Instant::now();
                     let source = generation.source(slot, request.shard.0);
                     let solo = SoloServable(scheme);
@@ -445,8 +445,7 @@ impl Engine {
                     });
                 });
             }
-        })
-        .expect("generation worker panicked");
+        });
         let served: Vec<Served> = slots
             .into_iter()
             .map(|s| s.expect("query not served"))

@@ -1,7 +1,10 @@
 //! Lazily decoded shards over a memory-mapped bundle.
 //!
-//! The heap ingest path decodes every pooled index at mount. A mapped
-//! mount ([`crate::Registry::mount_mapped`]) defers that work: the pool's
+//! Both backends parse a bundle with the same
+//! [`MappedStore`](anns_store::MappedStore) and the same shard-record
+//! parser; they differ in when index payloads are decoded. The heap
+//! backend decodes every pooled index at mount. A mapped mount
+//! ([`crate::Registry::mount_mapped`]) defers that work: the pool's
 //! entry *table* is read eagerly (it is manifest-sized), but each entry's
 //! payload stays cold — unread, unverified, undecoded — until the first
 //! query routes at a shard that needs it. [`LazyPool`] owns that

@@ -52,8 +52,8 @@
 //!   typed `ServeError::Overloaded`, and resolves [`admission::Ticket`]s
 //!   epoch-pinned — requests enqueued around a hot swap are served by
 //!   the epoch that admitted their window. Time is injectable
-//!   ([`clock`]): production uses [`clock::RealClock`], tests prove
-//!   deadline behavior deterministically with a [`clock::VirtualClock`];
+//!   ([`Clock`], from `anns-obs`): production uses [`RealClock`], tests
+//!   prove deadline behavior deterministically with a [`VirtualClock`];
 //! * [`stats`] — **served metrics**: cumulative engine counters (merged
 //!   ledgers, coalescing ratio, budget violations) and the JSON
 //!   [`stats::ServeReport`] emitted by `annsctl serve` /
@@ -63,7 +63,7 @@
 //!   and every admission, window seal, coalesced dispatch, batch read,
 //!   completion, shed, and epoch flip becomes a typed
 //!   `anns_obs::TraceEvent` in a bounded ring — deterministic under a
-//!   [`clock::VirtualClock`], dumped automatically on anomalies by the
+//!   [`VirtualClock`], dumped automatically on anomalies by the
 //!   flight recorder, free (one guarded branch per site) under the
 //!   default `anns_obs::NullRecorder`. See `docs/OBSERVABILITY.md`.
 //!
@@ -115,7 +115,6 @@
 //! ```
 
 pub mod admission;
-pub mod clock;
 pub mod engine;
 pub mod lazy;
 pub mod mount;
@@ -127,10 +126,10 @@ pub mod testkit;
 pub use admission::{
     AdmissionOptions, AdmissionQueue, Resolution, SealReason, Ticket, WindowTrace,
 };
+pub use anns_obs::clock::{Clock, RealClock, VirtualClock};
 pub use anns_obs::{
     FlightRecorder, NullRecorder, Recorder, RingRecorder, TraceCounters, TraceEvent, TraceRecord,
 };
-pub use clock::{Clock, RealClock, VirtualClock};
 pub use engine::{
     Engine, EngineOptions, GenerationTrace, NamedRequest, QueryRequest, ServeError, Served,
 };

@@ -81,17 +81,19 @@ impl From<StoreError> for MountError {
     }
 }
 
-/// Which ingest path loads a bundle into the registry.
+/// Where a bundle's bytes live while it loads, and when their CRCs run.
+/// Both backends share one parser and one bundle ingest.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StoreBackend {
-    /// Stream the file, verify every section CRC, and decode every index
-    /// eagerly. The only path that reads format-v1 files.
+    /// Read the file into memory, verify every section CRC, decode every
+    /// index eagerly, then drop the buffer: only the decoded indexes stay
+    /// resident.
     #[default]
     Heap,
     /// Memory-map the file: header and `MNFT` manifest verify eagerly,
     /// per-index CRC checks and decoding defer to first query touch, so
     /// mount cost and resident memory track the manifest and the queried
-    /// working set rather than the file size. Requires format v2.
+    /// working set rather than the file size.
     Mmap,
 }
 
@@ -171,7 +173,7 @@ pub struct MountManifest {
     /// matched the sections actually read. `false` for pre-manifest
     /// bundles (they still load).
     pub manifest_verified: bool,
-    /// Which ingest path loaded the bundle.
+    /// Which backend loaded the bundle.
     pub backend: StoreBackend,
     /// Wall-clock time of the ingest itself, in milliseconds.
     pub mount_ms: f64,
@@ -322,14 +324,36 @@ impl MountTable {
         self.current().epoch()
     }
 
-    /// Threads a mutation's outcome past the recorder: every failed
-    /// mount/swap/unmount becomes a `SwapFailed` trace event (and a
+    /// Every mount-table mutation, built off to the side: under the swap
+    /// lock, check the namespace is absent (`replace == false`) or
+    /// present (`replace == true`), fork the current registry (without
+    /// the namespace when replacing), apply `load` to the fork, and flip
+    /// it in. A failure becomes a `SwapFailed` trace event (and a
     /// flight-recorder trigger) on its way back to the caller.
-    fn observed(
+    fn mutate(
         &self,
         namespace: &str,
-        result: Result<SwapReceipt, MountError>,
+        replace: bool,
+        load: impl FnOnce(&mut Registry) -> Result<Option<MountManifest>, MountError>,
     ) -> Result<SwapReceipt, MountError> {
+        let result = (|| {
+            let _build = self.swap_lock.lock().unwrap_or_else(|e| e.into_inner());
+            let base = self.current();
+            let mounted = base.manifest(namespace).is_some();
+            if mounted && !replace {
+                return Err(MountError::AlreadyMounted(namespace.to_string()));
+            }
+            if !mounted && replace {
+                return Err(MountError::NotMounted(namespace.to_string()));
+            }
+            let mut next = if replace {
+                base.fork_without(namespace)
+            } else {
+                base.fork()
+            };
+            let manifest = load(&mut next)?;
+            Ok(self.flip(namespace, next, manifest))
+        })();
         if let Err(e) = &result {
             self.swap_failed(namespace, e);
         }
@@ -343,17 +367,7 @@ impl MountTable {
         namespace: &str,
         path: impl AsRef<std::path::Path>,
     ) -> Result<SwapReceipt, MountError> {
-        let path = path.as_ref();
-        let result = std::fs::File::open(path)
-            .map_err(|e| MountError::Store(StoreError::Io(e)))
-            .and_then(|file| {
-                self.mount_from_inner(
-                    namespace,
-                    std::io::BufReader::new(file),
-                    path.display().to_string(),
-                )
-            });
-        self.observed(namespace, result)
+        self.mount_with_backend(namespace, path, StoreBackend::Heap)
     }
 
     /// [`MountTable::mount`] over any byte stream, with a caller-supplied
@@ -364,24 +378,9 @@ impl MountTable {
         inner: impl std::io::Read,
         source: impl Into<String>,
     ) -> Result<SwapReceipt, MountError> {
-        let result = self.mount_from_inner(namespace, inner, source);
-        self.observed(namespace, result)
-    }
-
-    fn mount_from_inner(
-        &self,
-        namespace: &str,
-        inner: impl std::io::Read,
-        source: impl Into<String>,
-    ) -> Result<SwapReceipt, MountError> {
-        let _build = self.swap_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let base = self.current();
-        if base.manifest(namespace).is_some() {
-            return Err(MountError::AlreadyMounted(namespace.to_string()));
-        }
-        let mut next = base.fork();
-        let manifest = next.mount_from(namespace, inner, source)?;
-        Ok(self.flip(namespace, next, Some(manifest)))
+        self.mutate(namespace, false, |next| {
+            next.mount_from(namespace, inner, source).map(Some)
+        })
     }
 
     /// [`MountTable::mount`] through an explicit store backend: `Heap`
@@ -393,22 +392,9 @@ impl MountTable {
         path: impl AsRef<std::path::Path>,
         backend: StoreBackend,
     ) -> Result<SwapReceipt, MountError> {
-        match backend {
-            StoreBackend::Heap => self.mount(namespace, path),
-            StoreBackend::Mmap => {
-                let result = (|| {
-                    let _build = self.swap_lock.lock().unwrap_or_else(|e| e.into_inner());
-                    let base = self.current();
-                    if base.manifest(namespace).is_some() {
-                        return Err(MountError::AlreadyMounted(namespace.to_string()));
-                    }
-                    let mut next = base.fork();
-                    let manifest = next.mount_mapped(namespace, path.as_ref())?;
-                    Ok(self.flip(namespace, next, Some(manifest)))
-                })();
-                self.observed(namespace, result)
-            }
-        }
+        self.mutate(namespace, false, |next| {
+            next.mount_file(namespace, path.as_ref(), backend).map(Some)
+        })
     }
 
     /// Replaces an existing namespace with a new bundle, atomically: the
@@ -421,17 +407,7 @@ impl MountTable {
         namespace: &str,
         path: impl AsRef<std::path::Path>,
     ) -> Result<SwapReceipt, MountError> {
-        let path = path.as_ref();
-        let result = std::fs::File::open(path)
-            .map_err(|e| MountError::Store(StoreError::Io(e)))
-            .and_then(|file| {
-                self.swap_from_inner(
-                    namespace,
-                    std::io::BufReader::new(file),
-                    path.display().to_string(),
-                )
-            });
-        self.observed(namespace, result)
+        self.swap_with_backend(namespace, path, StoreBackend::Heap)
     }
 
     /// [`MountTable::swap`] over any byte stream.
@@ -441,24 +417,9 @@ impl MountTable {
         inner: impl std::io::Read,
         source: impl Into<String>,
     ) -> Result<SwapReceipt, MountError> {
-        let result = self.swap_from_inner(namespace, inner, source);
-        self.observed(namespace, result)
-    }
-
-    fn swap_from_inner(
-        &self,
-        namespace: &str,
-        inner: impl std::io::Read,
-        source: impl Into<String>,
-    ) -> Result<SwapReceipt, MountError> {
-        let _build = self.swap_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let base = self.current();
-        if base.manifest(namespace).is_none() {
-            return Err(MountError::NotMounted(namespace.to_string()));
-        }
-        let mut next = base.fork_without(namespace);
-        let manifest = next.mount_from(namespace, inner, source)?;
-        Ok(self.flip(namespace, next, Some(manifest)))
+        self.mutate(namespace, true, |next| {
+            next.mount_from(namespace, inner, source).map(Some)
+        })
     }
 
     /// [`MountTable::swap`] through an explicit store backend.
@@ -468,36 +429,14 @@ impl MountTable {
         path: impl AsRef<std::path::Path>,
         backend: StoreBackend,
     ) -> Result<SwapReceipt, MountError> {
-        match backend {
-            StoreBackend::Heap => self.swap(namespace, path),
-            StoreBackend::Mmap => {
-                let result = (|| {
-                    let _build = self.swap_lock.lock().unwrap_or_else(|e| e.into_inner());
-                    let base = self.current();
-                    if base.manifest(namespace).is_none() {
-                        return Err(MountError::NotMounted(namespace.to_string()));
-                    }
-                    let mut next = base.fork_without(namespace);
-                    let manifest = next.mount_mapped(namespace, path.as_ref())?;
-                    Ok(self.flip(namespace, next, Some(manifest)))
-                })();
-                self.observed(namespace, result)
-            }
-        }
+        self.mutate(namespace, true, |next| {
+            next.mount_file(namespace, path.as_ref(), backend).map(Some)
+        })
     }
 
     /// Removes a namespace's shards from serving.
     pub fn unmount(&self, namespace: &str) -> Result<SwapReceipt, MountError> {
-        let result = (|| {
-            let _build = self.swap_lock.lock().unwrap_or_else(|e| e.into_inner());
-            let base = self.current();
-            if base.manifest(namespace).is_none() {
-                return Err(MountError::NotMounted(namespace.to_string()));
-            }
-            let next = base.fork_without(namespace);
-            Ok(self.flip(namespace, next, None))
-        })();
-        self.observed(namespace, result)
+        self.mutate(namespace, true, |_| Ok(None))
     }
 
     /// The pointer exchange. Called with the swap lock held.

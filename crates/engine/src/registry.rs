@@ -34,8 +34,7 @@ use anns_core::{
 };
 use anns_store::pool::{decode_pool_table, encode_pool};
 use anns_store::{
-    ByteReader, ByteWriter, Codec, Manifest, ManifestTracker, MappedStore, SectionDigest,
-    StoreError, StoreReader, StoreWriter,
+    ByteReader, ByteWriter, Codec, Manifest, MappedStore, SectionDigest, StoreError, StoreWriter,
 };
 
 use crate::lazy::{LazyPool, LazyServable};
@@ -558,11 +557,7 @@ impl Registry {
     ) -> Result<MountManifest, MountError> {
         let path = path.as_ref();
         let file = std::fs::File::open(path).map_err(StoreError::Io)?;
-        self.mount_from(
-            namespace,
-            std::io::BufReader::new(file),
-            path.display().to_string(),
-        )
+        self.mount_from(namespace, file, path.display().to_string())
     }
 
     /// [`Registry::mount`] over any byte stream, with a caller-supplied
@@ -573,22 +568,19 @@ impl Registry {
         inner: impl std::io::Read,
         source: impl Into<String>,
     ) -> Result<MountManifest, MountError> {
-        if namespace.is_empty() || namespace.contains('/') {
-            return Err(MountError::InvalidNamespace(namespace.to_string()));
-        }
-        if self.manifest(namespace).is_some() {
-            return Err(MountError::AlreadyMounted(namespace.to_string()));
-        }
-        let ingested = self.ingest(namespace, inner, source.into())?;
+        self.check_namespace(namespace)?;
+        let ingested = self.ingest(namespace, source.into(), StoreBackend::Heap, || {
+            MappedStore::read(inner)
+        })?;
         Ok(ingested.manifest)
     }
 
-    /// Streams a bundle back into a fresh registry.
+    /// Reads a bundle stream into a fresh registry.
     ///
-    /// Sections are consumed in file order, one at a time — index
-    /// payloads decode straight from the verified section bytes, no
-    /// intermediate JSON or whole-file buffer. Unknown sections are
-    /// skipped for forward compatibility but recorded in the returned
+    /// The stream is read into memory, every section checksum verified,
+    /// every index decoded, and the buffer dropped again — the registry
+    /// keeps only the decoded indexes. Unknown sections are skipped for
+    /// forward compatibility but recorded in the returned
     /// [`LoadedBundle::report`]; unknown *scheme kinds* are an error,
     /// because dropping a shard would change serving behavior.
     pub fn load_bundle_from(inner: impl std::io::Read) -> Result<LoadedBundle, StoreError> {
@@ -600,8 +592,82 @@ impl Registry {
         inner: impl std::io::Read,
         source: impl Into<String>,
     ) -> Result<LoadedBundle, StoreError> {
+        Self::load_fresh(source.into(), StoreBackend::Heap, || {
+            MappedStore::read(inner)
+        })
+    }
+
+    /// [`Registry::load_bundle_from`] over a file.
+    pub fn load_bundle(path: impl AsRef<std::path::Path>) -> Result<LoadedBundle, StoreError> {
+        let path = path.as_ref();
+        Self::load_fresh(path.display().to_string(), StoreBackend::Heap, || {
+            MappedStore::from_bytes(std::fs::read(path).map_err(StoreError::Io)?)
+        })
+    }
+
+    /// Mounts a bundle through the mmap backend: `namespace/name` shards
+    /// whose indexes verify and decode on first query touch. Eager work
+    /// is O(manifest) — header, section preludes, `META`/`SHRD`/`MNFT`
+    /// payloads and the pool's entry table — so mount time and resident
+    /// memory do not scale with the bundle's index payloads.
+    pub fn mount_mapped(
+        &mut self,
+        namespace: &str,
+        path: impl AsRef<std::path::Path>,
+    ) -> Result<MountManifest, MountError> {
+        self.check_namespace(namespace)?;
+        let path = path.as_ref();
+        let ingested = self.ingest(
+            namespace,
+            path.display().to_string(),
+            StoreBackend::Mmap,
+            || MappedStore::open(path),
+        )?;
+        Ok(ingested.manifest)
+    }
+
+    /// Loads a bundle into a fresh registry through the mmap backend.
+    /// [`LoadedBundle::indexes`] is empty (nothing decoded yet); the
+    /// deferred pool is in [`LoadedBundle::lazy`].
+    pub fn load_bundle_mapped(
+        path: impl AsRef<std::path::Path>,
+    ) -> Result<LoadedBundle, StoreError> {
+        let path = path.as_ref();
+        Self::load_fresh(path.display().to_string(), StoreBackend::Mmap, || {
+            MappedStore::open(path)
+        })
+    }
+
+    /// [`Registry::mount`] or [`Registry::mount_mapped`], by backend.
+    pub(crate) fn mount_file(
+        &mut self,
+        namespace: &str,
+        path: &std::path::Path,
+        backend: StoreBackend,
+    ) -> Result<MountManifest, MountError> {
+        match backend {
+            StoreBackend::Heap => self.mount(namespace, path),
+            StoreBackend::Mmap => self.mount_mapped(namespace, path),
+        }
+    }
+
+    fn check_namespace(&self, namespace: &str) -> Result<(), MountError> {
+        if namespace.is_empty() || namespace.contains('/') {
+            return Err(MountError::InvalidNamespace(namespace.to_string()));
+        }
+        if self.manifest(namespace).is_some() {
+            return Err(MountError::AlreadyMounted(namespace.to_string()));
+        }
+        Ok(())
+    }
+
+    fn load_fresh(
+        source: String,
+        backend: StoreBackend,
+        open: impl FnOnce() -> Result<MappedStore, StoreError>,
+    ) -> Result<LoadedBundle, StoreError> {
         let mut registry = Registry::new();
-        let ingested = registry.ingest("", inner, source.into())?;
+        let ingested = registry.ingest("", source, backend, open)?;
         Ok(LoadedBundle {
             registry,
             indexes: ingested.indexes,
@@ -611,137 +677,145 @@ impl Registry {
         })
     }
 
-    /// [`Registry::load_bundle_from`] over a buffered file.
-    pub fn load_bundle(path: impl AsRef<std::path::Path>) -> Result<LoadedBundle, StoreError> {
-        let path = path.as_ref();
-        let file = std::fs::File::open(path).map_err(StoreError::Io)?;
-        Self::load_bundle_labeled(std::io::BufReader::new(file), path.display().to_string())
-    }
-
-    /// The shared bundle reader behind both `load_bundle` (namespace `""`,
-    /// fresh registry) and `mount` (non-empty namespace, existing
-    /// registry). Registers shards in `SHRD` order, interns index
-    /// payloads, collects section digests, and cross-checks the `MNFT`
-    /// manifest when present.
+    /// The one bundle ingest behind every load and mount (namespace `""`
+    /// for a fresh registry). `open` parses the container; the backend
+    /// then decides only how shards come alive:
+    ///
+    /// * **heap** — the parser verified every section of its owned
+    ///   buffer, so every pool entry is decoded now (through the
+    ///   cross-bundle [`Registry::intern`] dedup) and every shard
+    ///   instantiated; the buffer is dropped on return.
+    /// * **mmap** — the pool stays a [`LazyPool`] over the mapping and
+    ///   shards register as [`LazyServable`]s, so no index payload is
+    ///   read, hashed or decoded until a query first touches its shard.
+    ///
+    /// Either way `META`, `SHRD` and the pool table are parsed now, pool
+    /// references are validated, and a failure leaves the registry
+    /// exactly as it was.
     fn ingest(
         &mut self,
         namespace: &str,
-        inner: impl std::io::Read,
         source: String,
+        backend: StoreBackend,
+        open: impl FnOnce() -> Result<MappedStore, StoreError>,
     ) -> Result<Ingested, StoreError> {
+        use anns_store::section_tag::{INDEX_POOL, MANIFEST, META, SHARDS};
         let started = std::time::Instant::now();
+        let store = open()?;
+        let header = *store.header();
+        let sections = store.digests();
+        // Tags are unique in a parsed store, so every section with a tag
+        // this build does not know is exactly the set left unread.
+        let skipped: Vec<SectionDigest> = sections
+            .iter()
+            .filter(|d| ![META, INDEX_POOL, SHARDS, MANIFEST].contains(&d.tag))
+            .copied()
+            .collect();
+        let meta_section = store.find(META);
+        let meta = match &meta_section {
+            Some(section) => BundleMeta::from_bytes(section.bytes()?)?,
+            None => BundleMeta::default(),
+        };
+        let shrd = store
+            .find(SHARDS)
+            .ok_or_else(|| StoreError::Malformed("bundle has no SHRD section".into()))?;
+        let records = parse_shard_records(shrd.bytes()?)?;
+        let idxp = store.find(INDEX_POOL);
         let prefix = if namespace.is_empty() {
             String::new()
         } else {
             format!("{namespace}/")
         };
-        let mut reader = StoreReader::new(inner)?;
-        let header = *reader.header();
-        let mut meta: Option<BundleMeta> = None;
-        let mut indexes: Vec<Arc<AnnIndex>> = Vec::new();
-        let mut saw_shards = false;
-        let mut sections: Vec<SectionDigest> = Vec::new();
-        let mut skipped: Vec<SectionDigest> = Vec::new();
-        let mut tracker = ManifestTracker::new();
-        let mut shard_names: Vec<String> = Vec::new();
-        let mut pooled = 0u32;
-        let mut shared = 0u32;
+
         let first_new_entry = self.entries.len();
-        let result: Result<(), StoreError> = (|| {
-            while let Some(section) = reader.next_section()? {
-                let digest = SectionDigest::of(&section);
-                sections.push(digest);
-                // One state machine owns the normative MNFT rules
-                // (manifest-is-final, coverage match, duplicates) —
-                // shared with `anns_store::manifest::scan`.
-                if tracker.observe(&section)? {
-                    continue;
-                }
-                match section.tag {
-                    anns_store::section_tag::META => {
-                        meta = Some(BundleMeta::from_bytes(&section.payload)?);
-                    }
-                    anns_store::section_tag::INDEX_POOL => {
-                        if header.version >= anns_store::FORMAT_VERSION_V2 {
-                            // v2: CRC'd entry table up front, payloads
-                            // aligned behind it. The section checksum
-                            // already verified every byte on this path,
-                            // so per-entry CRCs are not re-checked here.
-                            for entry in decode_pool_table(&section.payload)? {
-                                let start = entry.offset as usize;
-                                let end = start + entry.len as usize;
-                                let payload = section.payload.get(start..end).ok_or_else(|| {
-                                    StoreError::Malformed(format!(
-                                        "pool entry spans {start}..{end} of a {}-byte \
-                                             section",
-                                        section.payload.len()
-                                    ))
-                                })?;
-                                let (index, was_shared) = self.intern(payload)?;
-                                if was_shared {
-                                    shared += 1;
-                                } else {
-                                    pooled += 1;
-                                }
-                                indexes.push(index);
-                            }
-                        } else {
-                            // v1 legacy layout: count-prefixed blobs.
-                            let mut r = section.reader();
-                            let count = r.u32()?;
-                            for _ in 0..count {
-                                let payload = r.bytes()?;
-                                let (index, was_shared) = self.intern(payload)?;
-                                if was_shared {
-                                    shared += 1;
-                                } else {
-                                    pooled += 1;
-                                }
-                                indexes.push(index);
-                            }
-                            r.finish()?;
+        let mut indexes: Vec<Arc<AnnIndex>> = Vec::new();
+        let mut lazy: Option<Arc<LazyPool>> = None;
+        let mut shared = 0u32;
+        let result: Result<Vec<String>, StoreError> = (|| {
+            let pool_len = match backend {
+                StoreBackend::Heap => {
+                    if let Some(section) = &idxp {
+                        // Verified whole at parse time, so the per-entry
+                        // CRCs are not re-checked here.
+                        let payload = section.bytes()?;
+                        for entry in decode_pool_table(payload)? {
+                            let bytes = &payload[entry.offset as usize..][..entry.len as usize];
+                            let (index, was_shared) = self.intern(bytes)?;
+                            shared += u32::from(was_shared);
+                            indexes.push(index);
                         }
                     }
-                    anns_store::section_tag::SHARDS => {
-                        saw_shards = true;
-                        let mut r = section.reader();
-                        let count = r.u32()?;
-                        for _ in 0..count {
-                            let name = String::decode(&mut r)?;
-                            let kind = r.u8()?;
-                            let scheme = decode_shard_scheme(&name, kind, &mut r, &indexes, false)?;
-                            let full = format!("{prefix}{name}");
-                            if self.resolve(&full).is_some() {
-                                return Err(StoreError::Malformed(format!(
-                                    "duplicate shard name {full:?}"
-                                )));
-                            }
-                            shard_names.push(full.clone());
-                            self.register(full, scheme);
-                        }
-                        r.finish()?;
-                    }
-                    _ => skipped.push(digest), // Unknown: skip, but on the record.
+                    indexes.len()
                 }
+                StoreBackend::Mmap => lazy.insert(Arc::new(LazyPool::new(idxp)?)).len(),
+            };
+            let mut shard_names = Vec::with_capacity(records.len());
+            for (i, (name, record)) in records.into_iter().enumerate() {
+                // Pool references are validated now, not at first touch:
+                // a dangling id is a malformed file, not deferred damage.
+                if let Some(max) = record.max_pool_id() {
+                    if max as usize >= pool_len {
+                        return Err(StoreError::Malformed(format!(
+                            "shard {name:?} references index {max} of {pool_len}"
+                        )));
+                    }
+                }
+                let full = format!("{prefix}{name}");
+                if self.resolve(&full).is_some() {
+                    return Err(StoreError::Malformed(format!(
+                        "duplicate shard name {full:?}"
+                    )));
+                }
+                let scheme: Box<dyn ServableScheme> = match &lazy {
+                    None => instantiate_record(&name, &record, &mut |id| {
+                        Ok(Arc::clone(&indexes[id as usize]))
+                    })?,
+                    Some(pool) => {
+                        let label = meta
+                            .shards
+                            .get(i)
+                            .map(|info| info.label.clone())
+                            .unwrap_or_else(|| format!("{full} (deferred)"));
+                        Box::new(LazyServable::new(
+                            full.clone(),
+                            label,
+                            record,
+                            Arc::clone(pool),
+                        ))
+                    }
+                };
+                shard_names.push(full.clone());
+                self.register(full, scheme);
             }
-            if !saw_shards {
-                return Err(StoreError::Malformed("bundle has no SHRD section".into()));
-            }
-            Ok(())
+            Ok(shard_names)
         })();
-        if let Err(e) = result {
-            // A failed ingest must leave the registry exactly as it was:
-            // mount errors never half-apply. Dropping the partial entries
-            // and local index handles lets the pool prune to the slots
-            // that were alive before this ingest started.
-            self.entries.truncate(first_new_entry);
-            indexes.clear();
-            self.pool.retain(|slot| slot.index.strong_count() > 0);
-            return Err(e);
-        }
-        let meta = meta.unwrap_or_default();
-        // The heap backend reads and checksums every payload byte.
+        let shard_names = match result {
+            Ok(names) => names,
+            Err(e) => {
+                // Dropping the partial entries and local index handles
+                // lets the pool prune to the slots that were alive
+                // before this ingest started.
+                self.entries.truncate(first_new_entry);
+                indexes.clear();
+                self.pool.retain(|slot| slot.index.strong_count() > 0);
+                return Err(e);
+            }
+        };
+
         let file_bytes: u64 = sections.iter().map(|d| d.len as u64).sum();
+        let (pooled, eager_bytes) = match &lazy {
+            // The heap backend reads and checksums every payload byte.
+            None => (indexes.len() as u32 - shared, file_bytes),
+            // Nothing decoded yet, and mapped mounts skip cross-bundle
+            // byte dedup (interning would force every payload).
+            Some(pool) => (
+                pool.len() as u32,
+                store.eager_bytes()
+                    + meta_section.map_or(0, |s| s.len() as u64)
+                    + shrd.len() as u64
+                    + pool.table_bytes(),
+            ),
+        };
         let manifest = MountManifest {
             namespace: namespace.to_string(),
             source,
@@ -753,189 +827,40 @@ impl Registry {
             shards: shard_names,
             pooled,
             shared,
-            manifest_verified: tracker.verified(),
-            backend: StoreBackend::Heap,
-            mount_ms: started.elapsed().as_secs_f64() * 1e3,
-            eager_bytes: file_bytes,
-            file_bytes,
-        };
-        self.mounts.push(manifest.clone());
-        Ok(Ingested {
-            manifest,
-            indexes,
-            meta,
-            lazy: None,
-        })
-    }
-
-    /// Mounts a bundle through the mmap backend: `namespace/name` shards
-    /// whose indexes verify and decode on first query touch. Eager work
-    /// is O(manifest) — header, section preludes, `META`/`SHRD`/`MNFT`
-    /// payloads and the pool's entry table — so mount time and resident
-    /// memory do not scale with the bundle's index payloads. Requires a
-    /// format-v2 file (v1 files load through [`Registry::mount`]).
-    pub fn mount_mapped(
-        &mut self,
-        namespace: &str,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<MountManifest, MountError> {
-        if namespace.is_empty() || namespace.contains('/') {
-            return Err(MountError::InvalidNamespace(namespace.to_string()));
-        }
-        if self.manifest(namespace).is_some() {
-            return Err(MountError::AlreadyMounted(namespace.to_string()));
-        }
-        let ingested = self.ingest_mapped(namespace, path.as_ref())?;
-        Ok(ingested.manifest)
-    }
-
-    /// Loads a bundle into a fresh registry through the mmap backend.
-    /// [`LoadedBundle::indexes`] is empty (nothing decoded yet); the
-    /// deferred pool is in [`LoadedBundle::lazy`].
-    pub fn load_bundle_mapped(
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<LoadedBundle, StoreError> {
-        let mut registry = Registry::new();
-        let ingested = registry.ingest_mapped("", path.as_ref())?;
-        Ok(LoadedBundle {
-            registry,
-            indexes: ingested.indexes,
-            meta: ingested.meta,
-            report: ingested.manifest,
-            lazy: ingested.lazy,
-        })
-    }
-
-    /// The mapped counterpart of [`Registry::ingest`]. Parses every
-    /// shard *record* eagerly (cheap, and it validates the directory) but
-    /// registers [`LazyServable`]s, so no index payload is read, hashed
-    /// or decoded until a query first touches its shard.
-    fn ingest_mapped(
-        &mut self,
-        namespace: &str,
-        path: &std::path::Path,
-    ) -> Result<Ingested, StoreError> {
-        let started = std::time::Instant::now();
-        let prefix = if namespace.is_empty() {
-            String::new()
-        } else {
-            format!("{namespace}/")
-        };
-        let store = MappedStore::open(path)?;
-        let header = *store.header();
-        let sections = store.digests();
-        let skipped: Vec<SectionDigest> = sections
-            .iter()
-            .filter(|d| {
-                !matches!(
-                    d.tag,
-                    anns_store::section_tag::META
-                        | anns_store::section_tag::INDEX_POOL
-                        | anns_store::section_tag::SHARDS
-                        | anns_store::section_tag::MANIFEST
-                )
-            })
-            .copied()
-            .collect();
-        // META and SHRD are manifest-sized: read (and verify) them now.
-        let meta = match store.find(anns_store::section_tag::META) {
-            Some(section) => BundleMeta::from_bytes(section.bytes()?)?,
-            None => BundleMeta::default(),
-        };
-        let pool = Arc::new(LazyPool::new(
-            store.find(anns_store::section_tag::INDEX_POOL),
-        )?);
-        let shrd = store
-            .find(anns_store::section_tag::SHARDS)
-            .ok_or_else(|| StoreError::Malformed("bundle has no SHRD section".into()))?;
-        let shrd_bytes = shrd.bytes()?;
-        let mut r = ByteReader::new(shrd_bytes);
-        let count = r.u32()?;
-        let mut records: Vec<(String, ShardRecord)> = Vec::new();
-        for _ in 0..count {
-            let name = String::decode(&mut r)?;
-            let kind = r.u8()?;
-            let record = parse_shard_record(&name, kind, &mut r, false)?;
-            // Pool references are validated now, not at first touch: a
-            // dangling id is a malformed file, not deferred damage.
-            if let Some(max) = record.max_pool_id() {
-                if max as usize >= pool.len() {
-                    return Err(StoreError::Malformed(format!(
-                        "shard {name:?} references index {max} of {}",
-                        pool.len()
-                    )));
-                }
-            }
-            records.push((name, record));
-        }
-        r.finish()?;
-
-        let file_bytes: u64 = sections.iter().map(|d| d.len as u64).sum();
-        let eager_bytes = store.eager_bytes()
-            + meta.to_bytes().len() as u64
-            + shrd_bytes.len() as u64
-            + pool.table_bytes();
-        let first_new_entry = self.entries.len();
-        let result: Result<Vec<String>, StoreError> = (|| {
-            let mut shard_names = Vec::new();
-            for (i, (name, record)) in records.into_iter().enumerate() {
-                let full = format!("{prefix}{name}");
-                if self.resolve(&full).is_some() {
-                    return Err(StoreError::Malformed(format!(
-                        "duplicate shard name {full:?}"
-                    )));
-                }
-                let label = meta
-                    .shards
-                    .get(i)
-                    .map(|info| info.label.clone())
-                    .unwrap_or_else(|| format!("{full} (deferred)"));
-                shard_names.push(full.clone());
-                self.register(
-                    full.clone(),
-                    Box::new(LazyServable::new(full, label, record, Arc::clone(&pool))),
-                );
-            }
-            Ok(shard_names)
-        })();
-        let shard_names = match result {
-            Ok(names) => names,
-            Err(e) => {
-                // Same contract as the heap path: a failed mount leaves
-                // the registry exactly as it was.
-                self.entries.truncate(first_new_entry);
-                return Err(e);
-            }
-        };
-        let manifest = MountManifest {
-            namespace: namespace.to_string(),
-            source: path.display().to_string(),
-            format_version: header.version,
-            container_kind: header.kind,
-            tool: meta.tool.clone(),
-            sections,
-            skipped,
-            shards: shard_names,
-            // Nothing decoded yet, and mapped mounts skip cross-bundle
-            // byte dedup (interning would force every payload).
-            pooled: pool.len() as u32,
-            shared: 0,
             manifest_verified: store.manifest().is_some(),
-            backend: StoreBackend::Mmap,
+            backend,
             mount_ms: started.elapsed().as_secs_f64() * 1e3,
             eager_bytes,
             file_bytes,
         };
         self.mounts.push(manifest.clone());
-        self.lazy_pools
-            .push((namespace.to_string(), Arc::clone(&pool)));
+        if let Some(pool) = &lazy {
+            self.lazy_pools
+                .push((namespace.to_string(), Arc::clone(pool)));
+        }
         Ok(Ingested {
             manifest,
-            indexes: Vec::new(),
+            indexes,
             meta,
-            lazy: Some(pool),
+            lazy,
         })
     }
+}
+
+/// Parses a `SHRD` payload: a `u32` count, then `(name, kind, record)`
+/// triples.
+fn parse_shard_records(bytes: &[u8]) -> Result<Vec<(String, ShardRecord)>, StoreError> {
+    let mut r = ByteReader::new(bytes);
+    let count = r.u32()?;
+    let mut records = Vec::new();
+    for _ in 0..count {
+        let name = String::decode(&mut r)?;
+        let kind = r.u8()?;
+        let record = parse_shard_record(&name, kind, &mut r, false)?;
+        records.push((name, record));
+    }
+    r.finish()?;
+    Ok(records)
 }
 
 /// One shard's parsed `SHRD` record: the manifest-sized *description* of
@@ -1064,25 +989,6 @@ pub(crate) fn instantiate_record(
             Ok(Box::new(wrapped))
         }
     }
-}
-
-/// Parse + instantiate in one step — the eager (heap) decode path.
-fn decode_shard_scheme(
-    name: &str,
-    kind: u8,
-    r: &mut ByteReader<'_>,
-    indexes: &[Arc<AnnIndex>],
-    nested: bool,
-) -> Result<Box<dyn ServableScheme>, StoreError> {
-    let record = parse_shard_record(name, kind, r, nested)?;
-    instantiate_record(name, &record, &mut |pool_id| {
-        indexes.get(pool_id as usize).cloned().ok_or_else(|| {
-            StoreError::Malformed(format!(
-                "shard {name:?} references index {pool_id} of {}",
-                indexes.len()
-            ))
-        })
-    })
 }
 
 #[cfg(test)]
@@ -1237,6 +1143,44 @@ mod tests {
         let mut out = Vec::new();
         let err = reg.save_bundle_to(&mut out).unwrap_err();
         assert!(matches!(err, StoreError::Unsupported(msg) if msg.contains("nested")));
+    }
+
+    /// The worked example of `docs/STORE_FORMAT.md` §6: one `linear`
+    /// shard over two 64-bit points. Its length and header bytes are
+    /// pinned here so the document cannot drift from the writer.
+    #[test]
+    fn store_format_worked_example_is_pinned() {
+        use anns_hamming::{Dataset, Point};
+        let scan = anns_lsh::LinearScan::new(Dataset::new(vec![Point::zeros(64), Point::ones(64)]));
+        let mut reg = Registry::new();
+        reg.register(
+            "lin",
+            Box::new(anns_lsh::ServeLinear {
+                scan: Arc::new(scan),
+            }),
+        );
+        let mut bytes = Vec::new();
+        reg.save_bundle_to(&mut bytes).unwrap();
+        assert_eq!(bytes.len(), 448);
+        assert_eq!(
+            bytes[..12],
+            [0x41, 0x4e, 0x4e, 0x53, 0x02, 0x00, 0x11, 0x00, 0x04, 0x00, 0x00, 0x00]
+        );
+        let digests: Vec<(String, u32, u32)> = MappedStore::from_bytes(bytes)
+            .unwrap()
+            .digests()
+            .iter()
+            .map(|d| (d.tag_string(), d.len, d.crc))
+            .collect();
+        assert_eq!(
+            digests,
+            [
+                ("META".into(), 63, 0xd19a_9e90),
+                ("IDXP".into(), 8, 0x681f_a6a9),
+                ("SHRD".into(), 52, 0x55c7_0c02),
+                ("MNFT".into(), 64, 0xbf07_5389),
+            ]
+        );
     }
 
     #[test]

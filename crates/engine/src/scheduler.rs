@@ -355,11 +355,11 @@ mod tests {
         let generation =
             Generation::new(vec![Some(&t as &dyn Table)], 2, 1, 64, 0, 0, &NullRecorder);
         let generation_ref = &generation;
-        let answers = crossbeam::thread::scope(|scope| {
+        let answers = std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for slot in 0..2usize {
                 let source = generation_ref.source(slot, 0);
-                handles.push(scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     let mut exec = RoundExecutor::with_source(&source, ExecOptions::default());
                     // Both queries probe cells {1, 2} in round 1, then a
                     // slot-specific cell in round 2.
@@ -373,8 +373,7 @@ mod tests {
                 .into_iter()
                 .map(|h| h.join().expect("query thread"))
                 .collect::<Vec<_>>()
-        })
-        .expect("generation scope");
+        });
         assert_eq!(answers[0].0, 7);
         assert_eq!(answers[0].1, 14);
         assert_eq!(answers[0], (answers[1].0, answers[1].1, 70));
@@ -397,10 +396,10 @@ mod tests {
         let generation =
             Generation::new(vec![Some(&t as &dyn Table)], 2, 1, 64, 0, 0, &NullRecorder);
         let generation_ref = &generation;
-        let sums = crossbeam::thread::scope(|scope| {
+        let sums = std::thread::scope(|scope| {
             let long = {
                 let source = generation_ref.source(0, 0);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut exec = RoundExecutor::with_source(&source, ExecOptions::default());
                     let mut sum = 0u64;
                     // Three rounds; the peer departs after one.
@@ -413,7 +412,7 @@ mod tests {
             };
             let short = {
                 let source = generation_ref.source(1, 0);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut exec = RoundExecutor::with_source(&source, ExecOptions::default());
                     let sum = exec.round(&[Address::with_u64(0, 9)])[0].to_u64();
                     generation_ref.depart();
@@ -424,8 +423,7 @@ mod tests {
                 long.join().expect("long query"),
                 short.join().expect("short query"),
             )
-        })
-        .expect("generation scope");
+        });
         assert_eq!(sums.0, 3 + 6, "cells 0,1,2 at multiplier 3");
         assert_eq!(sums.1, 27);
         let traces = generation.into_traces();
@@ -440,10 +438,10 @@ mod tests {
         let generation =
             Generation::new(vec![Some(&t as &dyn Table)], 3, 1, 64, 0, 0, &NullRecorder);
         let generation_ref = &generation;
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for slot in 0..3usize {
                 let source = generation_ref.source(slot, 0);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut exec = RoundExecutor::with_source(&source, ExecOptions::default());
                     for r in 0..=slot as u64 {
                         let _ = exec.round(&[Address::with_u64(0, r + slot as u64)]);
@@ -451,8 +449,7 @@ mod tests {
                     generation_ref.depart();
                 });
             }
-        })
-        .expect("generation scope");
+        });
         let traces = generation.into_traces();
         let mut seen: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
         for trace in &traces {

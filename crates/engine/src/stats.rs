@@ -160,7 +160,7 @@ pub struct OnlineStats {
     /// Window fill (queries per sealed window).
     pub fill_hist: Histogram,
     /// Per-query admission wait in nanoseconds (enqueue → seal), on the
-    /// queue's [`crate::clock::Clock`] — virtual time in tests.
+    /// queue's [`crate::Clock`] — virtual time in tests.
     pub wait_hist: Histogram,
     /// Per-tenant usage accounting (empty unless the tenant-aware
     /// serving tier is in front — `enqueue_as` with a tenant, or the

@@ -584,19 +584,19 @@ fn swap_races_concurrent_enqueues_without_losing_a_ticket() {
         clock,
     ));
 
-    let resolutions = crossbeam::thread::scope(|scope| {
+    let resolutions = std::thread::scope(|scope| {
         let driver = {
             let queue = Arc::clone(&queue);
-            scope.spawn(move |_| queue.run())
+            scope.spawn(move || queue.run())
         };
         let swapper = {
             let mounts = Arc::clone(&mounts);
-            scope.spawn(move |_| mounts.swap_from("live", bytes_b(), "<b>").unwrap())
+            scope.spawn(move || mounts.swap_from("live", bytes_b(), "<b>").unwrap())
         };
         let enqueuers: Vec<_> = (0..3u64)
             .map(|t| {
                 let queue = Arc::clone(&queue);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let queries = workload(100 + t, PER_THREAD);
                     queries
                         .into_iter()
@@ -628,8 +628,7 @@ fn swap_races_concurrent_enqueues_without_losing_a_ticket() {
             .collect();
         driver.join().expect("driver");
         (all, receipt_b)
-    })
-    .expect("scope");
+    });
     let (resolved, receipt_b) = resolutions;
 
     assert_eq!(resolved.len(), 3 * PER_THREAD, "zero lost tickets");
@@ -680,15 +679,15 @@ proptest! {
     ) {
         let (engine, _clock, queue) = queue_fixture(width, 1024);
         let queue = Arc::new(queue);
-        let resolved = crossbeam::thread::scope(|scope| {
+        let resolved = std::thread::scope(|scope| {
             let driver = {
                 let queue = Arc::clone(&queue);
-                scope.spawn(move |_| queue.run())
+                scope.spawn(move || queue.run())
             };
             let enqueuers: Vec<_> = (0..threads as u64)
                 .map(|t| {
                     let queue = Arc::clone(&queue);
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let queries = workload(seed ^ t, per_thread);
                         queries
                             .into_iter()
@@ -719,8 +718,7 @@ proptest! {
                 .collect();
             driver.join().expect("driver");
             all
-        })
-        .expect("scope");
+        });
 
         prop_assert_eq!(resolved.len(), threads * per_thread);
         let registry = engine.registry();

@@ -4,21 +4,22 @@
 //! kind including subsampled repetition, under both solo and coalesced
 //! execution — while reading only O(manifest) bytes eagerly. Damage
 //! that lands *after* the eager checks surfaces as a typed
-//! [`ServeError::ShardFault`] at first touch, never a panic, and v1
-//! bundles keep loading through the heap path.
+//! [`ServeError::ShardFault`] at first touch, never a panic. Both
+//! backends run one parser, so hostile files (duplicate or stray
+//! sections, retired format v1) get the same verdict on each.
 
 use std::sync::{Arc, OnceLock};
 
 use anns_cellprobe::{execute_with, ExecOptions};
 use anns_core::serve::{ServableScheme, ServeAlg1, SoloServable};
-use anns_core::{Aggregation, AnnIndex, SchemeSpec, SubsampledRepetition};
+use anns_core::{Aggregation, AnnIndex, SubsampledRepetition};
 use anns_engine::testkit::{clustered_index, hot_set_workload, TempDir};
 use anns_engine::{
     Engine, EngineOptions, MountTable, NamedRequest, Registry, ServeError, StoreBackend,
 };
 use anns_hamming::Point;
 use anns_lsh::{LinearScan, LshIndex, LshParams, ServeLinear, ServeLsh};
-use anns_store::{ByteWriter, Codec, Manifest, PayloadFault, StoreError, StoreWriter};
+use anns_store::{Codec, Manifest, MappedStore, PayloadFault, StoreError, StoreWriter};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -93,17 +94,23 @@ fn backends_serve_byte_identical_answers_solo() {
     let path = saved_bundle(&dir);
     let heap = Registry::load_bundle(&path).unwrap();
     let mapped = Registry::load_bundle_mapped(&path).unwrap();
-    assert_eq!(heap.registry.listing(), mapped.registry.listing());
-    for q in workload(7, 12) {
-        for shard in 0..heap.registry.len() {
+    assert_serve_identically(&heap.registry, &mapped.registry, 7);
+}
+
+/// Identical listings, and byte-identical answers, ledgers and
+/// transcripts on every shard under solo execution.
+fn assert_serve_identically(heap: &Registry, mapped: &Registry, seed: u64) {
+    assert_eq!(heap.listing(), mapped.listing());
+    for q in workload(seed, 12) {
+        for shard in 0..heap.len() {
             let id = anns_engine::ShardId(shard);
             let (a1, l1, t1) = execute_with(
-                &SoloServable(heap.registry.scheme(id)),
+                &SoloServable(heap.scheme(id)),
                 &q,
                 ExecOptions::with_transcript(),
             );
             let (a2, l2, t2) = execute_with(
-                &SoloServable(mapped.registry.scheme(id)),
+                &SoloServable(mapped.scheme(id)),
                 &q,
                 ExecOptions::with_transcript(),
             );
@@ -244,66 +251,108 @@ fn post_mount_byte_flip_is_a_typed_fault() {
     assert!(out[0].is_ok(), "undamaged shard keeps serving: {out:?}");
 }
 
-/// A hand-built v1 (unaligned, count-prefixed pool) bundle still loads
-/// through the heap path and serves identically to a freshly built
-/// registry — and the mmap backend rejects it with a typed
-/// [`StoreError::Unsupported`] pointing at the heap backend, instead of
-/// mis-mapping unaligned payloads.
+/// Format v1 is retired: a hand-written v1 header is the typed
+/// [`StoreError::UnsupportedVersion`] on both backends.
 #[test]
-fn v1_bundles_load_on_heap_and_are_rejected_by_mmap() {
+fn v1_bundles_are_an_unsupported_version_on_both_backends() {
     let dir = TempDir::new("backend-eq-v1");
     let path = dir.file("v1.anns");
-    let index = shared_index();
-
-    let mut idxp = ByteWriter::new();
-    idxp.put_u32(1);
-    idxp.put_bytes(&index.to_bytes());
-    let mut shrd = ByteWriter::new();
-    shrd.put_u32(1);
-    "v1-alg1".to_string().encode(&mut shrd);
-    shrd.put_u8(anns_store::scheme_kind::ALG1);
-    shrd.put_u32(0);
-    SchemeSpec::Alg1 {
-        k: 3,
-        tau_override: None,
-    }
-    .encode_payload(&mut shrd);
-
-    let mut writer = StoreWriter::v1(anns_store::scheme_kind::ALG1);
-    writer.section(anns_store::section_tag::INDEX_POOL, idxp.into_bytes());
-    writer.section(anns_store::section_tag::SHARDS, shrd.into_bytes());
-    let manifest = Manifest {
-        tool: format!("anns-store/{}", anns_store::FORMAT_VERSION),
-        sections: writer.digests(),
-    };
-    writer.section(anns_store::section_tag::MANIFEST, manifest.to_bytes());
-    std::fs::write(&path, writer.to_bytes()).unwrap();
-
-    let loaded = Registry::load_bundle(&path).expect("v1 bundles stay loadable");
-    assert_eq!(loaded.report.backend, StoreBackend::Heap);
-    let mut fresh = Registry::new();
-    fresh.register_alg1("v1-alg1", Arc::clone(&index), 3);
-    for q in workload(23, 8) {
-        let id = anns_engine::ShardId(0);
-        let (a1, l1, _) = execute_with(
-            &SoloServable(loaded.registry.scheme(id)),
-            &q,
-            ExecOptions::default(),
-        );
-        let (a2, l2, _) = execute_with(&SoloServable(fresh.scheme(id)), &q, ExecOptions::default());
-        assert_eq!(a1, a2);
-        assert_eq!(l1, l2);
-    }
-
-    match Registry::load_bundle_mapped(&path) {
-        Err(StoreError::Unsupported(msg)) => {
-            assert!(
-                msg.contains("heap backend"),
-                "rejection should point at the heap backend: {msg}"
-            );
+    let mut v1 = b"ANNS".to_vec();
+    v1.extend_from_slice(&1u16.to_le_bytes());
+    v1.extend_from_slice(&[anns_store::scheme_kind::ALG1, 0]);
+    v1.extend_from_slice(&0u32.to_le_bytes());
+    std::fs::write(&path, &v1).unwrap();
+    for (backend, loaded) in [
+        ("heap", Registry::load_bundle(&path)),
+        ("mmap", Registry::load_bundle_mapped(&path)),
+    ] {
+        match loaded {
+            Err(StoreError::UnsupportedVersion {
+                found: 1,
+                supported: 2,
+            }) => {}
+            Err(other) => panic!("{backend}: expected UnsupportedVersion, got {other}"),
+            Ok(_) => panic!("{backend}: a v1 bundle loaded"),
         }
-        Err(other) => panic!("expected Unsupported, got {other}"),
-        Ok(_) => panic!("v1 must not mount through the mmap backend"),
+    }
+}
+
+/// What a hostile file must do on *both* backends.
+#[derive(Debug)]
+enum Verdict {
+    Malformed,
+    Loads,
+}
+
+/// Hostile section layouts, each re-manifested so every checksum and
+/// the final manifest verify: the container rules alone decide, and
+/// they decide identically on both backends. `MNFT` must be last and
+/// unique, no tag may repeat, and any other order is accepted.
+#[test]
+fn hostile_layouts_get_the_same_verdict_on_both_backends() {
+    let dir = TempDir::new("backend-eq-hostile");
+    let store = MappedStore::open(saved_bundle(&dir)).unwrap();
+    let section = |tag: [u8; 4]| {
+        let bytes = store.find(tag).unwrap().bytes().unwrap().to_vec();
+        (tag, bytes)
+    };
+    let meta = section(anns_store::section_tag::META);
+    let idxp = section(anns_store::section_tag::INDEX_POOL);
+    let shrd = section(anns_store::section_tag::SHARDS);
+    let stray_mnft = (anns_store::section_tag::MANIFEST, b"garbage".to_vec());
+    let cases = [
+        (
+            "stray MNFT before the manifest",
+            vec![meta.clone(), idxp.clone(), shrd.clone(), stray_mnft],
+            Verdict::Malformed,
+        ),
+        (
+            "duplicate META",
+            vec![meta.clone(), meta.clone(), idxp.clone(), shrd.clone()],
+            Verdict::Malformed,
+        ),
+        (
+            "duplicate IDXP",
+            vec![meta.clone(), idxp.clone(), idxp.clone(), shrd.clone()],
+            Verdict::Malformed,
+        ),
+        (
+            "duplicate SHRD",
+            vec![meta.clone(), idxp.clone(), shrd.clone(), shrd.clone()],
+            Verdict::Malformed,
+        ),
+        (
+            "SHRD before IDXP",
+            vec![meta.clone(), shrd.clone(), idxp.clone()],
+            Verdict::Loads,
+        ),
+    ];
+    for (name, sections, verdict) in cases {
+        let mut writer = StoreWriter::new(anns_store::KIND_BUNDLE);
+        for (tag, payload) in sections {
+            writer.section(tag, payload);
+        }
+        let manifest = Manifest {
+            tool: "hostile/1".into(),
+            sections: writer.digests(),
+        };
+        writer.section(anns_store::section_tag::MANIFEST, manifest.to_bytes());
+        let path = dir.file("hostile.anns");
+        writer.write_file(&path).unwrap();
+        let heap = Registry::load_bundle(&path);
+        let mapped = Registry::load_bundle_mapped(&path);
+        match (verdict, heap, mapped) {
+            (Verdict::Malformed, Err(StoreError::Malformed(_)), Err(StoreError::Malformed(_))) => {}
+            (Verdict::Loads, Ok(heap), Ok(mapped)) => {
+                assert!(heap.report.skipped.is_empty() && mapped.report.skipped.is_empty());
+                assert_serve_identically(&heap.registry, &mapped.registry, 31);
+            }
+            (verdict, heap, mapped) => panic!(
+                "{name}: expected {verdict:?} on both, got heap {:?} / mmap {:?}",
+                heap.map(|_| ()),
+                mapped.map(|_| ())
+            ),
+        }
     }
 }
 

@@ -162,9 +162,9 @@ proptest! {
             .map(|q| NamedRequest { shard: "live/alg1-k3".into(), query: q.clone() })
             .collect();
 
-        let (served, receipt_b) = crossbeam::thread::scope(|scope| {
+        let (served, receipt_b) = std::thread::scope(|scope| {
             let engine = &engine;
-            let serve = scope.spawn(move |_| {
+            let serve = scope.spawn(move || {
                 // Two waves with the swap racing in between.
                 let mut all = engine.submit_named(&requests[..swap_after.min(requests.len())]);
                 all.extend(engine.submit_named(&requests[swap_after.min(requests.len())..]));
@@ -172,11 +172,10 @@ proptest! {
             });
             let swap = scope.spawn({
                 let mounts = Arc::clone(&mounts);
-                move |_| mounts.swap_from("live", bytes_b(), "<b>").unwrap()
+                move || mounts.swap_from("live", bytes_b(), "<b>").unwrap()
             });
             (serve.join().unwrap(), swap.join().unwrap())
-        })
-        .unwrap();
+        });
 
         let epoch_b = receipt_b.epoch;
         prop_assert!(epoch_b > epoch_a);
@@ -335,20 +334,20 @@ fn failed_mount_rolls_the_registry_back() {
 fn unknown_sections_are_skipped_but_reported() {
     // Splice an unknown section into a bundle *before* re-manifesting:
     // build the same sections a newer writer would, with one extra tag.
-    let sections = {
-        let mut reader = anns_store::StoreReader::new(bytes_a()).unwrap();
-        reader.sections().unwrap()
-    };
+    let store = anns_store::MappedStore::from_bytes(bytes_a().to_vec()).unwrap();
+    let sections: Vec<_> = (0..store.section_count())
+        .map(|i| store.section(i).unwrap())
+        .collect();
     let mut writer = anns_store::StoreWriter::new(anns_store::KIND_BUNDLE);
     for section in &sections {
-        if section.tag == anns_store::section_tag::MANIFEST {
+        if section.tag() == anns_store::section_tag::MANIFEST {
             // A future section type this build does not know.
             writer.section(*b"FUTR", vec![0xAB; 17]);
         }
     }
     for section in &sections {
-        if section.tag != anns_store::section_tag::MANIFEST {
-            writer.section(section.tag, section.payload.clone());
+        if section.tag() != anns_store::section_tag::MANIFEST {
+            writer.section(section.tag(), section.bytes().unwrap().to_vec());
         }
     }
     // No MNFT at all: also exercises the pre-manifest compatibility path.

@@ -144,14 +144,28 @@ fn index_pool_is_deduplicated_and_shared_on_load() {
     );
 }
 
+/// One section of a bundle, as [`remanifested`] hands it to `mutate`.
+struct Section {
+    tag: [u8; 4],
+    payload: Vec<u8>,
+}
+
 /// Rebuilds the saved bundle with `mutate` applied to its payload
 /// sections and a *fresh, matching* `MNFT` appended — the adversarial
 /// shape: every container checksum and the manifest verify, so the
 /// mutated bytes reach the IDXP/SHRD decoders themselves.
-fn remanifested(mutate: impl FnOnce(&mut Vec<anns_store::Section>)) -> Vec<u8> {
+fn remanifested(mutate: impl FnOnce(&mut Vec<Section>)) -> Vec<u8> {
     use anns_store::Codec;
-    let mut reader = anns_store::StoreReader::new(saved_bundle_bytes()).unwrap();
-    let mut sections = reader.sections().unwrap();
+    let store = anns_store::MappedStore::from_bytes(saved_bundle_bytes().to_vec()).unwrap();
+    let mut sections: Vec<Section> = (0..store.section_count())
+        .map(|i| {
+            let section = store.section(i).unwrap();
+            Section {
+                tag: section.tag(),
+                payload: section.bytes().unwrap().to_vec(),
+            }
+        })
+        .collect();
     sections.retain(|s| s.tag != anns_store::section_tag::MANIFEST);
     mutate(&mut sections);
     let mut writer = anns_store::StoreWriter::new(anns_store::KIND_BUNDLE);

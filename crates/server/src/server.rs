@@ -19,8 +19,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use anns_engine::admission::{AdmissionOptions, AdmissionQueue};
-use anns_engine::clock::Clock;
 use anns_engine::registry::ShardId;
+use anns_engine::Clock;
 use anns_engine::{Engine, NamedRequest};
 
 use crate::frame::{

@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use anns_engine::admission::{AdmissionQueue, Resolution, Ticket};
-use anns_engine::clock::Clock;
+use anns_engine::Clock;
 use anns_engine::{NamedRequest, ServeError, TraceEvent};
 
 use crate::bucket::TokenBucket;

@@ -18,8 +18,8 @@ use anns_cellprobe::{execute_with, ExecOptions};
 use anns_core::serve::SoloServable;
 use anns_core::AnnIndex;
 use anns_engine::admission::AdmissionOptions;
-use anns_engine::clock::RealClock;
 use anns_engine::testkit::{clustered_index, hot_set_workload};
+use anns_engine::RealClock;
 use anns_engine::{Engine, EngineOptions, Registry};
 use anns_hamming::Point;
 use anns_server::client::{Client, ClientError};

@@ -1,19 +1,15 @@
-//! The container: header plus checksummed sections, streamed over `io`.
+//! The container's write side: header plus checksummed sections.
 //!
-//! Two wire versions share the header and the `tag/len/crc` section
-//! prelude. Version 1 packs payloads back to back; version 2 extends the
-//! section prelude with a `pad` field and zero-fills so every payload
-//! starts on a [`SECTION_ALIGN`]-byte file offset — the property that
-//! makes v2 payloads directly memory-mappable (see [`crate::mapped`]).
-//! Writers emit v2 by default ([`StoreWriter::new`]); readers accept
-//! both.
+//! Each section prelude is `tag/len/crc/pad`, and the writer zero-fills
+//! `pad` bytes so every payload starts on a [`SECTION_ALIGN`]-byte file
+//! offset — the property that makes payloads directly memory-mappable.
+//! The one reader is [`crate::MappedStore`].
 
-use std::io::{Read, Write};
+use std::io::Write;
 
-use crate::checksum::{crc32, crc32_concat, crc32_pair};
-use crate::codec::ByteReader;
+use crate::checksum::{crc32, crc32_concat};
 use crate::error::StoreError;
-use crate::{FORMAT_VERSION, FORMAT_VERSION_V2, MAGIC, SECTION_ALIGN};
+use crate::{FORMAT_VERSION_V2, MAGIC, SECTION_ALIGN};
 
 /// A section's four-byte tag.
 pub type SectionTag = [u8; 4];
@@ -37,24 +33,6 @@ pub struct StoreHeader {
     pub sections: u32,
 }
 
-/// One decoded section: tag, verified payload, and its stored checksum.
-#[derive(Clone, Debug)]
-pub struct Section {
-    /// The section tag.
-    pub tag: SectionTag,
-    /// The payload (checksum already verified).
-    pub payload: Vec<u8>,
-    /// The CRC-32 stored in the file (covers `tag ++ payload`).
-    pub crc: u32,
-}
-
-impl Section {
-    /// A codec cursor over the payload.
-    pub fn reader(&self) -> ByteReader<'_> {
-        ByteReader::new(&self.payload)
-    }
-}
-
 /// Assembles a store file: sections are buffered, then written with the
 /// header in one pass.
 ///
@@ -64,28 +42,14 @@ impl Section {
 /// payloads are hashed exactly once no matter how many times
 /// [`StoreWriter::digests`] and [`StoreWriter::write_to`] run.
 pub struct StoreWriter {
-    version: u16,
     kind: u8,
     sections: Vec<(SectionTag, Vec<u8>, u32)>,
 }
 
 impl StoreWriter {
-    /// A writer for a container of the given kind, in the current (v2,
-    /// mappable) format.
+    /// A writer for a container of the given kind.
     pub fn new(kind: u8) -> Self {
-        StoreWriter::with_version(FORMAT_VERSION_V2, kind)
-    }
-
-    /// A writer emitting the legacy v1 (unaligned) format — kept so
-    /// back-compat fixtures can be produced and the v1 read path stays
-    /// covered.
-    pub fn v1(kind: u8) -> Self {
-        StoreWriter::with_version(FORMAT_VERSION, kind)
-    }
-
-    fn with_version(version: u16, kind: u8) -> Self {
         StoreWriter {
-            version,
             kind,
             sections: Vec::new(),
         }
@@ -123,7 +87,7 @@ impl StoreWriter {
     /// Writes header and sections to `out`.
     pub fn write_to(&self, out: &mut impl Write) -> Result<(), StoreError> {
         out.write_all(&MAGIC).map_err(StoreError::Io)?;
-        out.write_all(&self.version.to_le_bytes())
+        out.write_all(&FORMAT_VERSION_V2.to_le_bytes())
             .map_err(StoreError::Io)?;
         out.write_all(&[self.kind, 0]).map_err(StoreError::Io)?;
         out.write_all(&(self.sections.len() as u32).to_le_bytes())
@@ -143,15 +107,13 @@ impl StoreWriter {
             out.write_all(tag).map_err(StoreError::Io)?;
             out.write_all(&len.to_le_bytes()).map_err(StoreError::Io)?;
             out.write_all(&crc.to_le_bytes()).map_err(StoreError::Io)?;
-            if self.version >= FORMAT_VERSION_V2 {
-                // Zero-fill so the payload lands on an aligned offset.
-                let prelude_end = offset + SECTION_PRELUDE_V2_BYTES;
-                let pad = prelude_end.next_multiple_of(SECTION_ALIGN) - prelude_end;
-                out.write_all(&(pad as u32).to_le_bytes())
-                    .map_err(StoreError::Io)?;
-                out.write_all(&vec![0u8; pad]).map_err(StoreError::Io)?;
-                offset = prelude_end + pad + payload.len();
-            }
+            // Zero-fill so the payload lands on an aligned offset.
+            let prelude_end = offset + SECTION_PRELUDE_V2_BYTES;
+            let pad = prelude_end.next_multiple_of(SECTION_ALIGN) - prelude_end;
+            out.write_all(&(pad as u32).to_le_bytes())
+                .map_err(StoreError::Io)?;
+            out.write_all(&vec![0u8; pad]).map_err(StoreError::Io)?;
+            offset = prelude_end + pad + payload.len();
             out.write_all(payload).map_err(StoreError::Io)?;
         }
         Ok(())
@@ -173,140 +135,10 @@ impl StoreWriter {
     }
 }
 
-fn read_exact(r: &mut impl Read, buf: &mut [u8], context: &'static str) -> Result<(), StoreError> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            StoreError::Truncated { context }
-        } else {
-            StoreError::Io(e)
-        }
-    })
-}
-
-/// Streaming reader: validates the header up front, then yields sections
-/// one at a time, each checksum-verified before its payload is exposed.
-/// Nothing beyond the current section is buffered, and no intermediate
-/// representation (JSON or otherwise) is materialized.
-pub struct StoreReader<R: Read> {
-    inner: R,
-    header: StoreHeader,
-    yielded: u32,
-}
-
-impl<R: Read> StoreReader<R> {
-    /// Opens a stream: reads magic, version, kind and section count.
-    pub fn new(mut inner: R) -> Result<Self, StoreError> {
-        let mut magic = [0u8; 4];
-        read_exact(&mut inner, &mut magic, "magic")?;
-        if magic != MAGIC {
-            return Err(StoreError::BadMagic { found: magic });
-        }
-        let mut version = [0u8; 2];
-        read_exact(&mut inner, &mut version, "version")?;
-        let version = u16::from_le_bytes(version);
-        if version != FORMAT_VERSION && version != FORMAT_VERSION_V2 {
-            return Err(StoreError::UnsupportedVersion {
-                found: version,
-                supported: FORMAT_VERSION_V2,
-            });
-        }
-        let mut kind_reserved = [0u8; 2];
-        read_exact(&mut inner, &mut kind_reserved, "container kind")?;
-        let mut sections = [0u8; 4];
-        read_exact(&mut inner, &mut sections, "section count")?;
-        Ok(StoreReader {
-            inner,
-            header: StoreHeader {
-                version,
-                kind: kind_reserved[0],
-                sections: u32::from_le_bytes(sections),
-            },
-            yielded: 0,
-        })
-    }
-
-    /// The validated header.
-    pub fn header(&self) -> &StoreHeader {
-        &self.header
-    }
-
-    /// Reads the next section, or `None` after the declared count.
-    pub fn next_section(&mut self) -> Result<Option<Section>, StoreError> {
-        if self.yielded == self.header.sections {
-            return Ok(None);
-        }
-        let mut tag = [0u8; 4];
-        read_exact(&mut self.inner, &mut tag, "section tag")?;
-        let mut len = [0u8; 4];
-        read_exact(&mut self.inner, &mut len, "section length")?;
-        let len = u32::from_le_bytes(len) as u64;
-        let mut crc = [0u8; 4];
-        read_exact(&mut self.inner, &mut crc, "section checksum")?;
-        let crc = u32::from_le_bytes(crc);
-        if self.header.version >= FORMAT_VERSION_V2 {
-            // v2 preludes carry alignment padding; the streaming path
-            // skips it (padding is not covered by the section checksum).
-            let mut pad = [0u8; 4];
-            read_exact(&mut self.inner, &mut pad, "section padding")?;
-            let pad = u32::from_le_bytes(pad) as u64;
-            if pad >= SECTION_ALIGN as u64 {
-                return Err(StoreError::Malformed(format!(
-                    "section padding {pad} exceeds the {SECTION_ALIGN}-byte alignment unit"
-                )));
-            }
-            let mut sink = [0u8; SECTION_ALIGN];
-            read_exact(
-                &mut self.inner,
-                &mut sink[..pad as usize],
-                "section padding",
-            )?;
-        }
-        // Read through `take`, growing as bytes arrive: a corrupted length
-        // cannot force a giant up-front allocation.
-        let mut payload = Vec::new();
-        (&mut self.inner)
-            .take(len)
-            .read_to_end(&mut payload)
-            .map_err(StoreError::Io)?;
-        if (payload.len() as u64) < len {
-            return Err(StoreError::Truncated {
-                context: "section payload",
-            });
-        }
-        let computed = crc32_pair(&tag, &payload);
-        if computed != crc {
-            return Err(StoreError::ChecksumMismatch {
-                tag,
-                stored: crc,
-                computed,
-            });
-        }
-        self.yielded += 1;
-        Ok(Some(Section { tag, payload, crc }))
-    }
-
-    /// Drains and returns all remaining sections.
-    pub fn sections(&mut self) -> Result<Vec<Section>, StoreError> {
-        let mut out = Vec::new();
-        while let Some(section) = self.next_section()? {
-            out.push(section);
-        }
-        Ok(out)
-    }
-}
-
-/// Opens a store file for streaming reads.
-pub fn open_file(
-    path: impl AsRef<std::path::Path>,
-) -> Result<StoreReader<std::io::BufReader<std::fs::File>>, StoreError> {
-    let file = std::fs::File::open(path).map_err(StoreError::Io)?;
-    StoreReader::new(std::io::BufReader::new(file))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::KIND_BUNDLE;
+    use crate::{MappedStore, KIND_BUNDLE};
 
     fn sample() -> Vec<u8> {
         let mut w = StoreWriter::new(KIND_BUNDLE);
@@ -318,33 +150,32 @@ mod tests {
 
     #[test]
     fn roundtrip_yields_identical_sections() {
-        let bytes = sample();
-        let mut r = StoreReader::new(&bytes[..]).unwrap();
+        let store = MappedStore::from_bytes(sample()).unwrap();
         assert_eq!(
-            *r.header(),
+            *store.header(),
             StoreHeader {
                 version: FORMAT_VERSION_V2,
                 kind: KIND_BUNDLE,
                 sections: 3
             }
         );
-        let sections = r.sections().unwrap();
-        assert_eq!(sections.len(), 3);
-        assert_eq!(sections[0].tag, *b"META");
-        assert_eq!(sections[0].payload, b"hello");
-        assert_eq!(sections[1].payload.len(), 300);
-        assert!(sections[2].payload.is_empty());
-        assert!(r.next_section().unwrap().is_none());
+        assert_eq!(store.section_count(), 3);
+        let meta = store.section(0).unwrap();
+        assert_eq!(meta.tag(), *b"META");
+        assert_eq!(meta.bytes().unwrap(), b"hello");
+        assert_eq!(store.section(1).unwrap().bytes().unwrap().len(), 300);
+        assert!(store.section(2).unwrap().bytes().unwrap().is_empty());
+        assert!(store.section(3).is_none());
     }
 
     #[test]
     fn bad_magic_is_typed() {
         let mut bytes = sample();
         bytes[0] = b'J';
-        match StoreReader::new(&bytes[..]) {
+        match MappedStore::from_bytes(bytes) {
             Err(StoreError::BadMagic { found }) => assert_eq!(found[0], b'J'),
             Err(other) => panic!("expected BadMagic, got {other:?}"),
-            Ok(_) => panic!("expected BadMagic, got a reader"),
+            Ok(_) => panic!("expected BadMagic, got a store"),
         }
     }
 
@@ -353,7 +184,7 @@ mod tests {
         let mut bytes = sample();
         bytes[4] = 99;
         assert!(matches!(
-            StoreReader::new(&bytes[..]),
+            MappedStore::from_bytes(bytes),
             Err(StoreError::UnsupportedVersion {
                 found: 99,
                 supported: FORMAT_VERSION_V2
@@ -362,18 +193,25 @@ mod tests {
     }
 
     #[test]
-    fn v1_containers_still_read_back() {
-        let mut w = StoreWriter::v1(KIND_BUNDLE);
-        w.section(*b"META", b"hello".to_vec());
-        w.section(*b"IDXP", vec![0u8; 300]);
-        let bytes = w.to_bytes();
-        let mut r = StoreReader::new(&bytes[..]).unwrap();
-        assert_eq!(r.header().version, FORMAT_VERSION);
-        let sections = r.sections().unwrap();
-        assert_eq!(sections[0].payload, b"hello");
-        assert_eq!(sections[1].payload.len(), 300);
-        // v1 packs sections back to back: no padding anywhere.
-        assert_eq!(bytes.len(), HEADER_BYTES + 2 * 12 + 5 + 300);
+    fn v1_containers_are_an_unsupported_version() {
+        // A hand-written v1 file: header, then one packed 12-byte v1
+        // prelude and its payload. The version check refuses it before
+        // any prelude is read.
+        let mut v1 = MAGIC.to_vec();
+        v1.extend_from_slice(&1u16.to_le_bytes());
+        v1.extend_from_slice(&[KIND_BUNDLE, 0]);
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(b"META");
+        v1.extend_from_slice(&5u32.to_le_bytes());
+        v1.extend_from_slice(&crate::crc32_pair(b"META", b"hello").to_le_bytes());
+        v1.extend_from_slice(b"hello");
+        assert!(matches!(
+            MappedStore::from_bytes(v1),
+            Err(StoreError::UnsupportedVersion {
+                found: 1,
+                supported: FORMAT_VERSION_V2
+            })
+        ));
     }
 
     #[test]
@@ -398,29 +236,12 @@ mod tests {
     }
 
     #[test]
-    fn v1_and_v2_digests_agree() {
-        // Padding is outside the checksummed bytes, so the same sections
-        // produce identical manifest digests in both wire versions.
-        let build = |mut w: StoreWriter| {
-            w.section(*b"META", b"same payload".to_vec());
-            w.section(*b"IDXP", (0u8..200).collect());
-            w.digests()
-        };
-        assert_eq!(
-            build(StoreWriter::new(KIND_BUNDLE)),
-            build(StoreWriter::v1(KIND_BUNDLE))
-        );
-    }
-
-    #[test]
     fn payload_corruption_is_a_checksum_mismatch() {
         let mut bytes = sample();
         let last = bytes.len() - 150; // inside IDXP's payload
         bytes[last] ^= 0x40;
-        let mut r = StoreReader::new(&bytes[..]).unwrap();
-        assert!(r.next_section().is_ok(), "META untouched");
         assert!(matches!(
-            r.next_section(),
+            MappedStore::from_bytes(bytes),
             Err(StoreError::ChecksumMismatch { tag, .. }) if tag == *b"IDXP"
         ));
     }
@@ -428,31 +249,23 @@ mod tests {
     #[test]
     fn truncation_is_typed_at_every_layer() {
         let bytes = sample();
-        // Header truncations.
-        for cut in [0, 3, 5, 7, 9] {
+        // Header truncations, then a mid-section one.
+        for cut in [0, 3, 5, 7, 9, bytes.len() - 10] {
             assert!(
                 matches!(
-                    StoreReader::new(&bytes[..cut]),
+                    MappedStore::from_bytes(bytes[..cut].to_vec()),
                     Err(StoreError::Truncated { .. })
                 ),
                 "cut at {cut}"
             );
         }
-        // Mid-section truncation.
-        let mut r = StoreReader::new(&bytes[..bytes.len() - 10]).unwrap();
-        r.next_section().unwrap();
-        r.next_section().unwrap();
-        assert!(matches!(
-            r.next_section(),
-            Err(StoreError::Truncated { .. })
-        ));
     }
 
     #[test]
     fn empty_container_roundtrips() {
         let bytes = StoreWriter::new(7).to_bytes();
-        let mut r = StoreReader::new(&bytes[..]).unwrap();
-        assert_eq!(r.header().kind, 7);
-        assert!(r.sections().unwrap().is_empty());
+        let store = MappedStore::from_bytes(bytes).unwrap();
+        assert_eq!(store.header().kind, 7);
+        assert_eq!(store.section_count(), 0);
     }
 }

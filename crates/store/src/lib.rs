@@ -16,54 +16,49 @@
 //!
 //! ```text
 //! magic      [u8; 4]   = b"ANNS"
-//! version    u16       = 1 or 2
+//! version    u16       = 2
 //! kind       u8        container kind: 0 = registry bundle,
 //!                      1.. = single-scheme file of that scheme kind
 //! reserved   u8        = 0
 //! sections   u32       section count
-//! v1 section*  tag [u8;4], len u32, crc32 u32, payload [u8; len]
-//! v2 section*  tag [u8;4], len u32, crc32 u32, pad u32,
-//!              zeros [u8; pad], payload [u8; len]
+//! section*   tag [u8;4], len u32, crc32 u32, pad u32,
+//!            zeros [u8; pad], payload [u8; len]
 //! ```
 //!
-//! Version 2 (the current write format) zero-pads each section prelude
-//! so every payload begins on a [`SECTION_ALIGN`]-byte file offset —
-//! the property that lets payloads be memory-mapped in place
-//! ([`MappedStore`]) and verified lazily at first touch instead of at
-//! mount. Version 1 packs payloads back to back; both versions read
-//! through the heap path, and the checksums cover `tag ++ payload`
-//! identically (padding excluded), so manifests agree across versions.
+//! Each section prelude is zero-padded so every payload begins on a
+//! [`SECTION_ALIGN`]-byte file offset — the property that lets payloads
+//! be memory-mapped in place and verified lazily at first touch instead
+//! of at mount. Each payload is covered by a CRC-32 (IEEE) checksum over
+//! `tag ++ payload` (padding excluded), so a flipped bit anywhere in a
+//! payload surfaces as [`StoreError::ChecksumMismatch`] rather than a
+//! silently different index.
 //!
-//! Each section's payload is covered by a CRC-32 (IEEE) checksum, so a
-//! flipped bit anywhere in a payload surfaces as
-//! [`StoreError::ChecksumMismatch`] rather than a silently different
-//! index. Readers stream section by section ([`StoreReader`]) — no
-//! intermediate JSON, no whole-file buffering beyond the section being
-//! decoded. All decode failures are typed ([`StoreError`]): truncation,
-//! foreign magic, version skew, checksum damage, unknown scheme kinds.
-//! Writers may close a file with a [`manifest`] (`MNFT`) section pinning
-//! the digest of every section before it; readers that see one
-//! cross-check it, and readers that predate it skip it — the normative
-//! rules (including unknown-section and forward-compatibility semantics)
-//! live in `docs/STORE_FORMAT.md`.
+//! One parser reads every file: [`MappedStore`], over a file mapping
+//! (payloads verified at first touch) or an owned buffer (every payload
+//! verified at parse). All decode failures are typed ([`StoreError`]):
+//! truncation, foreign magic, version skew, checksum damage, duplicate
+//! sections, unknown scheme kinds. Writers close a file with a
+//! [`manifest`] (`MNFT`) section pinning the digest of every section
+//! before it, and the parser cross-checks it — the normative rules
+//! (including unknown-section and forward-compatibility semantics) live
+//! in `docs/STORE_FORMAT.md`.
 //!
 //! # Example
 //!
-//! Write a two-section container and stream it back, checksums verified:
+//! Write a two-section container and parse it back, checksums verified:
 //!
 //! ```
-//! use anns_store::{StoreReader, StoreWriter, KIND_BUNDLE};
+//! use anns_store::{MappedStore, StoreWriter, KIND_BUNDLE};
 //!
 //! let mut writer = StoreWriter::new(KIND_BUNDLE);
 //! writer.section(*b"META", b"hello".to_vec());
 //! writer.section(*b"BODY", vec![1, 2, 3]);
 //! let bytes = writer.to_bytes();
 //!
-//! let mut reader = StoreReader::new(&bytes[..])?;
-//! assert_eq!(reader.header().kind, KIND_BUNDLE);
-//! let sections = reader.sections()?;
-//! assert_eq!(sections.len(), 2);
-//! assert_eq!(sections[0].payload, b"hello");
+//! let store = MappedStore::from_bytes(bytes)?;
+//! assert_eq!(store.header().kind, KIND_BUNDLE);
+//! assert_eq!(store.section_count(), 2);
+//! assert_eq!(store.find(*b"META").unwrap().bytes()?, b"hello");
 //! # Ok::<(), anns_store::StoreError>(())
 //! ```
 
@@ -79,27 +74,22 @@ pub use checksum::{crc32, crc32_concat, crc32_pair};
 pub use codec::{
     decode_capacity, encode_slice, ByteReader, ByteWriter, Codec, MAX_DECODE_PREALLOC_BYTES,
 };
-pub use container::{
-    open_file, Section, SectionTag, StoreHeader, StoreReader, StoreWriter, HEADER_BYTES,
-    SECTION_PRELUDE_V2_BYTES,
-};
+pub use container::{SectionTag, StoreHeader, StoreWriter, HEADER_BYTES, SECTION_PRELUDE_V2_BYTES};
 pub use error::{PayloadFault, StoreError};
-pub use manifest::{scan, scan_file, Manifest, ManifestTracker, SectionDigest};
+pub use manifest::{scan, scan_file, Manifest, SectionDigest};
 pub use mapped::{LazySection, MappedStore, PayloadSource};
 
 /// The four magic bytes opening every store file.
 pub const MAGIC: [u8; 4] = *b"ANNS";
 
-/// The legacy (unaligned) format version: still read, no longer
-/// written.
-pub const FORMAT_VERSION: u16 = 1;
-
-/// The current write format: sections padded so payloads are
-/// [`SECTION_ALIGN`]-aligned and therefore mappable.
+/// The format version, the only one read or written: sections padded so
+/// payloads are [`SECTION_ALIGN`]-aligned and therefore mappable. (The
+/// unaligned version 1 is retired; reading it is
+/// [`StoreError::UnsupportedVersion`].)
 pub const FORMAT_VERSION_V2: u16 = 2;
 
-/// File-offset alignment of every v2 section payload (and of every
-/// entry inside a v2 [`pool`] section) — a cache line, so mapped
+/// File-offset alignment of every section payload (and of every entry
+/// inside a [`pool`] section) — a cache line, so mapped
 /// sketch rows never straddle an unaligned boundary.
 pub const SECTION_ALIGN: usize = 64;
 

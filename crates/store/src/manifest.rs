@@ -9,15 +9,18 @@
 //! actually saw, so a file spliced together from two half-bundles fails
 //! loudly even though every individual section checksum passes.
 //!
-//! Readers from before the manifest existed skip the unknown `MNFT` tag;
-//! bundles from before it load with `manifest_verified = false` in their
-//! mount report. See `docs/STORE_FORMAT.md` for the normative rules.
+//! Bundles from before the manifest existed load with
+//! `manifest_verified = false` in their mount report. The rules
+//! themselves (manifest last, covering every section before it) are
+//! enforced by the one parser, [`MappedStore`]; see
+//! `docs/STORE_FORMAT.md` for the normative text.
 
 use std::io::Read;
 
 use crate::codec::{ByteReader, ByteWriter, Codec};
-use crate::container::{Section, StoreHeader, StoreReader};
+use crate::container::StoreHeader;
 use crate::error::StoreError;
+use crate::mapped::MappedStore;
 
 /// Digest of one section: its tag, payload length, and CRC-32 (the same
 /// CRC the section header stores, covering `tag ++ payload`).
@@ -32,15 +35,6 @@ pub struct SectionDigest {
 }
 
 impl SectionDigest {
-    /// The digest of a decoded [`Section`].
-    pub fn of(section: &Section) -> Self {
-        SectionDigest {
-            tag: section.tag,
-            len: section.payload.len() as u32,
-            crc: section.crc,
-        }
-    }
-
     /// The section tag as ASCII where printable (for reports).
     pub fn tag_string(&self) -> String {
         String::from_utf8_lossy(&self.tag).into_owned()
@@ -97,94 +91,32 @@ impl Codec for Manifest {
     }
 }
 
-/// The incremental `MNFT` state machine: the single implementation of
-/// the normative manifest rules (manifest must be final, must cover all
-/// preceding sections in order, duplicates rejected), shared by
-/// [`scan`] and bundle loaders so the two can never diverge.
-#[derive(Default)]
-pub struct ManifestTracker {
-    covered: Vec<SectionDigest>,
-    manifest: Option<Manifest>,
-}
-
-impl ManifestTracker {
-    /// A tracker with no sections observed yet.
-    pub fn new() -> Self {
-        ManifestTracker::default()
-    }
-
-    /// Feeds the next section, in file order. Returns `true` when the
-    /// section *was* the manifest (callers skip decoding it as payload).
-    ///
-    /// Fails with [`StoreError::Malformed`] on any section after the
-    /// manifest (including a second manifest), or on a manifest whose
-    /// digests do not match the sections that preceded it.
-    pub fn observe(&mut self, section: &Section) -> Result<bool, StoreError> {
-        // The manifest, when present, must be the final section — any
-        // section after it is outside its coverage.
-        if self.manifest.is_some() {
-            return Err(StoreError::Malformed(
-                "sections after the manifest are not covered by it".into(),
-            ));
-        }
-        if section.tag == crate::section_tag::MANIFEST {
-            let decoded = Manifest::from_bytes(&section.payload)?;
-            if !decoded.matches(&self.covered) {
-                return Err(StoreError::Malformed(
-                    "manifest does not match the sections preceding it".into(),
-                ));
-            }
-            self.manifest = Some(decoded);
-            return Ok(true);
-        }
-        self.covered.push(SectionDigest::of(section));
-        Ok(false)
-    }
-
-    /// Digests of the payload sections observed so far (the manifest
-    /// section itself excluded).
-    pub fn covered(&self) -> &[SectionDigest] {
-        &self.covered
-    }
-
-    /// Whether a manifest was observed (and therefore verified).
-    pub fn verified(&self) -> bool {
-        self.manifest.is_some()
-    }
-
-    /// Consumes the tracker: covered digests plus the manifest, if any.
-    pub fn into_parts(self) -> (Vec<SectionDigest>, Option<Manifest>) {
-        (self.covered, self.manifest)
-    }
-}
-
-/// Streams a whole container, returning its header, the digest of every
-/// section, and the decoded manifest if one is present — without decoding
-/// any payload. The cheap "what is this file?" primitive behind
-/// `annsctl inspect` and multi-bundle mount tooling; every section
-/// checksum is verified as a side effect of the streaming read.
+/// Parses a whole container, returning its header, the digest of every
+/// section before the manifest, and the decoded manifest if one is
+/// present — without decoding any payload. The cheap "what is this
+/// file?" primitive behind multi-bundle mount tooling; the stream is
+/// read into memory and every section checksum is verified on the way.
 ///
 /// Fails with [`StoreError::Malformed`] if a manifest is present but does
-/// not match the sections that precede it.
+/// not match the sections that precede it, or breaks any other container
+/// rule.
 pub fn scan(
     inner: impl Read,
 ) -> Result<(StoreHeader, Vec<SectionDigest>, Option<Manifest>), StoreError> {
-    let mut reader = StoreReader::new(inner)?;
-    let header = *reader.header();
-    let mut tracker = ManifestTracker::new();
-    while let Some(section) = reader.next_section()? {
-        tracker.observe(&section)?;
+    let store = MappedStore::read(inner)?;
+    let mut digests = store.digests();
+    let manifest = store.manifest().cloned();
+    if manifest.is_some() {
+        digests.pop();
     }
-    let (digests, manifest) = tracker.into_parts();
-    Ok((header, digests, manifest))
+    Ok((*store.header(), digests, manifest))
 }
 
-/// [`scan`] over a buffered file.
+/// [`scan`] over a file.
 pub fn scan_file(
     path: impl AsRef<std::path::Path>,
 ) -> Result<(StoreHeader, Vec<SectionDigest>, Option<Manifest>), StoreError> {
-    let file = std::fs::File::open(path).map_err(StoreError::Io)?;
-    scan(std::io::BufReader::new(file))
+    scan(std::fs::File::open(path).map_err(StoreError::Io)?)
 }
 
 #[cfg(test)]

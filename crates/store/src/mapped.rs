@@ -1,7 +1,7 @@
-//! Memory-mapped store access: O(manifest) open, lazily verified
-//! sections.
+//! The store's one container parser: header, section preludes and the
+//! `MNFT` manifest, over either a file mapping or an owned buffer.
 //!
-//! [`MappedStore::open`] maps a v2 container and reads *only* its fixed
+//! [`MappedStore::open`] maps a container and reads *only* its fixed
 //! header, the section preludes, and the trailing `MNFT` manifest
 //! payload — work proportional to the manifest, not to the index bytes.
 //! The manifest is checksum-verified eagerly and cross-checked against
@@ -12,11 +12,17 @@
 //! replays the verdict (success, or a typed [`PayloadFault`]) to every
 //! later reader.
 //!
-//! v1 containers are *not* mappable — their payloads are unaligned — and
-//! open with a typed error pointing at the heap path, which reads both
-//! versions (see `docs/STORE_FORMAT.md` §v2 for the compatibility
-//! matrix).
+//! [`MappedStore::from_bytes`] (and [`MappedStore::read`] over a stream)
+//! runs the same parser over an owned buffer, verifying every section's
+//! CRC during the prelude walk — the eager schedule of the heap backend.
+//! Either way the parser enforces the container rules of
+//! `docs/STORE_FORMAT.md` §1–§4: payloads 64-aligned by file offset and
+//! in bounds, no tag twice, `MNFT` last and covering every section
+//! before it. Any version other than 2 is
+//! [`StoreError::UnsupportedVersion`].
 
+use std::collections::HashSet;
+use std::io::Read;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
@@ -26,13 +32,11 @@ use crate::error::{PayloadFault, StoreError};
 use crate::manifest::{Manifest, SectionDigest};
 use crate::{Codec, FORMAT_VERSION_V2, MAGIC, SECTION_ALIGN};
 
-/// Read-only mapping of a whole file.
-///
-/// On unix this is a real `mmap(PROT_READ, MAP_PRIVATE)` through a
-/// minimal hand-rolled FFI (std already links libc); elsewhere it
-/// degrades to reading the file into an owned buffer so the crate — and
-/// every backend-generic caller — still compiles and behaves
-/// identically, minus the paging benefits.
+/// Read-only mapping of a whole file: a real `mmap(PROT_READ,
+/// MAP_PRIVATE)` through a minimal hand-rolled FFI (std already links
+/// libc). Elsewhere [`MappedStore::open`] reads the file into an owned
+/// buffer instead, so every backend-generic caller still compiles and
+/// behaves identically, minus the paging benefits.
 #[cfg(unix)]
 mod sys {
     use std::fs::File;
@@ -100,41 +104,33 @@ mod sys {
     }
 }
 
-#[cfg(not(unix))]
-mod sys {
-    use std::fs::File;
-    use std::io::Read;
+/// Where a store's bytes live.
+enum Backing {
+    /// A read-only file mapping: pages fault in on first touch.
+    #[cfg(unix)]
+    Mapped(sys::Mapping),
+    /// A file or stream read into memory.
+    Owned(Vec<u8>),
+}
 
-    pub struct Mapping {
-        buf: Vec<u8>,
-    }
-
-    impl Mapping {
-        pub fn map(file: &File, len: usize) -> std::io::Result<Mapping> {
-            let mut buf = Vec::new();
-            let mut file = file;
-            file.read_to_end(&mut buf)?;
-            debug_assert_eq!(buf.len(), len);
-            let _ = len;
-            Ok(Mapping { buf })
-        }
-
-        pub fn bytes(&self) -> &[u8] {
-            &self.buf
+impl Backing {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            #[cfg(unix)]
+            Backing::Mapped(map) => map.bytes(),
+            Backing::Owned(buf) => buf,
         }
     }
 }
 
-/// Location and digest of one section inside the mapping.
+/// Digest and file offset of one section's payload.
 struct SectionMeta {
-    tag: SectionTag,
-    len: u32,
-    crc: u32,
+    digest: SectionDigest,
     payload_offset: usize,
 }
 
 struct Inner {
-    map: sys::Mapping,
+    backing: Backing,
     header: StoreHeader,
     metas: Vec<SectionMeta>,
     /// Per-section verified-once latch: `None` until first touch, then
@@ -144,7 +140,8 @@ struct Inner {
     eager_bytes: u64,
 }
 
-/// A v2 container opened through the mapped (lazy) backend.
+/// A parsed v2 container: a file mapping with lazily verified sections,
+/// or an owned buffer whose sections were all verified at parse time.
 #[derive(Clone)]
 pub struct MappedStore {
     inner: Arc<Inner>,
@@ -155,31 +152,52 @@ impl MappedStore {
     /// section-prelude parse, manifest checksum + cross-check. No other
     /// payload bytes are read.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let file = std::fs::File::open(path).map_err(StoreError::Io)?;
-        let file_len = file.metadata().map_err(StoreError::Io)?.len();
-        let file_len: usize = file_len
-            .try_into()
-            .map_err(|_| StoreError::Unsupported("file exceeds the address space".into()))?;
-        let map = sys::Mapping::map(&file, file_len)?;
-        Self::from_mapping(map)
+        #[cfg(unix)]
+        let backing = {
+            let file = std::fs::File::open(path).map_err(StoreError::Io)?;
+            let file_len = file.metadata().map_err(StoreError::Io)?.len();
+            let file_len: usize = file_len
+                .try_into()
+                .map_err(|_| StoreError::Unsupported("file exceeds the address space".into()))?;
+            Backing::Mapped(sys::Mapping::map(&file, file_len)?)
+        };
+        #[cfg(not(unix))]
+        let backing = Backing::Owned(std::fs::read(path).map_err(StoreError::Io)?);
+        Self::parse(backing, false)
     }
 
-    fn from_mapping(map: sys::Mapping) -> Result<Self, StoreError> {
-        let bytes = map.bytes();
+    /// Parses an owned buffer, verifying every section's CRC as its
+    /// prelude is walked: a damaged payload fails here, before any later
+    /// prelude is trusted.
+    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, StoreError> {
+        Self::parse(Backing::Owned(bytes), true)
+    }
+
+    /// Reads a whole stream into memory, then [`MappedStore::from_bytes`].
+    /// The buffer grows as bytes arrive, so no header field sizes an
+    /// allocation; a short stream is [`StoreError::Truncated`].
+    pub fn read(mut inner: impl Read) -> Result<Self, StoreError> {
+        let mut bytes = Vec::new();
+        inner.read_to_end(&mut bytes).map_err(StoreError::Io)?;
+        Self::from_bytes(bytes)
+    }
+
+    fn parse(backing: Backing, eager: bool) -> Result<Self, StoreError> {
+        let bytes = backing.bytes();
+        if let Some(found) = bytes.get(..4).filter(|&magic| magic != MAGIC) {
+            return Err(StoreError::BadMagic {
+                found: found.try_into().expect("len 4"),
+            });
+        }
         if bytes.len() < HEADER_BYTES {
             return Err(StoreError::Truncated { context: "header" });
         }
-        if bytes[..4] != MAGIC {
-            return Err(StoreError::BadMagic {
-                found: bytes[..4].try_into().expect("len 4"),
-            });
-        }
         let version = u16::from_le_bytes(bytes[4..6].try_into().expect("len 2"));
         if version != FORMAT_VERSION_V2 {
-            return Err(StoreError::Unsupported(format!(
-                "format v{version} containers are not mappable (payloads unaligned); \
-                 load this file with the heap backend, or re-save it as v{FORMAT_VERSION_V2}"
-            )));
+            return Err(StoreError::UnsupportedVersion {
+                found: version,
+                supported: FORMAT_VERSION_V2,
+            });
         }
         let header = StoreHeader {
             version,
@@ -218,65 +236,89 @@ impl MappedStore {
             }
             let end = payload_offset
                 .checked_add(len as usize)
+                .filter(|&end| end <= bytes.len())
                 .ok_or(StoreError::Truncated {
                     context: "section payload",
                 })?;
-            if bytes.len() < end {
-                return Err(StoreError::Truncated {
-                    context: "section payload",
-                });
+            if eager {
+                let computed = crc32_pair(&tag, &bytes[payload_offset..end]);
+                if computed != crc {
+                    return Err(StoreError::ChecksumMismatch {
+                        tag,
+                        stored: crc,
+                        computed,
+                    });
+                }
+                eager_bytes += len as u64;
             }
             metas.push(SectionMeta {
-                tag,
-                len,
-                crc,
+                digest: SectionDigest { tag, len, crc },
                 payload_offset,
             });
             offset = end;
         }
-        let verified: Vec<OnceLock<Result<(), PayloadFault>>> =
-            metas.iter().map(|_| OnceLock::new()).collect();
-        // Eager manifest verification: the one payload read at open.
-        let mut manifest = None;
-        if let Some(last) = metas.last() {
-            if last.tag == crate::section_tag::MANIFEST {
-                let payload = &bytes[last.payload_offset..last.payload_offset + last.len as usize];
-                let computed = crc32_pair(&last.tag, payload);
-                if computed != last.crc {
-                    return Err(StoreError::ChecksumMismatch {
-                        tag: last.tag,
-                        stored: last.crc,
-                        computed,
-                    });
-                }
-                eager_bytes += last.len as u64;
-                let decoded = Manifest::from_bytes(payload)?;
-                let observed: Vec<SectionDigest> = metas[..metas.len() - 1]
-                    .iter()
-                    .map(|m| SectionDigest {
-                        tag: m.tag,
-                        len: m.len,
-                        crc: m.crc,
-                    })
-                    .collect();
-                if !decoded.matches(&observed) {
-                    return Err(StoreError::Malformed(
-                        "manifest does not match the sections preceding it".into(),
-                    ));
-                }
-                verified[metas.len() - 1].set(Ok(())).expect("fresh latch");
-                manifest = Some(decoded);
-            }
-        }
-        // A manifest anywhere but last violates the format rules.
-        if manifest.is_none() && metas.iter().any(|m| m.tag == crate::section_tag::MANIFEST) {
+
+        // Container rules, checked before any payload is decoded: the
+        // manifest is last, and no tag appears twice (a reader that looks
+        // sections up by tag must never have to pick one).
+        let manifest_at = metas
+            .iter()
+            .position(|m| m.digest.tag == crate::section_tag::MANIFEST);
+        if manifest_at.is_some_and(|at| at + 1 != metas.len()) {
             return Err(StoreError::Malformed(
                 "sections after the manifest are not covered by it".into(),
             ));
         }
+        let mut tags = HashSet::with_capacity(metas.len());
+        if let Some(dup) = metas.iter().find(|m| !tags.insert(m.digest.tag)) {
+            return Err(StoreError::Malformed(format!(
+                "duplicate {} section",
+                dup.digest.tag_string()
+            )));
+        }
+        let verified: Vec<OnceLock<Result<(), PayloadFault>>> = metas
+            .iter()
+            .map(|_| {
+                if eager {
+                    OnceLock::from(Ok(()))
+                } else {
+                    OnceLock::new()
+                }
+            })
+            .collect();
+
+        // The manifest is the one payload always verified at parse time.
+        let mut manifest = None;
+        if let Some(at) = manifest_at {
+            let SectionMeta {
+                digest,
+                payload_offset,
+            } = metas[at];
+            let payload = &bytes[payload_offset..payload_offset + digest.len as usize];
+            if !eager {
+                let computed = crc32_pair(&digest.tag, payload);
+                if computed != digest.crc {
+                    return Err(StoreError::ChecksumMismatch {
+                        tag: digest.tag,
+                        stored: digest.crc,
+                        computed,
+                    });
+                }
+                verified[at].set(Ok(())).expect("fresh latch");
+                eager_bytes += digest.len as u64;
+            }
+            let decoded = Manifest::from_bytes(payload)?;
+            let observed: Vec<SectionDigest> = metas[..at].iter().map(|m| m.digest).collect();
+            if !decoded.matches(&observed) {
+                return Err(StoreError::Malformed(
+                    "manifest does not match the sections preceding it".into(),
+                ));
+            }
+            manifest = Some(decoded);
+        }
         Ok(MappedStore {
             inner: Arc::new(Inner {
-                map,
+                backing,
                 header,
                 metas,
                 verified,
@@ -291,13 +333,14 @@ impl MappedStore {
         &self.inner.header
     }
 
-    /// Total bytes of the mapped file.
+    /// Total bytes of the file or buffer.
     pub fn file_bytes(&self) -> u64 {
-        self.inner.map.bytes().len() as u64
+        self.inner.backing.bytes().len() as u64
     }
 
-    /// Bytes examined eagerly at open: header, section preludes, and the
-    /// manifest payload — the measurable O(manifest) mount cost.
+    /// Bytes examined eagerly at parse time: header and section
+    /// preludes, plus the manifest payload (mapped) or every payload
+    /// (owned) — the measurable mount cost.
     pub fn eager_bytes(&self) -> u64 {
         self.inner.eager_bytes
     }
@@ -307,18 +350,10 @@ impl MappedStore {
         self.inner.manifest.as_ref()
     }
 
-    /// Digest of every section, derived from the section preludes
-    /// without reading any payload.
+    /// Digest of every section in file order (the manifest included),
+    /// derived from the section preludes without reading any payload.
     pub fn digests(&self) -> Vec<SectionDigest> {
-        self.inner
-            .metas
-            .iter()
-            .map(|m| SectionDigest {
-                tag: m.tag,
-                len: m.len,
-                crc: m.crc,
-            })
-            .collect()
+        self.inner.metas.iter().map(|m| m.digest).collect()
     }
 
     /// Number of sections.
@@ -338,17 +373,18 @@ impl MappedStore {
         }
     }
 
-    /// The first section with the given tag.
+    /// The section with the given tag (tags are unique in a parsed
+    /// store).
     pub fn find(&self, tag: SectionTag) -> Option<LazySection> {
         self.inner
             .metas
             .iter()
-            .position(|m| m.tag == tag)
+            .position(|m| m.digest.tag == tag)
             .and_then(|idx| self.section(idx))
     }
 }
 
-/// A clone-able handle to one mapped section, verified on first touch.
+/// A clone-able handle to one section, verified on first touch.
 #[derive(Clone)]
 pub struct LazySection {
     inner: Arc<Inner>,
@@ -362,55 +398,52 @@ impl LazySection {
 
     /// The section tag.
     pub fn tag(&self) -> SectionTag {
-        self.meta().tag
+        self.meta().digest.tag
     }
 
     /// Payload length in bytes.
     pub fn len(&self) -> usize {
-        self.meta().len as usize
+        self.meta().digest.len as usize
     }
 
     /// Whether the payload is empty.
     pub fn is_empty(&self) -> bool {
-        self.meta().len == 0
+        self.len() == 0
     }
 
     /// The CRC-32 recorded in the section prelude.
     pub fn crc(&self) -> u32 {
-        self.meta().crc
+        self.meta().digest.crc
     }
 
-    /// The mapped payload bytes with *no* checksum verification — for
+    /// The payload bytes with *no* checksum verification — for
     /// callers that bring their own finer-grained digests (the index
     /// pool verifies per entry, so touching one entry doesn't page in
     /// the whole section).
     pub fn raw(&self) -> &[u8] {
         let meta = self.meta();
-        &self.inner.map.bytes()[meta.payload_offset..meta.payload_offset + meta.len as usize]
+        &self.inner.backing.bytes()[meta.payload_offset..][..meta.digest.len as usize]
     }
 
     /// The payload bytes, CRC-verified exactly once: the first call
     /// reads and checks the whole section; every later call replays the
     /// latched verdict without re-hashing.
     pub fn bytes(&self) -> Result<&[u8], StoreError> {
-        match self.try_bytes() {
-            Ok(bytes) => Ok(bytes),
-            Err(fault) => Err(fault.into()),
-        }
+        Ok(self.try_bytes()?)
     }
 
     /// [`LazySection::bytes`], with the clone-able fault type.
     pub fn try_bytes(&self) -> Result<&[u8], PayloadFault> {
         let raw = self.raw();
-        let meta = self.meta();
+        let digest = self.meta().digest;
         let verdict = self.inner.verified[self.idx].get_or_init(|| {
-            let computed = crc32_pair(&meta.tag, raw);
-            if computed == meta.crc {
+            let computed = crc32_pair(&digest.tag, raw);
+            if computed == digest.crc {
                 Ok(())
             } else {
                 Err(PayloadFault::Checksum {
-                    tag: meta.tag,
-                    stored: meta.crc,
+                    tag: digest.tag,
+                    stored: digest.crc,
                     computed,
                 })
             }
@@ -427,40 +460,22 @@ impl LazySection {
     }
 }
 
-/// One payload behind the backend seam: heap-owned bytes (verified by
-/// the streaming reader before they got here) or a window of a lazily
-/// verified mapped section. Registry loaders and pool entries hold
-/// `PayloadSource`s so the decode path is written once and runs
-/// identically over both backends.
+/// A window of one section's payload — what registry loaders and pool
+/// entries hold, so a pool entry is addressed (and bounds-checked) once
+/// and read on demand.
 #[derive(Clone)]
 pub struct PayloadSource {
-    backend: SourceBackend,
+    section: LazySection,
     offset: usize,
     len: usize,
 }
 
-#[derive(Clone)]
-enum SourceBackend {
-    Heap(Arc<[u8]>),
-    Mapped(LazySection),
-}
-
 impl PayloadSource {
-    /// A heap-owned source (already verified at read time).
-    pub fn heap(bytes: Vec<u8>) -> Self {
-        let len = bytes.len();
-        PayloadSource {
-            backend: SourceBackend::Heap(bytes.into()),
-            offset: 0,
-            len,
-        }
-    }
-
-    /// A source over a whole mapped section.
+    /// A source over a whole section.
     pub fn mapped(section: LazySection) -> Self {
         let len = section.len();
         PayloadSource {
-            backend: SourceBackend::Mapped(section),
+            section,
             offset: 0,
             len,
         }
@@ -478,7 +493,7 @@ impl PayloadSource {
                 ))
             })?;
         Ok(PayloadSource {
-            backend: self.backend.clone(),
+            section: self.section.clone(),
             offset: self.offset + offset,
             len,
         })
@@ -494,26 +509,16 @@ impl PayloadSource {
         self.len == 0
     }
 
-    /// The bytes with *no* lazy verification (callers bring their own
-    /// digests; heap bytes were verified when read).
+    /// The bytes with *no* verification (callers bring their own
+    /// digests).
     pub fn raw(&self) -> &[u8] {
-        let all = match &self.backend {
-            SourceBackend::Heap(bytes) => &bytes[..],
-            SourceBackend::Mapped(section) => section.raw(),
-        };
-        &all[self.offset..self.offset + self.len]
+        &self.section.raw()[self.offset..self.offset + self.len]
     }
 
-    /// The bytes with backend-appropriate verification: heap windows
-    /// return immediately; mapped windows go through the owning
-    /// section's verified-once latch (typed [`PayloadFault`] on
-    /// damage).
+    /// The bytes, through the owning section's verified-once latch
+    /// (typed [`PayloadFault`] on damage).
     pub fn bytes(&self) -> Result<&[u8], PayloadFault> {
-        let all = match &self.backend {
-            SourceBackend::Heap(bytes) => &bytes[..],
-            SourceBackend::Mapped(section) => section.try_bytes()?,
-        };
-        Ok(&all[self.offset..self.offset + self.len])
+        Ok(&self.section.try_bytes()?[self.offset..self.offset + self.len])
     }
 }
 
@@ -613,23 +618,65 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_get_a_pointer_to_the_heap_backend() {
-        let mut w = StoreWriter::v1(KIND_BUNDLE);
-        w.section(*b"META", b"old".to_vec());
+    fn v1_files_are_an_unsupported_version() {
+        // A hand-written v1 header: magic, version 1, bundle kind, zero
+        // sections. Format v1 is retired; both schedules refuse it typed.
+        let mut v1 = MAGIC.to_vec();
+        v1.extend_from_slice(&1u16.to_le_bytes());
+        v1.extend_from_slice(&[KIND_BUNDLE, 0]);
+        v1.extend_from_slice(&0u32.to_le_bytes());
         let path = temp_path("v1");
-        w.write_file(&path).unwrap();
-        match MappedStore::open(&path) {
-            Err(StoreError::Unsupported(msg)) => {
-                assert!(msg.contains("heap backend"), "{msg}");
-            }
-            other => panic!("expected Unsupported, got {:?}", other.map(|_| ())),
+        std::fs::write(&path, &v1).unwrap();
+        for parsed in [MappedStore::open(&path), MappedStore::from_bytes(v1)] {
+            assert!(matches!(
+                parsed,
+                Err(StoreError::UnsupportedVersion {
+                    found: 1,
+                    supported: FORMAT_VERSION_V2
+                })
+            ));
         }
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
+    fn duplicate_and_stray_sections_are_malformed_on_both_schedules() {
+        let manifested = |tags: &[[u8; 4]]| {
+            let mut w = StoreWriter::new(KIND_BUNDLE);
+            for tag in tags {
+                w.section(*tag, tag.to_vec());
+            }
+            let manifest = Manifest {
+                tool: "test/1".into(),
+                sections: w.digests(),
+            };
+            w.section(MANIFEST, manifest.to_bytes());
+            w.to_bytes()
+        };
+        // A duplicate tag, and a stray MNFT covered by the final manifest.
+        for (name, bytes) in [
+            ("dup", manifested(&[*b"META", *b"SHRD", *b"META"])),
+            ("stray", manifested(&[*b"META", MANIFEST, *b"SHRD"])),
+        ] {
+            let path = temp_path(name);
+            std::fs::write(&path, &bytes).unwrap();
+            for parsed in [MappedStore::open(&path), MappedStore::from_bytes(bytes)] {
+                assert!(
+                    matches!(parsed, Err(StoreError::Malformed(_))),
+                    "{name}: {:?}",
+                    parsed.map(|_| ())
+                );
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
     fn payload_source_windows_are_bounds_checked() {
-        let src = PayloadSource::heap(vec![1, 2, 3, 4, 5]);
+        let mut w = StoreWriter::new(KIND_BUNDLE);
+        w.section(*b"BODY", vec![1, 2, 3, 4, 5]);
+        let store = MappedStore::from_bytes(w.to_bytes()).unwrap();
+        let src = PayloadSource::mapped(store.find(*b"BODY").unwrap());
         assert_eq!(src.len(), 5);
         let win = src.window(1, 3).unwrap();
         assert_eq!(win.bytes().unwrap(), &[2, 3, 4]);

@@ -1,4 +1,4 @@
-//! The v2 `IDXP` (index pool) payload layout: a checksummed entry table
+//! The `IDXP` (index pool) payload layout: a checksummed entry table
 //! up front, then [`crate::SECTION_ALIGN`]-aligned, individually
 //! CRC'd entry payloads.
 //!
@@ -10,14 +10,13 @@
 //! payloads   entry bytes at their offsets (aligned, zero-padded apart)
 //! ```
 //!
-//! Offsets are relative to the section payload start; because v2 section
+//! Offsets are relative to the section payload start; because section
 //! payloads are themselves aligned in the file, every entry is aligned
 //! in a mapping too. The per-entry CRC is what makes *lazy* loading
 //! working-set-proportional: touching one entry verifies that entry's
 //! bytes only — the section-level checksum (which would page in the
-//! whole pool) is left to the eager heap path. The v1 layout (a bare
-//! count plus length-prefixed blobs, whole-section verification only)
-//! remains readable through [`crate::StoreReader`].
+//! whole pool) is left to the heap backend, which verifies every section
+//! when it parses its owned buffer.
 
 use crate::checksum::crc32;
 use crate::codec::decode_capacity;
@@ -41,7 +40,7 @@ pub struct PoolEntry {
     pub crc: u32,
 }
 
-/// Encodes pool payloads into the v2 `IDXP` section layout.
+/// Encodes pool payloads into the `IDXP` section layout.
 pub fn encode_pool(payloads: &[Vec<u8>]) -> Vec<u8> {
     let table_bytes = payloads.len() * POOL_ENTRY_BYTES;
     let mut entries = Vec::with_capacity(payloads.len());

@@ -12,7 +12,7 @@
 //! cannot change a single decoded byte).
 
 use anns_store::{
-    StoreError, StoreReader, StoreWriter, HEADER_BYTES, KIND_BUNDLE, SECTION_PRELUDE_V2_BYTES,
+    MappedStore, StoreError, StoreWriter, HEADER_BYTES, KIND_BUNDLE, SECTION_PRELUDE_V2_BYTES,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -30,18 +30,18 @@ fn sample_file(seed: u64) -> Vec<u8> {
     writer.to_bytes()
 }
 
-/// Reads every section; the container-level "load" operation.
+/// Parses an owned copy, verifying every section; the container-level
+/// "load" operation.
 fn read_all(bytes: &[u8]) -> Result<usize, StoreError> {
-    Ok(StoreReader::new(bytes)?.sections()?.len())
+    Ok(MappedStore::from_bytes(bytes.to_vec())?.section_count())
 }
 
 /// Reads all payloads (for content-identity checks on padding damage).
 fn read_payloads(bytes: &[u8]) -> Result<Vec<Vec<u8>>, StoreError> {
-    Ok(StoreReader::new(bytes)?
-        .sections()?
-        .into_iter()
-        .map(|s| s.payload)
-        .collect())
+    let store = MappedStore::from_bytes(bytes.to_vec())?;
+    (0..store.section_count())
+        .map(|i| Ok(store.section(i).expect("in range").bytes()?.to_vec()))
+        .collect()
 }
 
 /// Where a byte position falls in the v2 layout.

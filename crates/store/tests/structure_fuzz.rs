@@ -10,7 +10,7 @@
 //! attacker-controlled bytes.
 
 use anns_store::{
-    scan, section_tag, ByteWriter, Codec, Manifest, StoreError, StoreReader, StoreWriter,
+    scan, section_tag, ByteWriter, Codec, Manifest, MappedStore, StoreError, StoreWriter,
     KIND_BUNDLE,
 };
 use proptest::prelude::*;
@@ -36,12 +36,12 @@ fn manifested_file(seed: u64) -> Vec<u8> {
 
 /// Decomposes a valid file into `(tag, payload)` pairs.
 fn sections_of(bytes: &[u8]) -> Vec<([u8; 4], Vec<u8>)> {
-    StoreReader::new(bytes)
-        .unwrap()
-        .sections()
-        .unwrap()
-        .into_iter()
-        .map(|s| (s.tag, s.payload))
+    let store = MappedStore::from_bytes(bytes.to_vec()).unwrap();
+    (0..store.section_count())
+        .map(|i| {
+            let section = store.section(i).unwrap();
+            (section.tag(), section.bytes().unwrap().to_vec())
+        })
         .collect()
 }
 
