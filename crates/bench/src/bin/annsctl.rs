@@ -2253,9 +2253,11 @@ struct StoreMountRow {
     /// Wall-clock mount times (machine dependent; loosely gated).
     heap_mount_ms: f64,
     mmap_mount_ms: f64,
-    /// Process RSS after each load (informational, not gated).
+    /// Process RSS after each load, and after the mapped load with
+    /// every shard forced ready (informational, not gated).
     rss_after_heap_bytes: u64,
     rss_after_mmap_bytes: u64,
+    rss_after_mmap_ready_bytes: u64,
 }
 
 fn cmd_bench_store(flags: HashMap<String, String>) {
@@ -2296,6 +2298,12 @@ fn cmd_bench_store(flags: HashMap<String, String>) {
         // the mmap RSS reading.
         let mapped = load_bundle_with(&path, StoreBackend::Mmap);
         let rss_after_mmap_bytes = current_rss_bytes();
+        for i in 0..mapped.registry.len() {
+            if let Err(fault) = mapped.registry.scheme(ShardId(i)).ready() {
+                die(&format!("cannot force shard {i} of {path}: {fault}"));
+            }
+        }
+        let rss_after_mmap_ready_bytes = current_rss_bytes();
         let mmap_report = mapped.report.clone();
         drop(mapped);
         let heap = load_bundle_with(&path, StoreBackend::Heap);
@@ -2317,6 +2325,7 @@ fn cmd_bench_store(flags: HashMap<String, String>) {
             mmap_mount_ms: mmap_report.mount_ms,
             rss_after_heap_bytes,
             rss_after_mmap_bytes,
+            rss_after_mmap_ready_bytes,
         }
     };
 

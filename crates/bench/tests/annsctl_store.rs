@@ -57,7 +57,7 @@ fn save_load_serve_gate_pipeline() {
     let out = run_ok(annsctl().args(["inspect", "--store", store_s]));
     let stdout = String::from_utf8_lossy(&out.stdout).to_string();
     for needle in [
-        "format     : v2 bundle",
+        "format     : v3 bundle",
         "META",
         "IDXP",
         "SHRD",

@@ -262,22 +262,18 @@ mod tests {
 
     /// An index payload with hand-encoded db sketches: `scales` scales per
     /// kind, every M sketch `m_bits` and every N sketch `n_bits` wide (all
-    /// zero limbs), in the stored per-sketch layout.
+    /// zero limbs), in the stored slab layout.
     fn payload_with_db(index: &AnnIndex, m_bits: u32, n_bits: u32, scales: usize) -> Vec<u8> {
         let mut w = ByteWriter::new();
         index.dataset().encode(&mut w);
         index.family().encode(&mut w);
+        let points = index.dataset().len();
         for bits in [m_bits, n_bits] {
+            w.put_u32(bits);
             w.put_u64(scales as u64);
-            for _ in 0..scales {
-                w.put_u64(index.dataset().len() as u64);
-                for _ in 0..index.dataset().len() {
-                    w.put_u32(bits);
-                    for _ in 0..bits.div_ceil(64) {
-                        w.put_u64(0);
-                    }
-                }
-            }
+            w.put_u64(points as u64);
+            w.align(8);
+            w.put_raw(&vec![0; scales * points * 8 * bits.div_ceil(64) as usize]);
         }
         index.erasure_model().encode(&mut w);
         w.into_bytes()

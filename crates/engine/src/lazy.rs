@@ -12,7 +12,9 @@
 //! CRC-32 over exactly its mapped window (never the whole section, so
 //! touching one shard pages in one index) and latches either the decoded
 //! `Arc<AnnIndex>` or a typed [`PayloadFault`] replayed to every later
-//! toucher.
+//! toucher. The decoded index's database-sketch slabs borrow the mapped
+//! entry bytes in place, so the index holds the mapping alive and its
+//! scans read the page cache.
 //!
 //! [`LazyServable`] is the registry-facing face of one deferred shard:
 //! it carries the parsed shard record and instantiates the real scheme
@@ -119,8 +121,11 @@ impl LazyPool {
                         computed,
                     });
                 }
-                AnnIndex::from_bytes(bytes)
-                    .map(Arc::new)
+                // The reader keeps the mapping alive, so the index's
+                // sketch slabs borrow these (now verified) bytes.
+                let mut reader = slot.source.reader();
+                AnnIndex::decode(&mut reader)
+                    .and_then(|index| reader.finish().map(|()| Arc::new(index)))
                     .map_err(|e| PayloadFault::from(&e))
             })
             .clone()

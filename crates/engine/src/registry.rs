@@ -26,6 +26,7 @@
 //! replacement of a live mount is the [`crate::MountTable`]'s job.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use anns_core::serve::{ServableScheme, ServeAlg1, ServeAlg2, ServeLambda};
@@ -466,11 +467,11 @@ impl Registry {
         }
 
         let meta = BundleMeta {
-            tool: format!("anns-store/{}", anns_store::FORMAT_VERSION_V2),
+            tool: format!("anns-store/{}", anns_store::FORMAT_VERSION),
             indexes: pool.len() as u32,
             shards: directory,
         };
-        // v2 pool layout: a CRC'd entry table up front, payloads aligned
+        // The pool layout: a CRC'd entry table up front, payloads aligned
         // behind it — the shape that lets a mapped mount read O(table)
         // bytes and verify each index only when a query first touches it.
         let idxp = encode_pool(
@@ -538,12 +539,38 @@ impl Registry {
         writer.write_to(out)
     }
 
-    /// [`Registry::save_bundle_to`] targeting a file path.
+    /// [`Registry::save_bundle_to`] targeting a file path, atomically:
+    /// the bundle is written to a sibling temporary file, synced, and
+    /// renamed over `path`. A bundle mounted from `path` keeps reading
+    /// the old file, which a mapped mount scans in place; rewriting that
+    /// file's bytes would change them under the live mapping.
     pub fn save_bundle(&self, path: impl AsRef<std::path::Path>) -> Result<(), StoreError> {
-        let file = std::fs::File::create(path).map_err(StoreError::Io)?;
-        let mut out = std::io::BufWriter::new(file);
-        self.save_bundle_to(&mut out)?;
-        std::io::Write::flush(&mut out).map_err(StoreError::Io)
+        static SAVES: AtomicU64 = AtomicU64::new(0);
+        let path = path.as_ref();
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(format!(
+            ".tmp-{}-{}",
+            std::process::id(),
+            SAVES.fetch_add(1, Ordering::Relaxed)
+        ));
+        let tmp = std::path::PathBuf::from(tmp);
+        let written = (|| -> Result<(), StoreError> {
+            let mut out = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
+            self.save_bundle_to(&mut out)?;
+            out.into_inner().map_err(|e| e.into_error())?.sync_all()?;
+            std::fs::rename(&tmp, path)?;
+            // Make the rename itself durable.
+            #[cfg(unix)]
+            {
+                let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
+                std::fs::File::open(dir.unwrap_or(std::path::Path::new(".")))?.sync_all()?;
+            }
+            Ok(())
+        })();
+        if written.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        written
     }
 
     /// Mounts a bundle file into this registry under a namespace: every
@@ -1164,7 +1191,7 @@ mod tests {
         assert_eq!(bytes.len(), 448);
         assert_eq!(
             bytes[..12],
-            [0x41, 0x4e, 0x4e, 0x53, 0x02, 0x00, 0x11, 0x00, 0x04, 0x00, 0x00, 0x00]
+            [0x41, 0x4e, 0x4e, 0x53, 0x03, 0x00, 0x11, 0x00, 0x04, 0x00, 0x00, 0x00]
         );
         let digests: Vec<(String, u32, u32)> = MappedStore::from_bytes(bytes)
             .unwrap()
@@ -1175,10 +1202,10 @@ mod tests {
         assert_eq!(
             digests,
             [
-                ("META".into(), 63, 0xd19a_9e90),
+                ("META".into(), 63, 0xfbb2_a6f2),
                 ("IDXP".into(), 8, 0x681f_a6a9),
                 ("SHRD".into(), 52, 0x55c7_0c02),
-                ("MNFT".into(), 64, 0xbf07_5389),
+                ("MNFT".into(), 64, 0xb29a_2851),
             ]
         );
     }

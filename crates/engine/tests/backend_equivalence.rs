@@ -212,16 +212,16 @@ fn post_mount_byte_flip_is_a_typed_fault() {
     use anns_store::Codec;
     let dir = TempDir::new("backend-eq-fault");
     let path = saved_bundle(&dir);
-    // Locate the pooled index payload inside the file by content and
-    // flip one byte in the middle of it.
-    let needle_src = shared_index().to_bytes();
-    let needle = &needle_src[needle_src.len() / 3..needle_src.len() / 3 + 24];
+    // Locate the whole pooled index payload inside the file by content
+    // (a short slice of it may also match padding elsewhere) and flip one
+    // byte a third of the way into it.
+    let payload = shared_index().to_bytes();
     let mut file = std::fs::read(&path).unwrap();
     let hit = file
-        .windows(needle.len())
-        .position(|w| w == needle)
+        .windows(payload.len())
+        .position(|w| w == payload)
         .expect("pooled index payload appears in the bundle");
-    file[hit + 8] ^= 0xff;
+    file[hit + payload.len() / 3] ^= 0xff;
     std::fs::write(&path, &file).unwrap();
 
     // Eager checks still pass: header, preludes and MNFT are intact.
@@ -251,30 +251,56 @@ fn post_mount_byte_flip_is_a_typed_fault() {
     assert!(out[0].is_ok(), "undamaged shard keeps serving: {out:?}");
 }
 
-/// Format v1 is retired: a hand-written v1 header is the typed
-/// [`StoreError::UnsupportedVersion`] on both backends.
+/// Formats v1 and v2 are retired: a hand-written v1 or v2 header is the
+/// typed [`StoreError::UnsupportedVersion`] on both backends.
 #[test]
-fn v1_bundles_are_an_unsupported_version_on_both_backends() {
-    let dir = TempDir::new("backend-eq-v1");
-    let path = dir.file("v1.anns");
-    let mut v1 = b"ANNS".to_vec();
-    v1.extend_from_slice(&1u16.to_le_bytes());
-    v1.extend_from_slice(&[anns_store::scheme_kind::ALG1, 0]);
-    v1.extend_from_slice(&0u32.to_le_bytes());
-    std::fs::write(&path, &v1).unwrap();
-    for (backend, loaded) in [
-        ("heap", Registry::load_bundle(&path)),
-        ("mmap", Registry::load_bundle_mapped(&path)),
-    ] {
-        match loaded {
-            Err(StoreError::UnsupportedVersion {
-                found: 1,
-                supported: 2,
-            }) => {}
-            Err(other) => panic!("{backend}: expected UnsupportedVersion, got {other}"),
-            Ok(_) => panic!("{backend}: a v1 bundle loaded"),
+fn v1_and_v2_bundles_are_an_unsupported_version_on_both_backends() {
+    let dir = TempDir::new("backend-eq-retired");
+    for version in [1u16, 2] {
+        let path = dir.file(&format!("v{version}.anns"));
+        let mut header = b"ANNS".to_vec();
+        header.extend_from_slice(&version.to_le_bytes());
+        header.extend_from_slice(&[anns_store::scheme_kind::ALG1, 0]);
+        header.extend_from_slice(&0u32.to_le_bytes());
+        std::fs::write(&path, &header).unwrap();
+        for (backend, loaded) in [
+            ("heap", Registry::load_bundle(&path)),
+            ("mmap", Registry::load_bundle_mapped(&path)),
+        ] {
+            match loaded {
+                Err(StoreError::UnsupportedVersion {
+                    found,
+                    supported: 3,
+                }) if found == version => {}
+                Err(other) => panic!("{backend}: expected UnsupportedVersion, got {other}"),
+                Ok(_) => panic!("{backend}: a v{version} bundle loaded"),
+            }
         }
     }
+}
+
+/// A mapped mount's index scans its sketch slabs in place in the file,
+/// a heap load's index owns copies; both serialize to the same JSON
+/// snapshot.
+#[test]
+fn mapped_and_heap_indexes_snapshot_identically() {
+    let dir = TempDir::new("backend-eq-snapshot");
+    let path = saved_bundle(&dir);
+    let heap = Registry::load_bundle(&path).unwrap();
+    let mapped = Registry::load_bundle_mapped(&path).unwrap();
+    let registry = &mapped.registry;
+    for i in 0..registry.len() {
+        registry.scheme(anns_engine::ShardId(i)).ready().unwrap();
+    }
+    let decoded = mapped.lazy.as_ref().unwrap().decoded();
+    assert_eq!((heap.indexes.len(), decoded.len()), (1, 1));
+    let (heap_index, mapped_index) = (&heap.indexes[0], &decoded[0]);
+    assert!(!heap_index.db_sketches().is_borrowed());
+    assert!(mapped_index.db_sketches().is_borrowed());
+    assert_eq!(
+        serde_json::to_string(&heap_index.snapshot()).unwrap(),
+        serde_json::to_string(&mapped_index.snapshot()).unwrap()
+    );
 }
 
 /// What a hostile file must do on *both* backends.

@@ -8,16 +8,19 @@
 //! 3. **Atomic hot swap** — queries admitted before, during and after a
 //!    swap all complete, each answered by exactly the epoch that admitted
 //!    it; a failing swap leaves the old mount serving untouched; and the
-//!    replaced epoch observably retires once its last generation drains.
+//!    replaced epoch observably retires once its last generation drains;
+//! 4. **Atomic saves** — re-saving a bundle over a path that is mounted
+//!    through the mmap backend leaves the mount serving its own bundle.
 
 use std::sync::{Arc, OnceLock};
 
 use anns_cellprobe::{execute_with, ExecOptions};
 use anns_core::serve::SoloServable;
 use anns_core::AnnIndex;
-use anns_engine::testkit::{bundle_bytes, clustered_index, hot_set_workload};
+use anns_engine::testkit::{bundle_bytes, clustered_index, hot_set_workload, TempDir};
 use anns_engine::{
     Engine, EngineOptions, MountError, MountTable, NamedRequest, QueryRequest, Registry, ShardId,
+    StoreBackend,
 };
 use anns_hamming::Point;
 use anns_store::StoreError;
@@ -52,6 +55,16 @@ fn registry_b() -> Registry {
     registry.register_alg1("alg1-k3", Arc::clone(&index), 3);
     registry.register_lambda("lambda-8", Arc::clone(&index), 8.0);
     registry.register_alg2("alg2-k8", index, anns_core::Alg2Config::with_k(8));
+    registry
+}
+
+/// Registry serving index B under bundle A's shards: a bundle with A's
+/// layout and sizes but different bytes.
+fn registry_a_over_b() -> Registry {
+    let index = index_b();
+    let mut registry = Registry::new();
+    registry.register_alg1("alg1-k3", Arc::clone(&index), 3);
+    registry.register_lambda("lambda-8", index, 8.0);
     registry
 }
 
@@ -205,6 +218,52 @@ proptest! {
             receipt_b.wait_retired(std::time::Duration::from_secs(5)),
             "old mount must fully retire after its generations drain"
         );
+    }
+}
+
+/// A mapped mount reads its bundle file on first touch and then scans
+/// the file's pages in place, so a save over the mounted path must not
+/// change those bytes: `save_bundle` writes a new file and renames it
+/// over the path. The mount, forced only after the re-save, still
+/// serves bundle A byte-identically.
+#[test]
+fn resaving_a_mounted_path_leaves_the_mount_on_its_bundle() {
+    let dir = TempDir::new("mount-swap-resave");
+    let path = dir.file("live.anns");
+    registry_a().save_bundle(&path).unwrap();
+    let mounts = Arc::new(MountTable::new());
+    mounts
+        .mount_with_backend("live", &path, StoreBackend::Mmap)
+        .unwrap();
+    registry_a_over_b().save_bundle(&path).unwrap();
+    assert_ne!(std::fs::read(&path).unwrap(), bytes_a());
+    assert_eq!(
+        std::fs::read_dir(dir.path()).unwrap().count(),
+        1,
+        "no temp file left"
+    );
+
+    let engine = Engine::over(Arc::clone(&mounts), EngineOptions::default());
+    let original = registry_a();
+    for (i, query) in workload(23, 6).into_iter().enumerate() {
+        let name = ["alg1-k3", "lambda-8"][i % 2];
+        let served = engine.submit_named(&[NamedRequest {
+            shard: format!("live/{name}"),
+            query: query.clone(),
+        }]);
+        let served = served
+            .into_iter()
+            .next()
+            .unwrap()
+            .expect("the mount still serves");
+        let id = original.resolve(name).unwrap();
+        let (answer, ledger, _) = execute_with(
+            &SoloServable(original.scheme(id)),
+            &query,
+            ExecOptions::default(),
+        );
+        assert_eq!(served.answer, answer, "{name}");
+        assert_eq!(served.ledger, ledger, "{name}");
     }
 }
 

@@ -22,6 +22,7 @@ use serde::{Deserialize, Serialize};
 
 use anns_hamming::point::LIMB_BITS;
 use anns_hamming::{ceil_log_alpha, kernel, Dataset, Point};
+use anns_store::Limbs;
 
 use crate::delta::{threshold_fraction, ThresholdMode};
 use crate::matrix::{Sketch, SketchMatrix};
@@ -283,13 +284,15 @@ impl SketchFamily {
 }
 
 /// All database sketches of one kind (every `M_i`, or every `N_j`) as flat
-/// limb slabs: one `Vec<u64>` per scale, `points · w` limbs with
+/// limb slabs: one slab per scale, `points · w` limbs with
 /// `w = ⌈rows/64⌉`, point `z` at `[z·w, (z+1)·w)`. The row count is stored
-/// once for the kind; tail bits past it are zero in every sketch.
+/// once for the kind; tail bits past it are zero in every sketch. A slab
+/// is owned after a build or a copying decode, and borrowed in place from
+/// the bundle after a mapped mount.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub(crate) struct SketchSlabs {
     pub(crate) rows: u32,
-    pub(crate) scales: Vec<Vec<u64>>,
+    pub(crate) scales: Vec<Limbs>,
 }
 
 impl SketchSlabs {
@@ -318,11 +321,16 @@ impl SketchSlabs {
 /// This is the table's preprocessing: `(top+1) · n` sketches per kind, the
 /// polynomial space of paper §3.1 (unlike the materialized tables,
 /// substitution S1). Each kind is a set of flat limb slabs, one per scale,
-/// so the whole structure is `2·(top+1)` allocations holding
-/// `(top+1) · n · (⌈m_rows/64⌉ + ⌈n_rows/64⌉) · 8` bytes and nothing else.
-/// At the serving benchmark's unique-large shape (n = 32768, d = 512,
-/// 19 scales, 360 + 180 rows) that is 42.75 MiB, and decoding one
-/// index's sketches adds 43.0 MiB of RSS (x86-64, glibc). The `C_i` /
+/// holding `(top+1) · n · (⌈m_rows/64⌉ + ⌈n_rows/64⌉) · 8` bytes in all:
+/// 42.75 MiB at the serving benchmark's unique-large shape (n = 32768,
+/// d = 512, 19 scales, 360 + 180 rows). A build or a copying decode puts
+/// them on the heap in `2·(top+1)` allocations. A mapped mount borrows
+/// them in place from the bundle (store format v3 writes each scale as
+/// one raw 8-aligned slab), so they cost file-backed page cache, shared
+/// and reclaimable, instead of anonymous memory: forcing a mapped
+/// unique-large index ready grows anonymous RSS by 2.7 MiB (its dataset
+/// and family), where decoding heap copies grew it by 45.5 MiB (x86-64,
+/// glibc). The `C_i` /
 /// `D_{i,j}` oracles scan a scale's slab contiguously with the
 /// `anns_hamming::kernel` row scans. Serializable, so indices can be
 /// snapshotted and reloaded without re-sketching.
@@ -373,6 +381,7 @@ impl DbSketches {
                 scope.spawn(work);
             }
         });
+        let mut slabs: Vec<Limbs> = slabs.into_iter().map(Limbs::from).collect();
         let n = slabs.split_off(family.m_mats.len());
         DbSketches {
             points: points.len(),
@@ -442,6 +451,16 @@ impl DbSketches {
             }
         }
         Ok(())
+    }
+
+    /// Whether every slab is borrowed in place from a mapped bundle
+    /// rather than owned.
+    pub fn is_borrowed(&self) -> bool {
+        self.m
+            .scales
+            .iter()
+            .chain(&self.n.scales)
+            .all(|s| s.is_borrowed())
     }
 
     /// The accurate slabs (the store encode path).
@@ -666,7 +685,7 @@ mod tests {
         let (family, _, db) = family_and_ds(14, 20, 96);
         assert!(db.check_family(&family).is_ok());
         let mut short = db.clone();
-        short.m.scales[1].pop();
+        short.m.scales[1] = Limbs::from(short.m.scales[1][1..].to_vec());
         let mut narrow = db.clone();
         narrow.n.rows -= 1;
         let mut fewer = db.clone();

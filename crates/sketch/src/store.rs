@@ -8,7 +8,7 @@
 //! inside [`SketchParams`] as provenance, not as the decode path.
 
 use anns_hamming::point::LIMB_BITS;
-use anns_store::{decode_capacity, encode_slice, ByteReader, ByteWriter, Codec, StoreError};
+use anns_store::{decode_capacity, encode_slice, ByteReader, ByteWriter, Codec, Limbs, StoreError};
 
 use crate::delta::ThresholdMode;
 use crate::family::{DbSketches, SketchFamily, SketchParams, SketchSlabs};
@@ -93,99 +93,56 @@ impl Codec for SketchFamily {
 }
 
 /// Encodes one kind of database sketches in the stored layout
-/// (`docs/STORE_FORMAT.md` §3): a `u64` scale count, then per scale a
-/// `u64` sketch count and per sketch a `u32` dim and its limbs.
+/// (`docs/STORE_FORMAT.md` §3): the kind's `u32` row count, `u64` scale
+/// count and `u64` point count, zero padding to the next multiple of 8,
+/// then each scale's slab as raw little-endian limbs.
 fn encode_slabs(slabs: &SketchSlabs, points: usize, w: &mut ByteWriter) {
+    w.put_u32(slabs.rows);
     w.put_u64(slabs.scales.len() as u64);
-    for i in 0..slabs.scales.len() as u32 {
-        w.put_u64(points as u64);
-        for z in 0..points {
-            w.put_u32(slabs.rows);
-            for &limb in slabs.row(i, z) {
-                w.put_u64(limb);
-            }
+    w.put_u64(points as u64);
+    w.align(8);
+    for slab in &slabs.scales {
+        for &limb in slab.iter() {
+            w.put_u64(limb);
         }
     }
 }
 
-/// Decodes one kind written by [`encode_slabs`] into one reservation per
-/// scale, returning the slabs and the point count every scale shares.
+/// Decodes one kind written by [`encode_slabs`], returning the slabs and
+/// their point count.
 ///
-/// Every sketch of the kind must carry the same dim and every scale the
-/// same count (the uniform-width rule); a scale's reservation is sized
-/// only after `count × (4 + 8·w)` has been checked against the bytes
-/// remaining, so hostile counts and dims are a typed error before any
-/// allocation. Tail bits past the dim are masked, as `Point::from_limbs`
-/// does.
+/// The size of every slab together, `scales × points × ⌈rows/64⌉ × 8`
+/// bytes, is checked against the bytes remaining before anything is
+/// reserved, so hostile counts and widths are a typed error. Each slab
+/// is borrowed in place when the reader allows it
+/// ([`ByteReader::limbs`]) and otherwise copied with its tail bits
+/// masked, as `Point::from_limbs` does.
 fn decode_slabs(r: &mut ByteReader<'_>) -> Result<(SketchSlabs, usize), StoreError> {
-    let scale_count = r.count_prefix(8)?;
-    let mut scales = Vec::with_capacity(decode_capacity(
-        scale_count,
-        std::mem::size_of::<Vec<u64>>(),
-    ));
-    let mut points = None;
-    let mut rows = None;
-    for _ in 0..scale_count {
-        let count = usize::decode(r)?;
-        match points {
-            Some(first) if first != count => {
-                return Err(StoreError::Malformed(format!(
-                    "scale sketches {count} points, an earlier scale of its kind {first}"
-                )));
-            }
-            _ => points = Some(count),
-        }
-        if count == 0 {
-            scales.push(Vec::new());
-            continue;
-        }
-        let dim = r.u32()?;
-        if dim == 0 {
-            return Err(StoreError::Malformed("sketch dimension 0".into()));
-        }
-        match rows {
-            Some(first) if first != dim => {
-                return Err(StoreError::Malformed(format!(
-                    "sketch width {dim} differs from {first} earlier in its kind"
-                )));
-            }
-            _ => rows = Some(dim),
-        }
-        let w = dim.div_ceil(LIMB_BITS) as usize;
-        // The first dim is already consumed.
-        let need = count.checked_mul(4 + 8 * w).map(|b| b - 4);
-        if need.is_none_or(|need| need > r.remaining()) {
-            return Err(StoreError::Malformed(format!(
-                "{count} sketches of {dim} bits impossible in {} bytes",
-                r.remaining()
-            )));
-        }
-        let tail_mask = match dim % LIMB_BITS {
-            0 => u64::MAX,
-            bits => (1u64 << bits) - 1,
-        };
-        let mut slab = Vec::with_capacity(count * w);
-        for k in 0..count {
-            if k > 0 {
-                let d = r.u32()?;
-                if d != dim {
-                    return Err(StoreError::Malformed(format!(
-                        "sketch width {d} differs from {dim} earlier in its scale"
-                    )));
-                }
-            }
-            for chunk in r.take(8 * w)?.chunks_exact(8) {
-                slab.push(u64::from_le_bytes(chunk.try_into().expect("len 8")));
-            }
-            *slab.last_mut().expect("w ≥ 1") &= tail_mask;
-        }
-        scales.push(slab);
+    let rows = r.u32()?;
+    let scale_count = usize::decode(r)?;
+    let points = usize::decode(r)?;
+    r.align(8)?;
+    if rows == 0 || points == 0 {
+        return Err(StoreError::Malformed(format!(
+            "db sketches of {rows} bits over {points} points"
+        )));
     }
-    let slabs = SketchSlabs {
-        rows: rows.unwrap_or(0),
-        scales,
-    };
-    Ok((slabs, points.unwrap_or(0)))
+    let width = rows.div_ceil(LIMB_BITS) as usize;
+    let fits = scale_count
+        .checked_mul(points)
+        .and_then(|limbs| limbs.checked_mul(width))
+        .is_some_and(|limbs| limbs <= r.remaining() / 8);
+    if !fits {
+        return Err(StoreError::Malformed(format!(
+            "{scale_count} scales of {points} sketches of {rows} bits impossible in {} bytes",
+            r.remaining()
+        )));
+    }
+    let mut scales = Vec::with_capacity(decode_capacity(scale_count, std::mem::size_of::<Limbs>()));
+    for _ in 0..scale_count {
+        scales.push(r.limbs(points, rows)?);
+    }
+    Ok((SketchSlabs { rows, scales }, points))
 }
 
 impl Codec for DbSketches {
@@ -266,21 +223,25 @@ mod tests {
     }
 
     #[test]
-    fn db_sketches_encode_the_per_sketch_layout() {
+    fn db_sketches_encode_the_slab_layout() {
         // Pins the bytes against a hand-encoded reference in the stored
-        // layout: per kind a u64 scale count, per scale a u64 point count,
-        // per sketch a u32 dim and its limbs.
+        // layout: per kind a u32 row count, u64 scale and point counts,
+        // four zero bytes of padding, then every sketch's raw limbs.
         let mut rng = StdRng::seed_from_u64(8);
         let ds = gen::uniform(5, 64, &mut rng);
         let family = SketchFamily::generate(64, 5, &SketchParams::practical(2.0, 4));
         let db = DbSketches::build(&family, &ds, 1);
         let mut w = ByteWriter::new();
         for mats in [family.m_matrices(), family.n_matrices()] {
+            w.put_u32(mats[0].rows());
             w.put_u64(mats.len() as u64);
+            w.put_u64(ds.len() as u64);
+            w.put_u32(0);
             for mat in mats {
-                w.put_u64(ds.len() as u64);
                 for x in ds.points() {
-                    mat.sketch(x).as_point().encode(&mut w);
+                    for &limb in mat.sketch(x).limbs() {
+                        w.put_u64(limb);
+                    }
                 }
             }
         }
@@ -304,11 +265,15 @@ mod tests {
             SketchFamily::from_bytes(&w.into_bytes()),
             Err(StoreError::Malformed(_))
         ));
-        // Mismatched db-sketch scale lists: one empty M scale, no N scales.
+        // Mismatched db-sketch scale lists: one M scale, no N scales.
         let mut w = ByteWriter::new();
-        w.put_u64(1);
-        w.put_u64(0);
-        w.put_u64(0);
+        for scales in [1u64, 0] {
+            w.put_u32(8);
+            w.put_u64(scales);
+            w.put_u64(1);
+            w.align(8);
+            w.put_raw(&vec![0; 8 * scales as usize]);
+        }
         assert!(matches!(
             DbSketches::from_bytes(&w.into_bytes()),
             Err(StoreError::Malformed(_))

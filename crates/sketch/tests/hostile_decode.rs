@@ -1,17 +1,22 @@
-//! Hostile-prefix fuzz over the [`DbSketches`] slab decoder. The scale
-//! counts, point counts and per-sketch dims of a stored index are
-//! attacker-controlled in a corrupted-but-checksummed (or adversarially
-//! authored) bundle, so any value they can take must yield a typed
-//! [`StoreError`] — never a panic, and never an allocation sized by the
-//! prefix instead of by the bytes actually present. A counting global
-//! allocator records the largest single request made while decoding.
+//! Hostile-prefix fuzz over the [`DbSketches`] slab decoder. The row
+//! counts, scale counts, point counts and alignment padding of a stored
+//! index are attacker-controlled in a corrupted-but-checksummed (or
+//! adversarially authored) bundle, so any value they can take must yield
+//! a typed [`StoreError`] — never a panic, and never an allocation sized
+//! by the prefix instead of by the bytes actually present. A counting
+//! global allocator records the largest single request made while
+//! decoding. Every case runs twice: through a plain reader, which copies
+//! the slabs, and through a reader over a parsed container, which
+//! borrows them in place when it can.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use anns_hamming::gen;
 use anns_sketch::{DbSketches, SketchFamily, SketchParams};
-use anns_store::{Codec, StoreError};
+use anns_store::{
+    ByteReader, Codec, MappedStore, PayloadSource, StoreError, StoreWriter, KIND_BUNDLE,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -53,6 +58,10 @@ static ALLOC: LargestRequest = LargestRequest;
 const N: usize = 24;
 const D: u32 = 96;
 
+/// Bytes of each kind's header: `rows u32`, `scales u64`, `points u64`
+/// and four bytes of zero padding (the kind starts 8-aligned).
+const KIND_HEADER: usize = 24;
+
 /// The fixture's family, database sketches and their encoding.
 fn fixture(seed: u64) -> (SketchFamily, DbSketches, Vec<u8>) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -63,105 +72,132 @@ fn fixture(seed: u64) -> (SketchFamily, DbSketches, Vec<u8>) {
     (family, db, bytes)
 }
 
-/// Bytes of one encoded M sketch (`u32` dim + limbs).
-fn m_sketch_bytes(family: &SketchFamily) -> usize {
-    4 + 8 * family.m_rows().div_ceil(64) as usize
+/// Limbs per M sketch.
+fn m_width(family: &SketchFamily) -> usize {
+    family.m_rows().div_ceil(64) as usize
 }
 
-/// Offset of the `u64` point count of M scale `i`.
-fn m_count_at(family: &SketchFamily, i: usize) -> usize {
-    8 + i * (8 + N * m_sketch_bytes(family))
+/// Offset of the N kind's header.
+fn n_kind_at(family: &SketchFamily) -> usize {
+    KIND_HEADER + (family.top() as usize + 1) * N * 8 * m_width(family)
 }
 
-/// Offset of the `u32` dim of M sketch `z` at scale `i`.
-fn m_dim_at(family: &SketchFamily, i: usize, z: usize) -> usize {
-    m_count_at(family, i) + 8 + z * m_sketch_bytes(family)
+/// Offset of the M sketch of point `z` at scale `i`.
+fn m_sketch_at(family: &SketchFamily, i: usize, z: usize) -> usize {
+    KIND_HEADER + (i * N + z) * 8 * m_width(family)
 }
 
-/// Decodes, returning the result and the largest single allocation
-/// request made during the decode.
-fn decode_tracked(bytes: &[u8]) -> (Result<DbSketches, StoreError>, usize) {
+/// Decodes `bytes` through a reader with no owner (the copy path).
+fn decode_copied(bytes: &[u8]) -> Result<DbSketches, StoreError> {
+    DbSketches::from_bytes(bytes)
+}
+
+/// Decodes `bytes` as the payload of a parsed container's section,
+/// through the owner-carrying reader a mapped mount uses. The payload
+/// sits 64-aligned in the container's buffer, and the allocator returns
+/// buffers aligned for `u64`, so the slabs are 8-aligned.
+fn decode_in_place(bytes: &[u8]) -> Result<DbSketches, StoreError> {
+    let mut writer = StoreWriter::new(KIND_BUNDLE);
+    writer.section(*b"DBSK", bytes.to_vec());
+    let store = MappedStore::from_bytes(writer.to_bytes())?;
+    let source = PayloadSource::mapped(store.find(*b"DBSK").expect("section"));
+    let mut reader: ByteReader<'_> = source.reader();
+    let db = DbSketches::decode(&mut reader)?;
+    reader.finish()?;
+    Ok(db)
+}
+
+/// Decodes through `decode`, returning the result and the largest single
+/// allocation request made during the decode.
+fn decode_tracked(
+    decode: fn(&[u8]) -> Result<DbSketches, StoreError>,
+    bytes: &[u8],
+) -> (Result<DbSketches, StoreError>, usize) {
     LARGEST.with(|l| l.set(0));
-    let result = DbSketches::from_bytes(bytes);
+    let result = decode(bytes);
     (result, LARGEST.with(Cell::get))
 }
 
-/// The decode must fail with a typed error, and no allocation may exceed
-/// a small multiple of the bytes present.
+/// On both decode paths the decode must fail with a typed error, and no
+/// allocation may exceed a small multiple of the bytes present.
 fn assert_typed_and_bounded(bytes: &[u8]) {
-    let (result, largest) = decode_tracked(bytes);
-    match result {
-        Err(StoreError::Malformed(_) | StoreError::Truncated { .. }) => {}
-        Err(other) => panic!("unexpected error {other}"),
-        Ok(_) => panic!("hostile bytes decoded"),
+    for decode in [decode_copied, decode_in_place] {
+        let (result, largest) = decode_tracked(decode, bytes);
+        match result {
+            Err(StoreError::Malformed(_) | StoreError::Truncated { .. }) => {}
+            Err(other) => panic!("unexpected error {other}"),
+            Ok(_) => panic!("hostile bytes decoded"),
+        }
+        assert!(
+            largest <= 8 * bytes.len(),
+            "allocated {largest} bytes decoding {} bytes",
+            bytes.len()
+        );
     }
-    assert!(
-        largest <= 8 * bytes.len(),
-        "allocated {largest} bytes decoding {} bytes",
-        bytes.len()
-    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The M kind's `u64` scale count at bytes `[0..8]`, inflated by any
-    /// amount: the decode runs out of scales' worth of bytes.
+    /// Either kind's `u64` scale count, inflated by any amount: the
+    /// slabs no longer fit in the bytes remaining.
     #[test]
     fn inflated_scale_count_is_a_typed_error(
         seed in any::<u64>(),
+        n_kind in any::<bool>(),
         delta in 1u64..u64::MAX / 2,
     ) {
         let (family, _, mut bytes) = fixture(seed);
+        let at = if n_kind { n_kind_at(&family) } else { 0 } + 4;
         let count = u64::from(family.top() + 1).saturating_add(delta);
-        bytes[0..8].copy_from_slice(&count.to_le_bytes());
+        bytes[at..at + 8].copy_from_slice(&count.to_le_bytes());
         assert_typed_and_bounded(&bytes);
     }
 
-    /// A scale's `u64` point count, inflated by any amount: either
-    /// impossible in the remaining bytes (rejected before the slab is
-    /// reserved) or read into the next scale's bytes until a width or
-    /// count check fails.
+    /// Either kind's `u64` point count, inflated by any amount: the
+    /// slabs no longer fit (rejected before any slab is reserved), or
+    /// the two kinds disagree.
     #[test]
     fn inflated_point_count_is_a_typed_error(
         seed in any::<u64>(),
-        scale in 0usize..4,
+        n_kind in any::<bool>(),
         delta in 1u64..u64::MAX / 2,
     ) {
         let (family, _, mut bytes) = fixture(seed);
-        let at = m_count_at(&family, scale);
+        let at = if n_kind { n_kind_at(&family) } else { 0 } + 12;
         let count = (N as u64).saturating_add(delta);
         bytes[at..at + 8].copy_from_slice(&count.to_le_bytes());
         assert_typed_and_bounded(&bytes);
     }
 
-    /// A huge first dim implies a huge per-sketch limb count; it must
-    /// fail the bytes-present check instead of reserving `count · dim/8`.
+    /// A huge row count implies a huge per-sketch limb count; it must
+    /// fail the bytes-present check instead of reserving
+    /// `scales · points · rows/8`.
     #[test]
-    fn huge_first_dim_is_a_typed_error(seed in any::<u64>(), dim in 1u32 << 20..u32::MAX) {
-        let (family, _, mut bytes) = fixture(seed);
-        let at = m_dim_at(&family, 0, 0);
-        bytes[at..at + 4].copy_from_slice(&dim.to_le_bytes());
+    fn inflated_rows_are_a_typed_error(seed in any::<u64>(), rows in 1u32 << 20..u32::MAX) {
+        let (_, _, mut bytes) = fixture(seed);
+        bytes[0..4].copy_from_slice(&rows.to_le_bytes());
         assert_typed_and_bounded(&bytes);
     }
 
-    /// Any later sketch whose dim disagrees with its scale's first one —
-    /// even by one bit inside the same limb count — breaks the
-    /// uniform-width rule.
+    /// Any nonzero byte in either kind's alignment padding is
+    /// `Malformed`.
     #[test]
-    fn dims_that_disagree_within_a_scale_are_typed(
+    fn nonzero_alignment_padding_is_malformed(
         seed in any::<u64>(),
-        z in 1usize..N,
-        dim in 1u32..=256,
+        n_kind in any::<bool>(),
+        at in 20usize..KIND_HEADER,
+        value in 1u8..=255,
     ) {
         let (family, _, mut bytes) = fixture(seed);
-        prop_assume!(dim != family.m_rows());
-        let at = m_dim_at(&family, 0, z);
-        bytes[at..at + 4].copy_from_slice(&dim.to_le_bytes());
-        assert_typed_and_bounded(&bytes);
+        let at = if n_kind { n_kind_at(&family) } else { 0 } + at;
+        bytes[at] = value;
+        for decode in [decode_copied, decode_in_place] {
+            prop_assert!(matches!(decode(&bytes), Err(StoreError::Malformed(_))));
+        }
     }
 
-    /// Arbitrary damage in the leading scale's header and first sketch
+    /// Arbitrary damage in the leading kind's header and first sketch
     /// never panics and never over-allocates.
     #[test]
     fn header_region_fuzz_never_panics(
@@ -171,62 +207,86 @@ proptest! {
     ) {
         let (_, _, mut bytes) = fixture(seed);
         bytes[offset] = value;
-        let (_, largest) = decode_tracked(&bytes);
-        prop_assert!(largest <= 8 * bytes.len());
+        for decode in [decode_copied, decode_in_place] {
+            let (_, largest) = decode_tracked(decode, &bytes);
+            prop_assert!(largest <= 8 * bytes.len());
+        }
     }
 }
 
-/// A whole scale of another width (every dim in the scale consistent) still
-/// breaks the uniform-width rule of its kind.
+/// A kind of another width that fits the same limbs decodes (the row
+/// count is written once per kind, so nothing disagrees within it), but
+/// no longer matches its family: the check every decoded index passes
+/// before it serves.
 #[test]
-fn a_scale_of_another_width_is_typed() {
+fn a_kind_of_another_width_fails_its_family() {
     let (family, _, mut bytes) = fixture(3);
     let narrower = family.m_rows() - 1; // same limb count, so the layout parses
-    for z in 0..N {
-        let at = m_dim_at(&family, 1, z);
-        bytes[at..at + 4].copy_from_slice(&narrower.to_le_bytes());
+    bytes[0..4].copy_from_slice(&narrower.to_le_bytes());
+    for decode in [decode_copied, decode_in_place] {
+        let db = decode(&bytes).expect("the layout parses");
+        assert!(db.check_family(&family).is_err());
     }
-    assert!(matches!(
-        DbSketches::from_bytes(&bytes),
-        Err(StoreError::Malformed(_))
-    ));
 }
 
 #[test]
 fn every_strict_prefix_is_a_typed_error() {
     let (_, _, bytes) = fixture(5);
     for cut in 0..bytes.len() {
-        let (result, largest) = decode_tracked(&bytes[..cut]);
-        assert!(
-            matches!(
-                result,
-                Err(StoreError::Malformed(_) | StoreError::Truncated { .. })
-            ),
-            "prefix of {cut} bytes"
-        );
-        assert!(largest <= 8 * cut.max(64), "prefix of {cut} bytes");
+        for decode in [decode_copied, decode_in_place] {
+            let (result, largest) = decode_tracked(decode, &bytes[..cut]);
+            assert!(
+                matches!(
+                    result,
+                    Err(StoreError::Malformed(_) | StoreError::Truncated { .. })
+                ),
+                "prefix of {cut} bytes"
+            );
+            assert!(largest <= 8 * cut.max(64), "prefix of {cut} bytes");
+        }
     }
-    assert!(DbSketches::from_bytes(&bytes).is_ok());
+    assert!(decode_copied(&bytes).is_ok());
+    assert!(decode_in_place(&bytes).is_ok());
+}
+
+#[test]
+fn slabs_are_borrowed_only_through_an_owner() {
+    let (family, db, bytes) = fixture(6);
+    let copied = decode_copied(&bytes).unwrap();
+    let in_place = decode_in_place(&bytes).unwrap();
+    assert!(!copied.is_borrowed());
+    assert!(in_place.is_borrowed());
+    for i in 0..=family.top() {
+        for z in 0..N {
+            assert_eq!(in_place.m_limbs(i, z), db.m_limbs(i, z));
+            assert_eq!(in_place.n_limbs(i, z), db.n_limbs(i, z));
+        }
+    }
+    assert_eq!(in_place.to_bytes(), bytes);
 }
 
 #[test]
 fn tail_bits_are_masked_on_decode() {
     let (family, db, clean) = fixture(7);
-    let w = family.m_rows().div_ceil(64) as usize;
+    let w = m_width(&family);
     let tail = !0u64 << (family.m_rows() % 64);
     assert_ne!(family.m_rows() % 64, 0, "fixture needs a partial tail limb");
     // Set every bit past the row count in scale 0's sketches.
     let mut dirty = clean.clone();
     for z in 0..N {
-        let at = m_dim_at(&family, 0, z) + 4 + 8 * (w - 1);
+        let at = m_sketch_at(&family, 0, z) + 8 * (w - 1);
         let limb = u64::from_le_bytes(dirty[at..at + 8].try_into().unwrap()) | tail;
         dirty[at..at + 8].copy_from_slice(&limb.to_le_bytes());
     }
     assert_ne!(dirty, clean);
-    let back = DbSketches::from_bytes(&dirty).expect("tail bits are not an error");
-    for z in 0..N {
-        assert_eq!(back.m_limbs(0, z), db.m_limbs(0, z), "point {z}");
-        assert_eq!(back.m_limbs(0, z)[w - 1] & tail, 0);
+    // Dirty tails take the copy path on both readers, never an error.
+    for decode in [decode_copied, decode_in_place] {
+        let back = decode(&dirty).expect("tail bits are not an error");
+        assert!(!back.is_borrowed());
+        for z in 0..N {
+            assert_eq!(back.m_limbs(0, z), db.m_limbs(0, z), "point {z}");
+            assert_eq!(back.m_limbs(0, z)[w - 1] & tail, 0);
+        }
+        assert_eq!(back.to_bytes(), clean);
     }
-    assert_eq!(back.to_bytes(), clean);
 }

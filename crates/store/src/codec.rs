@@ -8,8 +8,13 @@
 //! Decoding never trusts a length prefix with an allocation: capacities
 //! are capped by the bytes actually remaining, so a corrupted length
 //! yields a typed error instead of an absurd reservation.
+//!
+//! A reader may carry a keep-alive owner of its bytes (a mapped bundle,
+//! see [`crate::PayloadSource::reader`]). [`ByteReader::limbs`] then
+//! borrows aligned limb slabs in place instead of copying them.
 
 use crate::error::StoreError;
+use crate::limbs::{Limbs, Owner};
 
 /// Upper bound, in bytes, on any single speculative pre-reservation made
 /// while decoding (1 MiB).
@@ -96,18 +101,41 @@ impl ByteWriter {
         self.put_u64(bytes.len() as u64);
         self.put_raw(bytes);
     }
+
+    /// Appends zero bytes up to the next multiple of `align` from the
+    /// start of the buffer.
+    pub fn align(&mut self, align: usize) {
+        self.buf.resize(self.buf.len().next_multiple_of(align), 0);
+    }
 }
 
 /// Cursor over an encoded payload.
 pub struct ByteReader<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Keeps `bytes` alive past the reader, so [`ByteReader::limbs`] may
+    /// borrow them.
+    owner: Option<Owner>,
 }
 
 impl<'a> ByteReader<'a> {
-    /// A reader over the whole slice.
+    /// A reader over the whole slice. Limb slabs it reads are copies.
     pub fn new(bytes: &'a [u8]) -> Self {
-        ByteReader { bytes, pos: 0 }
+        ByteReader {
+            bytes,
+            pos: 0,
+            owner: None,
+        }
+    }
+
+    /// A reader whose limb slabs may borrow from `owner`'s bytes, which
+    /// `bytes` should lie inside (slabs outside them are copied).
+    pub(crate) fn with_owner(bytes: &'a [u8], owner: Owner) -> Self {
+        ByteReader {
+            bytes,
+            pos: 0,
+            owner: Some(owner),
+        }
     }
 
     /// Bytes not yet consumed.
@@ -189,6 +217,65 @@ impl<'a> ByteReader<'a> {
             )));
         }
         Ok(count)
+    }
+
+    /// Skips the zero bytes [`ByteWriter::align`] wrote: up to the next
+    /// multiple of `align` from the start of the reader. A nonzero
+    /// padding byte is `Malformed`.
+    pub fn align(&mut self, align: usize) -> Result<(), StoreError> {
+        let pad = self.pos.next_multiple_of(align) - self.pos;
+        if self.take(pad)?.iter().any(|&b| b != 0) {
+            return Err(StoreError::Malformed(format!(
+                "nonzero alignment padding before offset {}",
+                self.pos
+            )));
+        }
+        Ok(())
+    }
+
+    /// Reads `rows` rows of `bits` bits, each row `⌈bits/64⌉`
+    /// little-endian `u64` limbs whose bits past `bits` should be zero.
+    ///
+    /// The slab is borrowed in place when this reader has an owner, the
+    /// bytes are 8-aligned in memory and every row's tail bits are
+    /// clean. Otherwise it is copied, with the tail bits masked. The
+    /// size is checked against the bytes remaining before anything is
+    /// reserved.
+    pub fn limbs(&mut self, rows: usize, bits: u32) -> Result<Limbs, StoreError> {
+        if bits == 0 {
+            return Err(StoreError::Malformed("limb rows of 0 bits".into()));
+        }
+        let width = bits.div_ceil(64) as usize;
+        let len = rows
+            .checked_mul(width)
+            .filter(|&len| len <= self.remaining() / 8)
+            .ok_or_else(|| {
+                StoreError::Malformed(format!(
+                    "{rows} rows of {bits} bits impossible in {} bytes",
+                    self.remaining()
+                ))
+            })?;
+        let raw = self.take(8 * len)?;
+        let tail_mask = match bits % 64 {
+            0 => u64::MAX,
+            tail => (1u64 << tail) - 1,
+        };
+        if let Some(limbs) = self.owner.as_ref().and_then(|o| Limbs::borrow(raw, o)) {
+            if limbs
+                .chunks_exact(width)
+                .all(|row| row[width - 1] & !tail_mask == 0)
+            {
+                return Ok(limbs);
+            }
+        }
+        let mut out: Vec<u64> = raw
+            .chunks_exact(8)
+            .map(|chunk| u64::from_le_bytes(chunk.try_into().expect("len 8")))
+            .collect();
+        for row in out.chunks_exact_mut(width) {
+            row[width - 1] &= tail_mask;
+        }
+        Ok(Limbs::from(out))
     }
 
     /// Errors unless every byte was consumed (decoders call this last, so
@@ -452,6 +539,31 @@ mod tests {
             Vec::<u64>::from_bytes(&bytes),
             Err(StoreError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn alignment_padding_roundtrips_and_must_be_zero() {
+        let mut w = ByteWriter::new();
+        w.put_u8(7);
+        w.align(8);
+        w.put_u64(9);
+        w.align(8); // already aligned: nothing written
+        let mut bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 16);
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(r.u8().unwrap(), 7);
+        r.align(8).unwrap();
+        assert_eq!(r.u64().unwrap(), 9);
+        r.align(8).unwrap();
+        r.finish().unwrap();
+        bytes[3] = 1;
+        let mut r = ByteReader::new(&bytes);
+        r.u8().unwrap();
+        assert!(matches!(r.align(8), Err(StoreError::Malformed(_))));
+        // Padding cut short is an underrun.
+        let mut r = ByteReader::new(&bytes[..5]);
+        r.u8().unwrap();
+        assert!(matches!(r.align(8), Err(StoreError::Malformed(_))));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::io::Write;
 
 use crate::checksum::{crc32, crc32_concat};
 use crate::error::StoreError;
-use crate::{FORMAT_VERSION_V2, MAGIC, SECTION_ALIGN};
+use crate::{FORMAT_VERSION, MAGIC, SECTION_ALIGN};
 
 /// A section's four-byte tag.
 pub type SectionTag = [u8; 4];
@@ -18,7 +18,8 @@ pub type SectionTag = [u8; 4];
 /// section count).
 pub const HEADER_BYTES: usize = 12;
 
-/// Bytes of a v2 section prelude (`tag`, `len`, `crc`, `pad`).
+/// Bytes of a section prelude (`tag`, `len`, `crc`, `pad`), unchanged
+/// since format v2.
 pub const SECTION_PRELUDE_V2_BYTES: usize = 16;
 
 /// The fixed-size file header.
@@ -87,7 +88,7 @@ impl StoreWriter {
     /// Writes header and sections to `out`.
     pub fn write_to(&self, out: &mut impl Write) -> Result<(), StoreError> {
         out.write_all(&MAGIC).map_err(StoreError::Io)?;
-        out.write_all(&FORMAT_VERSION_V2.to_le_bytes())
+        out.write_all(&FORMAT_VERSION.to_le_bytes())
             .map_err(StoreError::Io)?;
         out.write_all(&[self.kind, 0]).map_err(StoreError::Io)?;
         out.write_all(&(self.sections.len() as u32).to_le_bytes())
@@ -154,7 +155,7 @@ mod tests {
         assert_eq!(
             *store.header(),
             StoreHeader {
-                version: FORMAT_VERSION_V2,
+                version: FORMAT_VERSION,
                 kind: KIND_BUNDLE,
                 sections: 3
             }
@@ -187,7 +188,7 @@ mod tests {
             MappedStore::from_bytes(bytes),
             Err(StoreError::UnsupportedVersion {
                 found: 99,
-                supported: FORMAT_VERSION_V2
+                supported: FORMAT_VERSION
             })
         ));
     }
@@ -209,7 +210,7 @@ mod tests {
             MappedStore::from_bytes(v1),
             Err(StoreError::UnsupportedVersion {
                 found: 1,
-                supported: FORMAT_VERSION_V2
+                supported: FORMAT_VERSION
             })
         ));
     }

@@ -16,7 +16,7 @@
 //!
 //! ```text
 //! magic      [u8; 4]   = b"ANNS"
-//! version    u16       = 2
+//! version    u16       = 3
 //! kind       u8        container kind: 0 = registry bundle,
 //!                      1.. = single-scheme file of that scheme kind
 //! reserved   u8        = 0
@@ -66,6 +66,7 @@ mod checksum;
 mod codec;
 mod container;
 mod error;
+mod limbs;
 pub mod manifest;
 pub mod mapped;
 pub mod pool;
@@ -76,6 +77,7 @@ pub use codec::{
 };
 pub use container::{SectionTag, StoreHeader, StoreWriter, HEADER_BYTES, SECTION_PRELUDE_V2_BYTES};
 pub use error::{PayloadFault, StoreError};
+pub use limbs::Limbs;
 pub use manifest::{scan, scan_file, Manifest, SectionDigest};
 pub use mapped::{LazySection, MappedStore, PayloadSource};
 
@@ -83,10 +85,11 @@ pub use mapped::{LazySection, MappedStore, PayloadSource};
 pub const MAGIC: [u8; 4] = *b"ANNS";
 
 /// The format version, the only one read or written: sections padded so
-/// payloads are [`SECTION_ALIGN`]-aligned and therefore mappable. (The
-/// unaligned version 1 is retired; reading it is
+/// payloads are [`SECTION_ALIGN`]-aligned and therefore mappable, and
+/// database sketches stored as raw 8-aligned limb slabs a mapped reader
+/// scans in place. (Versions 1 and 2 are retired; reading them is
 /// [`StoreError::UnsupportedVersion`].)
-pub const FORMAT_VERSION_V2: u16 = 2;
+pub const FORMAT_VERSION: u16 = 3;
 
 /// File-offset alignment of every section payload (and of every entry
 /// inside a [`pool`] section) — a cache line, so mapped

@@ -18,8 +18,15 @@
 //! Either way the parser enforces the container rules of
 //! `docs/STORE_FORMAT.md` §1–§4: payloads 64-aligned by file offset and
 //! in bounds, no tag twice, `MNFT` last and covering every section
-//! before it. Any version other than 2 is
+//! before it. Any version other than [`FORMAT_VERSION`] is
 //! [`StoreError::UnsupportedVersion`].
+//!
+//! [`PayloadSource::reader`] hands decoders a reader that keeps the
+//! parsed file alive, so database-sketch slabs are scanned in place in
+//! the mapping instead of copied to the heap. The mapping is private and
+//! read-only, but it still reads the file: a bundle file must never be
+//! rewritten in place while it is mounted (`Registry::save_bundle`
+//! renames a new file over the path instead).
 
 use std::collections::HashSet;
 use std::io::Read;
@@ -27,10 +34,12 @@ use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 use crate::checksum::crc32_pair;
+use crate::codec::ByteReader;
 use crate::container::{SectionTag, StoreHeader, HEADER_BYTES, SECTION_PRELUDE_V2_BYTES};
 use crate::error::{PayloadFault, StoreError};
+use crate::limbs::KeepAlive;
 use crate::manifest::{Manifest, SectionDigest};
-use crate::{Codec, FORMAT_VERSION_V2, MAGIC, SECTION_ALIGN};
+use crate::{Codec, FORMAT_VERSION, MAGIC, SECTION_ALIGN};
 
 /// Read-only mapping of a whole file: a real `mmap(PROT_READ,
 /// MAP_PRIVATE)` through a minimal hand-rolled FFI (std already links
@@ -140,7 +149,18 @@ struct Inner {
     eager_bytes: u64,
 }
 
-/// A parsed v2 container: a file mapping with lazily verified sections,
+// SAFETY: `Inner` lives only behind an `Arc` and is never mutated: an
+// owned buffer is never reallocated, and a mapping stays at one address
+// until `Drop`. (A foreign writer of the mapped file is outside what the
+// process can guard; the store documents that mounted files must be
+// replaced by rename, never rewritten.)
+unsafe impl KeepAlive for Inner {
+    fn bytes(&self) -> &[u8] {
+        self.backing.bytes()
+    }
+}
+
+/// A parsed container: a file mapping with lazily verified sections,
 /// or an owned buffer whose sections were all verified at parse time.
 #[derive(Clone)]
 pub struct MappedStore {
@@ -193,10 +213,10 @@ impl MappedStore {
             return Err(StoreError::Truncated { context: "header" });
         }
         let version = u16::from_le_bytes(bytes[4..6].try_into().expect("len 2"));
-        if version != FORMAT_VERSION_V2 {
+        if version != FORMAT_VERSION {
             return Err(StoreError::UnsupportedVersion {
                 found: version,
-                supported: FORMAT_VERSION_V2,
+                supported: FORMAT_VERSION,
             });
         }
         let header = StoreHeader {
@@ -520,6 +540,13 @@ impl PayloadSource {
     pub fn bytes(&self) -> Result<&[u8], PayloadFault> {
         Ok(&self.section.try_bytes()?[self.offset..self.offset + self.len])
     }
+
+    /// A reader over [`PayloadSource::raw`] that keeps the parsed file
+    /// alive, so the limb slabs it decodes borrow the file's bytes
+    /// instead of copying them. Like `raw`, it verifies nothing.
+    pub fn reader(&self) -> ByteReader<'_> {
+        ByteReader::with_owner(self.raw(), Arc::clone(&self.section.inner) as _)
+    }
 }
 
 #[cfg(test)]
@@ -632,7 +659,7 @@ mod tests {
                 parsed,
                 Err(StoreError::UnsupportedVersion {
                     found: 1,
-                    supported: FORMAT_VERSION_V2
+                    supported: FORMAT_VERSION
                 })
             ));
         }

@@ -5,13 +5,14 @@
 //! covers *structural* adversaries whose files pass every per-section
 //! checksum: sections reordered wholesale, manifests spliced between
 //! files, and hostile nested length/count prefixes inside codec
-//! payloads. The promise is the same at every layer: a typed
-//! [`StoreError`], never a panic, and never an allocation sized by
-//! attacker-controlled bytes.
+//! payloads, including the raw limb slabs of format v3 (a row count and
+//! a row total, zero padding to 8 bytes, then the limbs). The promise is
+//! the same at every layer: a typed [`StoreError`], never a panic, and
+//! never an allocation sized by attacker-controlled bytes.
 
 use anns_store::{
-    scan, section_tag, ByteWriter, Codec, Manifest, MappedStore, StoreError, StoreWriter,
-    KIND_BUNDLE,
+    scan, section_tag, ByteReader, ByteWriter, Codec, Limbs, Manifest, MappedStore, PayloadSource,
+    StoreError, StoreWriter, KIND_BUNDLE,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -56,8 +57,90 @@ fn reassemble(sections: &[([u8; 4], Vec<u8>)]) -> Vec<u8> {
     writer.to_bytes()
 }
 
+/// A slab in the v3 layout: `bits u32`, `rows u64`, zero padding to
+/// the next multiple of 8, then `rows` rows of `⌈bits/64⌉` random limbs
+/// with clean tails.
+fn slab_payload(bits: u32, rows: usize, seed: u64) -> Vec<u8> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut w = ByteWriter::new();
+    w.put_u32(bits);
+    w.put_u64(rows as u64);
+    w.align(8);
+    let width = bits.div_ceil(64) as usize;
+    for _ in 0..rows {
+        for limb in 0..width {
+            let bits_here = (bits as usize - 64 * limb).min(64);
+            w.put_u64(rng.gen::<u64>() >> (64 - bits_here));
+        }
+    }
+    w.into_bytes()
+}
+
+fn read_slab(r: &mut ByteReader<'_>) -> Result<Limbs, StoreError> {
+    let bits = r.u32()?;
+    let rows = usize::decode(r)?;
+    r.align(8)?;
+    let limbs = r.limbs(rows, bits)?;
+    r.finish()?;
+    Ok(limbs)
+}
+
+/// Reads a slab payload through a plain reader (which copies) and
+/// through a parsed container's owner-carrying reader (which borrows
+/// when it can); both must give the same verdict.
+fn read_slab_both_ways(bytes: &[u8]) -> Result<Limbs, StoreError> {
+    let copied = read_slab(&mut ByteReader::new(bytes));
+    let mut writer = StoreWriter::new(KIND_BUNDLE);
+    writer.section(*b"SLAB", bytes.to_vec());
+    let store = MappedStore::from_bytes(writer.to_bytes()).unwrap();
+    let source = PayloadSource::mapped(store.find(*b"SLAB").unwrap());
+    let in_place = read_slab(&mut source.reader());
+    match (&copied, &in_place) {
+        (Ok(a), Ok(b)) => assert_eq!(a, b),
+        (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+        _ => panic!("readers disagree: {copied:?} vs {in_place:?}"),
+    }
+    copied
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A slab's row count or row total inflated by any amount is a typed
+    /// error on both readers: the size is checked against the bytes
+    /// present before anything is reserved.
+    #[test]
+    fn inflated_slab_headers_are_typed(
+        seed in any::<u64>(),
+        bits in 1u32..200,
+        rows in 1usize..16,
+        inflate_rows in any::<bool>(),
+        delta in 1u64..u64::MAX / 2,
+    ) {
+        let mut bytes = slab_payload(bits, rows, seed);
+        prop_assert!(read_slab_both_ways(&bytes).is_ok());
+        if inflate_rows {
+            let hostile = (rows as u64).saturating_add(delta);
+            bytes[4..12].copy_from_slice(&hostile.to_le_bytes());
+        } else {
+            // At least one more limb per row than the bytes hold.
+            let hostile = (bits.div_ceil(64) * 64).saturating_add(delta.min(u32::MAX as u64) as u32);
+            bytes[0..4].copy_from_slice(&hostile.to_le_bytes());
+        }
+        prop_assert!(matches!(read_slab_both_ways(&bytes), Err(StoreError::Malformed(_))));
+    }
+
+    /// Any nonzero byte in the alignment padding is `Malformed`.
+    #[test]
+    fn nonzero_slab_padding_is_malformed(
+        seed in any::<u64>(),
+        at in 12usize..16,
+        value in 1u8..=255,
+    ) {
+        let mut bytes = slab_payload(111, 5, seed);
+        bytes[at] = value;
+        prop_assert!(matches!(read_slab_both_ways(&bytes), Err(StoreError::Malformed(_))));
+    }
 
     /// Reordering the sections of a manifested file — every individual
     /// checksum still passes — is caught by the manifest rules: either
@@ -171,6 +254,21 @@ proptest! {
             Err(other) => prop_assert!(false, "wrong error kind: {other:?}"),
         }
     }
+}
+
+#[test]
+fn every_strict_prefix_of_a_slab_is_typed() {
+    let bytes = slab_payload(130, 4, 9);
+    for cut in 0..bytes.len() {
+        assert!(
+            matches!(
+                read_slab_both_ways(&bytes[..cut]),
+                Err(StoreError::Malformed(_))
+            ),
+            "prefix of {cut} bytes"
+        );
+    }
+    assert_eq!(read_slab_both_ways(&bytes).unwrap().len(), 4 * 3);
 }
 
 #[test]
