@@ -2250,6 +2250,8 @@ struct StoreMountRow {
     /// Bytes the mapped mount reads eagerly: header, preludes, MNFT,
     /// META, SHRD and the pool entry table (deterministic).
     mmap_eager_bytes: u64,
+    /// Wall time of `Registry::save_bundle` (informational, not gated).
+    save_ms: f64,
     /// Wall-clock mount times (machine dependent; loosely gated).
     heap_mount_ms: f64,
     mmap_mount_ms: f64,
@@ -2287,9 +2289,11 @@ fn cmd_bench_store(flags: HashMap<String, String>) {
         registry.register_alg1("alg1-k3", Arc::clone(&index), 3);
         registry.register_lambda("lambda-8", Arc::clone(&index), 8.0);
         let path = dir.join(format!("{tag}.anns"));
+        let started = Instant::now();
         registry
             .save_bundle(&path)
             .unwrap_or_else(|e| die(&format!("cannot save {path:?}: {e}")));
+        let save_ms = started.elapsed().as_secs_f64() * 1e3;
         let path = path.to_string_lossy().into_owned();
         drop(registry);
         drop(index);
@@ -2310,7 +2314,7 @@ fn cmd_bench_store(flags: HashMap<String, String>) {
         let rss_after_heap_bytes = current_rss_bytes();
         eprintln!(
             "bench-store: {tag} (n = {n}): file {} B, eager heap {} B / mmap {} B, \
-             mount heap {:.2} ms / mmap {:.2} ms",
+             save {save_ms:.2} ms, mount heap {:.2} ms / mmap {:.2} ms",
             heap.report.file_bytes,
             heap.report.eager_bytes,
             mmap_report.eager_bytes,
@@ -2321,6 +2325,7 @@ fn cmd_bench_store(flags: HashMap<String, String>) {
             file_bytes: heap.report.file_bytes,
             heap_eager_bytes: heap.report.eager_bytes,
             mmap_eager_bytes: mmap_report.eager_bytes,
+            save_ms,
             heap_mount_ms: heap.report.mount_ms,
             mmap_mount_ms: mmap_report.mount_ms,
             rss_after_heap_bytes,

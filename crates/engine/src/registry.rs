@@ -33,7 +33,7 @@ use anns_core::serve::{ServableScheme, ServeAlg1, ServeAlg2, ServeLambda};
 use anns_core::{
     Aggregation, Alg2Config, AnnIndex, SchemeSpec, StoredScheme, SubsampledRepetition,
 };
-use anns_store::pool::{decode_pool_table, encode_pool};
+use anns_store::pool::{decode_pool_table, encode_pool_with};
 use anns_store::{
     ByteReader, ByteWriter, Codec, Manifest, MappedStore, SectionDigest, StoreError, StoreWriter,
 };
@@ -474,12 +474,8 @@ impl Registry {
         // The pool layout: a CRC'd entry table up front, payloads aligned
         // behind it — the shape that lets a mapped mount read O(table)
         // bytes and verify each index only when a query first touches it.
-        let idxp = encode_pool(
-            &pool
-                .iter()
-                .map(|index| index.to_bytes())
-                .collect::<Vec<_>>(),
-        );
+        // Each index encodes in place and is hashed once.
+        let idxp = encode_pool_with(&pool, |index, w| index.encode(w));
         let mut shrd = ByteWriter::new();
         shrd.put_u32(shard_records.len() as u32);
         // Inner records of a subsampled wrapper share the top-level
@@ -529,7 +525,7 @@ impl Registry {
         };
         let mut writer = StoreWriter::new(container_kind);
         writer.section(anns_store::section_tag::META, meta.to_bytes());
-        writer.section(anns_store::section_tag::INDEX_POOL, idxp);
+        writer.pool_section(idxp);
         writer.section(anns_store::section_tag::SHARDS, shrd.into_bytes());
         let manifest = Manifest {
             tool: meta.tool.clone(),

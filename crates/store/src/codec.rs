@@ -51,6 +51,11 @@ impl ByteWriter {
         ByteWriter::default()
     }
 
+    /// The bytes written so far.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
     /// The encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

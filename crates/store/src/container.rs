@@ -9,6 +9,7 @@ use std::io::Write;
 
 use crate::checksum::{crc32, crc32_concat};
 use crate::error::StoreError;
+use crate::pool::EncodedPool;
 use crate::{FORMAT_VERSION, MAGIC, SECTION_ALIGN};
 
 /// A section's four-byte tag.
@@ -20,7 +21,7 @@ pub const HEADER_BYTES: usize = 12;
 
 /// Bytes of a section prelude (`tag`, `len`, `crc`, `pad`), unchanged
 /// since format v2.
-pub const SECTION_PRELUDE_V2_BYTES: usize = 16;
+pub const SECTION_PRELUDE_BYTES: usize = 16;
 
 /// The fixed-size file header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,6 +61,14 @@ impl StoreWriter {
     pub fn section(&mut self, tag: SectionTag, payload: Vec<u8>) -> &mut Self {
         let payload_crc = crc32(&payload);
         self.sections.push((tag, payload, payload_crc));
+        self
+    }
+
+    /// Appends the `IDXP` section, taking the payload CRC the pool
+    /// encoder stitched instead of hashing the pool again.
+    pub fn pool_section(&mut self, pool: EncodedPool) -> &mut Self {
+        self.sections
+            .push((crate::section_tag::INDEX_POOL, pool.bytes, pool.crc));
         self
     }
 
@@ -109,7 +118,7 @@ impl StoreWriter {
             out.write_all(&len.to_le_bytes()).map_err(StoreError::Io)?;
             out.write_all(&crc.to_le_bytes()).map_err(StoreError::Io)?;
             // Zero-fill so the payload lands on an aligned offset.
-            let prelude_end = offset + SECTION_PRELUDE_V2_BYTES;
+            let prelude_end = offset + SECTION_PRELUDE_BYTES;
             let pad = prelude_end.next_multiple_of(SECTION_ALIGN) - prelude_end;
             out.write_all(&(pad as u32).to_le_bytes())
                 .map_err(StoreError::Io)?;
@@ -223,10 +232,10 @@ mod tests {
         for _ in 0..3 {
             let pad = u32::from_le_bytes(bytes[offset + 12..offset + 16].try_into().unwrap());
             let len = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().unwrap());
-            let payload_at = offset + SECTION_PRELUDE_V2_BYTES + pad as usize;
+            let payload_at = offset + SECTION_PRELUDE_BYTES + pad as usize;
             assert_eq!(payload_at % SECTION_ALIGN, 0, "payload at {payload_at}");
             assert!(
-                bytes[offset + SECTION_PRELUDE_V2_BYTES..payload_at]
+                bytes[offset + SECTION_PRELUDE_BYTES..payload_at]
                     .iter()
                     .all(|&b| b == 0),
                 "padding is zero-filled"

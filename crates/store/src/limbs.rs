@@ -1,7 +1,9 @@
 //! [`Limbs`]: a slab of `u64` limbs that is either owned or borrowed in
 //! place from the bytes of a mapped bundle.
 //!
-//! This is the codec's only `unsafe` code. A borrowed slab is a raw
+//! This is the codec's only `unsafe` code (the crate's other is the
+//! CRC folding kernel in `checksum.rs`; `docs/ROBUSTNESS.md` lists
+//! both with their safety arguments). A borrowed slab is a raw
 //! pointer into memory a [`KeepAlive`] owner holds; every check that
 //! makes the pointer sound runs once, at construction in
 //! [`Limbs::borrow`]: the bytes lie inside the owner's bytes, start on

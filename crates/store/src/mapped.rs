@@ -35,7 +35,7 @@ use std::sync::{Arc, OnceLock};
 
 use crate::checksum::crc32_pair;
 use crate::codec::ByteReader;
-use crate::container::{SectionTag, StoreHeader, HEADER_BYTES, SECTION_PRELUDE_V2_BYTES};
+use crate::container::{SectionTag, StoreHeader, HEADER_BYTES, SECTION_PRELUDE_BYTES};
 use crate::error::{PayloadFault, StoreError};
 use crate::limbs::KeepAlive;
 use crate::manifest::{Manifest, SectionDigest};
@@ -231,23 +231,23 @@ impl MappedStore {
         let mut offset = HEADER_BYTES;
         let mut eager_bytes = HEADER_BYTES as u64;
         for _ in 0..header.sections {
-            if bytes.len() < offset + SECTION_PRELUDE_V2_BYTES {
+            if bytes.len() < offset + SECTION_PRELUDE_BYTES {
                 return Err(StoreError::Truncated {
                     context: "section prelude",
                 });
             }
-            let prelude = &bytes[offset..offset + SECTION_PRELUDE_V2_BYTES];
+            let prelude = &bytes[offset..offset + SECTION_PRELUDE_BYTES];
             let tag: SectionTag = prelude[..4].try_into().expect("len 4");
             let len = u32::from_le_bytes(prelude[4..8].try_into().expect("len 4"));
             let crc = u32::from_le_bytes(prelude[8..12].try_into().expect("len 4"));
             let pad = u32::from_le_bytes(prelude[12..16].try_into().expect("len 4"));
-            eager_bytes += SECTION_PRELUDE_V2_BYTES as u64;
+            eager_bytes += SECTION_PRELUDE_BYTES as u64;
             if pad as usize >= SECTION_ALIGN {
                 return Err(StoreError::Malformed(format!(
                     "section padding {pad} exceeds the {SECTION_ALIGN}-byte alignment unit"
                 )));
             }
-            let payload_offset = offset + SECTION_PRELUDE_V2_BYTES + pad as usize;
+            let payload_offset = offset + SECTION_PRELUDE_BYTES + pad as usize;
             if !payload_offset.is_multiple_of(SECTION_ALIGN) {
                 return Err(StoreError::Malformed(format!(
                     "section {} payload at misaligned offset {payload_offset}",

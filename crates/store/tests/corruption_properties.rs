@@ -12,7 +12,7 @@
 //! cannot change a single decoded byte).
 
 use anns_store::{
-    MappedStore, StoreError, StoreWriter, HEADER_BYTES, KIND_BUNDLE, SECTION_PRELUDE_V2_BYTES,
+    MappedStore, StoreError, StoreWriter, HEADER_BYTES, KIND_BUNDLE, SECTION_PRELUDE_BYTES,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -73,7 +73,7 @@ fn classify(bytes: &[u8], pos: usize) -> Region {
     loop {
         let len = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().unwrap()) as usize;
         let pad = u32::from_le_bytes(bytes[offset + 12..offset + 16].try_into().unwrap()) as usize;
-        let padding_at = offset + SECTION_PRELUDE_V2_BYTES;
+        let padding_at = offset + SECTION_PRELUDE_BYTES;
         let payload_at = padding_at + pad;
         if pos < offset + 12 {
             return Region::Prelude;
