@@ -7,6 +7,8 @@
 //! cut off) loads as a typed [`anns_store::StoreError`], never as a
 //! silently different defense.
 
+use std::io::Cursor;
+
 use anns_attack::{
     build_scenario, default_strategies, ArmReport, AttackHarness, Judge, ScenarioConfig, SHARDS,
 };
@@ -53,8 +55,9 @@ proptest! {
     fn loaded_bundle_replays_the_attack_byte_identically(seed in any::<u64>()) {
         let cfg = config(seed);
         let scenario = build_scenario(&cfg);
-        let mut bytes = Vec::new();
+        let mut bytes = Cursor::new(Vec::new());
         scenario.registry.save_bundle_to(&mut bytes).expect("save bundle");
+        let bytes = bytes.into_inner();
         let loaded = Registry::load_bundle_from(bytes.as_slice()).expect("load bundle");
         prop_assert_eq!(loaded.registry.listing(), scenario.registry.listing());
 
@@ -75,8 +78,9 @@ proptest! {
     #[test]
     fn corrupted_bundles_are_rejected_typed(seed in 0u64..64, flip in any::<u64>(), bit in 0u8..8) {
         let scenario = build_scenario(&config(seed));
-        let mut bytes = Vec::new();
+        let mut bytes = Cursor::new(Vec::new());
         scenario.registry.save_bundle_to(&mut bytes).expect("save bundle");
+        let mut bytes = bytes.into_inner();
         const HEADER: usize = 16;
         prop_assume!(bytes.len() > HEADER);
         let at = HEADER + (flip as usize) % (bytes.len() - HEADER);
@@ -92,8 +96,9 @@ proptest! {
     #[test]
     fn truncated_bundles_are_rejected_typed(cut in any::<u64>()) {
         let scenario = build_scenario(&config(3));
-        let mut bytes = Vec::new();
+        let mut bytes = Cursor::new(Vec::new());
         scenario.registry.save_bundle_to(&mut bytes).expect("save bundle");
+        let mut bytes = bytes.into_inner();
         let keep = (cut as usize) % bytes.len().max(1);
         bytes.truncate(keep);
         prop_assert!(

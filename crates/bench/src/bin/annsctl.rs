@@ -106,10 +106,10 @@ use anns_cellprobe::{
 use anns_core::serve::{ServableScheme, SoloServable};
 use anns_core::{Alg2Config, AnnIndex, AnnsInstance, BuildOptions};
 use anns_engine::{
-    current_rss_bytes, AdmissionOptions, AdmissionQueue, Clock, Engine, EngineOptions,
-    FlightRecorder, MountManifest, MountTable, NamedRequest, NullRecorder, QueryRequest, RealClock,
-    Recorder, Registry, Resolution, RingRecorder, ServeReport, Served, ShardId, StoreBackend,
-    Ticket, TraceCounters, TraceEvent, VirtualClock,
+    current_rss_anon_bytes, current_rss_bytes, AdmissionOptions, AdmissionQueue, Clock, Engine,
+    EngineOptions, FlightRecorder, MountManifest, MountTable, NamedRequest, NullRecorder,
+    QueryRequest, RealClock, Recorder, Registry, Resolution, RingRecorder, ServeReport, Served,
+    ShardId, StoreBackend, Ticket, TraceCounters, TraceEvent, VirtualClock,
 };
 use anns_hamming::{gen, Point};
 use anns_lpm::{certified_lower_bound, lower_bound_form, ElimParams, LpmInstance, TrieLpm};
@@ -1674,11 +1674,11 @@ fn cmd_bench_serve(flags: HashMap<String, String>) {
     let shard_bundle: Option<Vec<u8>> = (shards_n > 1).then(|| {
         let mut single = Registry::new();
         single.register_alg1(scheme_name.clone(), Arc::clone(&index), k);
-        let mut bytes = Vec::new();
+        let mut bytes = std::io::Cursor::new(Vec::new());
         single
             .save_bundle_to(&mut bytes)
             .unwrap_or_else(|e| die(&format!("cannot bundle the shard registry: {e}")));
-        bytes
+        bytes.into_inner()
     });
     let serving_registry = || -> (Registry, Vec<ShardId>) {
         match &shard_bundle {
@@ -2252,6 +2252,10 @@ struct StoreMountRow {
     mmap_eager_bytes: u64,
     /// Wall time of `Registry::save_bundle` (informational, not gated).
     save_ms: f64,
+    /// Anonymous RSS (`RssAnon`) once the bundle is saved and its
+    /// registry dropped: heap the save left resident (informational,
+    /// not gated).
+    rss_anon_after_save_bytes: u64,
     /// Wall-clock mount times (machine dependent; loosely gated).
     heap_mount_ms: f64,
     mmap_mount_ms: f64,
@@ -2297,6 +2301,7 @@ fn cmd_bench_store(flags: HashMap<String, String>) {
         let path = path.to_string_lossy().into_owned();
         drop(registry);
         drop(index);
+        let rss_anon_after_save_bytes = current_rss_anon_bytes();
 
         // Mapped first, so the heap load's decoded pool cannot inflate
         // the mmap RSS reading.
@@ -2326,6 +2331,7 @@ fn cmd_bench_store(flags: HashMap<String, String>) {
             heap_eager_bytes: heap.report.eager_bytes,
             mmap_eager_bytes: mmap_report.eager_bytes,
             save_ms,
+            rss_anon_after_save_bytes,
             heap_mount_ms: heap.report.mount_ms,
             mmap_mount_ms: mmap_report.mount_ms,
             rss_after_heap_bytes,

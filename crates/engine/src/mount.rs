@@ -124,12 +124,25 @@ impl std::fmt::Display for StoreBackend {
 /// number the mmap backend moves: after a mapped mount, RSS grows with
 /// the shards actually queried, not the bundle size on disk.
 pub fn current_rss_bytes() -> u64 {
+    proc_status_bytes("VmRSS:")
+}
+
+/// The anonymous part of [`current_rss_bytes`] (`RssAnon`): heap and
+/// other private pages, without file mappings. Freed heap the allocator
+/// keeps shows here, which mapped bundle pages never do. 0 where procfs
+/// is unavailable.
+pub fn current_rss_anon_bytes() -> u64 {
+    proc_status_bytes("RssAnon:")
+}
+
+/// A `kB` field of `/proc/self/status`, in bytes, or 0.
+fn proc_status_bytes(field: &str) -> u64 {
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
         return 0;
     };
     status
         .lines()
-        .find_map(|line| line.strip_prefix("VmRSS:"))
+        .find_map(|line| line.strip_prefix(field))
         .and_then(|rest| rest.trim().strip_suffix("kB"))
         .and_then(|kb| kb.trim().parse::<u64>().ok())
         .map(|kb| kb * 1024)

@@ -33,9 +33,9 @@ use anns_core::serve::{ServableScheme, ServeAlg1, ServeAlg2, ServeLambda};
 use anns_core::{
     Aggregation, Alg2Config, AnnIndex, SchemeSpec, StoredScheme, SubsampledRepetition,
 };
-use anns_store::pool::{decode_pool_table, encode_pool_with};
+use anns_store::pool::decode_pool_table;
 use anns_store::{
-    ByteReader, ByteWriter, Codec, Manifest, MappedStore, SectionDigest, StoreError, StoreWriter,
+    ByteReader, ByteWriter, Codec, Manifest, MappedStore, SectionDigest, SectionWriter, StoreError,
 };
 
 use crate::lazy::{LazyPool, LazyServable};
@@ -411,8 +411,19 @@ impl Registry {
     /// reference the pool. The file closes with a `MNFT` manifest section
     /// pinning the digest of every section before it. Fails with
     /// [`StoreError::Unsupported`] if any scheme has no stored form — a
-    /// bundle must never silently drop a shard.
-    pub fn save_bundle_to(&self, out: &mut impl std::io::Write) -> Result<(), StoreError> {
+    /// bundle must never silently drop a shard; that check runs before
+    /// the first byte is written.
+    ///
+    /// The index pool streams into `out` through one small reused buffer
+    /// and `out` is sought back once to stamp the pool's prelude and
+    /// table, so a save never holds a whole bundle in memory (see
+    /// [`SectionWriter::pool_section`]). Write to a file, or to a
+    /// `Cursor<Vec<u8>>` for the bytes. A write or seek error is
+    /// [`StoreError::Io`], and `out` then holds a partial bundle.
+    pub fn save_bundle_to(
+        &self,
+        out: &mut (impl std::io::Write + std::io::Seek),
+    ) -> Result<(), StoreError> {
         let mut pool: Vec<Arc<AnnIndex>> = Vec::new();
         let mut pool_ids: HashMap<*const AnnIndex, u32> = HashMap::new();
         let mut shard_records: Vec<(String, StoredScheme)> = Vec::new();
@@ -471,11 +482,6 @@ impl Registry {
             indexes: pool.len() as u32,
             shards: directory,
         };
-        // The pool layout: a CRC'd entry table up front, payloads aligned
-        // behind it — the shape that lets a mapped mount read O(table)
-        // bytes and verify each index only when a query first touches it.
-        // Each index encodes in place and is hashed once.
-        let idxp = encode_pool_with(&pool, |index, w| index.encode(w));
         let mut shrd = ByteWriter::new();
         shrd.put_u32(shard_records.len() as u32);
         // Inner records of a subsampled wrapper share the top-level
@@ -523,16 +529,20 @@ impl Registry {
             [only] => only.kind,
             _ => anns_store::KIND_BUNDLE,
         };
-        let mut writer = StoreWriter::new(container_kind);
-        writer.section(anns_store::section_tag::META, meta.to_bytes());
-        writer.pool_section(idxp);
-        writer.section(anns_store::section_tag::SHARDS, shrd.into_bytes());
+        let mut writer = SectionWriter::new(out, container_kind, 4)?;
+        writer.section(anns_store::section_tag::META, &meta.to_bytes())?;
+        // The pool layout: a CRC'd entry table up front, payloads aligned
+        // behind it — the shape that lets a mapped mount read O(table)
+        // bytes and verify each index only when a query first touches it.
+        // Each index streams to `out` and is hashed once on the way.
+        writer.pool_section(&pool, |index, w| index.encode(w))?;
+        writer.section(anns_store::section_tag::SHARDS, &shrd.into_bytes())?;
         let manifest = Manifest {
             tool: meta.tool.clone(),
-            sections: writer.digests(),
+            sections: writer.digests().to_vec(),
         };
-        writer.section(anns_store::section_tag::MANIFEST, manifest.to_bytes());
-        writer.write_to(out)
+        writer.section(anns_store::section_tag::MANIFEST, &manifest.to_bytes())?;
+        writer.finish().map(drop)
     }
 
     /// [`Registry::save_bundle_to`] targeting a file path, atomically:
@@ -1016,6 +1026,8 @@ pub(crate) fn instantiate_record(
 
 #[cfg(test)]
 mod tests {
+    use std::io::Cursor;
+
     use super::*;
     use anns_core::BuildOptions;
     use anns_hamming::gen;
@@ -1118,8 +1130,9 @@ mod tests {
         // between top-level and inner records.
         reg.register_alg1("plain", Arc::clone(&shared), 2);
         reg.register("defended", Box::new(wrapper));
-        let mut bytes = Vec::new();
+        let mut bytes = Cursor::new(Vec::new());
         reg.save_bundle_to(&mut bytes).unwrap();
+        let bytes = bytes.into_inner();
 
         let bundle = Registry::load_bundle_from(&bytes[..]).unwrap();
         // Two distinct indexes total: `shared` is pooled once across
@@ -1163,7 +1176,7 @@ mod tests {
         .unwrap();
         let mut reg = Registry::new();
         reg.register("nested", Box::new(outer));
-        let mut out = Vec::new();
+        let mut out = Cursor::new(Vec::new());
         let err = reg.save_bundle_to(&mut out).unwrap_err();
         assert!(matches!(err, StoreError::Unsupported(msg) if msg.contains("nested")));
     }
@@ -1182,8 +1195,9 @@ mod tests {
                 scan: Arc::new(scan),
             }),
         );
-        let mut bytes = Vec::new();
+        let mut bytes = Cursor::new(Vec::new());
         reg.save_bundle_to(&mut bytes).unwrap();
+        let bytes = bytes.into_inner();
         assert_eq!(bytes.len(), 448);
         assert_eq!(
             bytes[..12],
@@ -1212,9 +1226,9 @@ mod tests {
         let bytes = {
             let mut inner = Registry::new();
             inner.register_alg1("a", small_index(), 2);
-            let mut out = Vec::new();
+            let mut out = Cursor::new(Vec::new());
             inner.save_bundle_to(&mut out).unwrap();
-            out
+            out.into_inner()
         };
         assert!(matches!(
             reg.mount_from("", &bytes[..], "<mem>"),

@@ -77,11 +77,11 @@ pub fn clustered_index(
 /// # Panics
 /// If any registered scheme has no stored form.
 pub fn bundle_bytes(registry: &Registry) -> Vec<u8> {
-    let mut bytes = Vec::new();
+    let mut bytes = std::io::Cursor::new(Vec::new());
     registry
         .save_bundle_to(&mut bytes)
         .expect("test registries hold only storable schemes");
-    bytes
+    bytes.into_inner()
 }
 
 /// A per-test scratch directory under the system temp dir, removed on

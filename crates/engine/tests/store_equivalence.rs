@@ -4,6 +4,7 @@
 //! scheme kind, under both solo and coalesced execution — and damaged
 //! bundles fail with typed errors instead of serving different content.
 
+use std::io::Cursor;
 use std::sync::{Arc, OnceLock};
 
 use anns_cellprobe::{execute_with, ExecOptions};
@@ -58,9 +59,9 @@ fn full_registry() -> Registry {
 fn saved_bundle_bytes() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
-        let mut bytes = Vec::new();
+        let mut bytes = Cursor::new(Vec::new());
         full_registry().save_bundle_to(&mut bytes).unwrap();
-        bytes
+        bytes.into_inner()
     })
 }
 
@@ -349,8 +350,8 @@ fn bundle_corruption_yields_typed_errors() {
     ));
 }
 
-#[test]
-fn unsupported_schemes_fail_the_save_loudly() {
+/// A registry holding one scheme with no stored form.
+fn unsupported_registry() -> Registry {
     struct Opaque(Arc<AnnIndex>);
     impl anns_core::ServableScheme for Opaque {
         fn label(&self) -> String {
@@ -373,11 +374,137 @@ fn unsupported_schemes_fail_the_save_loudly() {
     }
     let mut registry = Registry::new();
     registry.register("opaque", Box::new(Opaque(shared_index())));
-    let mut sink = Vec::new();
+    registry
+}
+
+#[test]
+fn unsupported_schemes_fail_the_save_loudly() {
+    let registry = unsupported_registry();
+    let mut sink = Cursor::new(Vec::new());
     match registry.save_bundle_to(&mut sink) {
         Err(StoreError::Unsupported(what)) => assert!(what.contains("opaque")),
         other => panic!("expected Unsupported, got {:?}", other.map(|_| ())),
     }
+}
+
+#[test]
+fn a_failed_save_leaves_the_saved_file_alone() {
+    let dir = TempDir::new("store-failed-save");
+    let path = dir.file("bundle.anns");
+    full_registry().save_bundle(&path).unwrap();
+    let before = std::fs::read(&path).unwrap();
+    assert!(matches!(
+        unsupported_registry().save_bundle(&path),
+        Err(StoreError::Unsupported(_))
+    ));
+    assert_eq!(std::fs::read(&path).unwrap(), before);
+    let names: Vec<String> = std::fs::read_dir(dir.path())
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(names, ["bundle.anns"], "no temporary sibling is left");
+}
+
+/// A `Write + Seek` over memory whose first write reaching offset
+/// `fail_at` fails once (a transient device error), and whose seeks
+/// optionally all fail. Every later write succeeds, so an error the
+/// saver swallowed would surface as a successful save.
+struct Failing {
+    inner: Cursor<Vec<u8>>,
+    fail_at: u64,
+    failed: bool,
+    seek_fails: bool,
+}
+
+impl Failing {
+    fn new(fail_at: u64, seek_fails: bool) -> Self {
+        Failing {
+            inner: Cursor::new(Vec::new()),
+            fail_at,
+            failed: false,
+            seek_fails,
+        }
+    }
+}
+
+impl std::io::Write for Failing {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        let room = self.fail_at.saturating_sub(self.inner.position());
+        if !self.failed && room < bytes.len() as u64 {
+            if room == 0 {
+                self.failed = true;
+                return Err(std::io::Error::other("device error"));
+            }
+            return self.inner.write(&bytes[..room as usize]);
+        }
+        self.inner.write(bytes)
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl std::io::Seek for Failing {
+    fn seek(&mut self, to: std::io::SeekFrom) -> std::io::Result<u64> {
+        if self.seek_fails {
+            return Err(std::io::Error::other("seek refused"));
+        }
+        self.inner.seek(to)
+    }
+}
+
+/// `(tag, payload offset, payload length)` of every section, walked
+/// from the raw preludes.
+fn section_spans(bytes: &[u8]) -> Vec<([u8; 4], usize, usize)> {
+    let field = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    let mut spans = Vec::new();
+    let mut at = anns_store::HEADER_BYTES;
+    while at < bytes.len() {
+        let tag = bytes[at..at + 4].try_into().unwrap();
+        let payload = at + anns_store::SECTION_PRELUDE_BYTES + field(at + 12);
+        spans.push((tag, payload, field(at + 4)));
+        at = payload + field(at + 4);
+    }
+    spans
+}
+
+#[test]
+fn failed_writes_and_seeks_are_typed_io_errors() {
+    let bytes = saved_bundle_bytes();
+    let spans = section_spans(bytes);
+    let span = |tag: [u8; 4]| *spans.iter().find(|s| s.0 == tag).unwrap();
+    let (_, meta, meta_len) = span(anns_store::section_tag::META);
+    let (_, pool, _) = span(anns_store::section_tag::INDEX_POOL);
+    let (_, mnft, mnft_len) = span(anns_store::section_tag::MANIFEST);
+    let entries = anns_store::pool::decode_pool_table(&bytes[pool..]).unwrap();
+    let entry = pool + entries[0].offset as usize;
+    let cuts = [
+        ("header", 5),
+        ("mid-META", meta + meta_len / 2),
+        (
+            "pool table",
+            pool + anns_store::pool::POOL_TABLE_PREFIX_BYTES + 3,
+        ),
+        ("mid-entry", entry + entries[0].len as usize / 2),
+        ("mid-MNFT", mnft + mnft_len / 2),
+    ];
+    for (what, at) in cuts {
+        let mut out = Failing::new(at as u64, false);
+        match full_registry().save_bundle_to(&mut out) {
+            Err(StoreError::Io(e)) => assert_eq!(e.to_string(), "device error", "{what}"),
+            other => panic!("{what}: expected Io, got {:?}", other.map(|_| ())),
+        }
+    }
+    // Every write succeeds, but the seek back to stamp the pool fails.
+    let mut out = Failing::new(u64::MAX, true);
+    match full_registry().save_bundle_to(&mut out) {
+        Err(StoreError::Io(e)) => assert_eq!(e.to_string(), "seek refused"),
+        other => panic!("failing seek: expected Io, got {:?}", other.map(|_| ())),
+    }
+    // The same writer with no fault writes the saved bundle.
+    let mut out = Failing::new(u64::MAX, false);
+    full_registry().save_bundle_to(&mut out).unwrap();
+    assert_eq!(out.inner.into_inner(), bytes);
 }
 
 #[test]

@@ -15,8 +15,9 @@
 //!   eight bytes per step. It runs on every other host, on short inputs,
 //!   and on the folding kernel's tail.
 //!
-//! Both take any incoming CRC state, so streaming updates and
-//! [`crc32_concat`] compose with either. The folding kernel is this
+//! Both take any incoming CRC state, so streaming updates (the
+//! crate-private `update`, which a draining [`crate::ByteWriter`] runs
+//! over each chunk it writes) and [`crc32_concat`] compose with either. The folding kernel is this
 //! crate's only `unsafe` code besides the borrowed limb slabs in
 //! `limbs.rs`; its safety argument is at [`fold::update`] and in
 //! `docs/ROBUSTNESS.md`.
@@ -91,7 +92,11 @@ const FOLD_MIN_BYTES: usize = 64;
 
 /// Updates the running (un-inverted) CRC with `bytes`, through the
 /// folding kernel when the CPU has it and the input is long enough.
-fn update(crc: u32, bytes: &[u8]) -> u32 {
+///
+/// A digest built chunk by chunk starts from `0xFFFF_FFFF` and inverts
+/// at the end, exactly as [`crc32`] does: a draining
+/// [`crate::ByteWriter`] folds each chunk in as it hands it on.
+pub(crate) fn update(crc: u32, bytes: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     {
         if bytes.len() >= FOLD_MIN_BYTES && fold::available() {

@@ -5,6 +5,13 @@
 //! their types (`anns_hamming::store`, `anns_sketch::store`, …); this
 //! module provides the primitive and container impls they compose.
 //!
+//! A writer keeps its bytes in memory, or drains them: the index pool
+//! of a bundle is encoded through a draining writer that hands each
+//! 64 KiB chunk to the file as it fills, so an encoder written against
+//! `&mut ByteWriter` streams a multi-megabyte index without holding it.
+//! Encoders cannot tell the two apart: `len` and `align` count from the
+//! writer's first byte either way.
+//!
 //! Decoding never trusts a length prefix with an allocation: capacities
 //! are capped by the bytes actually remaining, so a corrupted length
 //! yields a typed error instead of an absurd reservation.
@@ -13,6 +20,9 @@
 //! see [`crate::PayloadSource::reader`]). [`ByteReader::limbs`] then
 //! borrows aligned limb slabs in place instead of copying them.
 
+use std::io::{self, Write};
+
+use crate::checksum;
 use crate::error::StoreError;
 use crate::limbs::{Limbs, Owner};
 
@@ -39,56 +49,149 @@ pub fn decode_capacity(count: usize, item_bytes: usize) -> usize {
     count.min((MAX_DECODE_PREALLOC_BYTES / item_bytes.max(1)).max(1))
 }
 
-/// Growable little-endian byte sink.
-#[derive(Default)]
-pub struct ByteWriter {
+/// Bytes a draining [`ByteWriter`] buffers before it hands them on.
+pub(crate) const DRAIN_CHUNK_BYTES: usize = 64 * 1024;
+
+/// Zeros for alignment padding.
+const ZEROS: [u8; 64] = [0; 64];
+
+/// Little-endian byte sink.
+///
+/// A writer from [`ByteWriter::new`] keeps every byte for
+/// [`ByteWriter::into_bytes`]. A *draining* writer (crate-private; the
+/// pool writer streams index entries through one) buffers about 64 KiB
+/// and hands each full chunk to its sink, folding the chunk into a
+/// running CRC-32 as it goes. Either way [`ByteWriter::len`] and
+/// [`ByteWriter::align`] count from the start of the writer, not of its
+/// buffer, so an encoder writes the same bytes to both.
+pub struct ByteWriter<'a> {
     buf: Vec<u8>,
+    /// Most bytes `buf` holds before a drain: unbounded in memory.
+    limit: usize,
+    /// Bytes already handed to the drain.
+    drained: usize,
+    drain: Option<Drain<'a>>,
 }
 
-impl ByteWriter {
+/// Where a draining writer's chunks go.
+struct Drain<'a> {
+    out: &'a mut dyn Write,
+    /// Running (un-inverted) CRC-32 of every byte handed to `out`.
+    crc: u32,
+    /// The first write error. `Codec::encode` cannot return it, so it is
+    /// kept here, and later chunks are dropped.
+    error: Option<io::Error>,
+}
+
+impl Drain<'_> {
+    fn write(&mut self, bytes: &[u8]) {
+        if self.error.is_none() {
+            self.crc = checksum::update(self.crc, bytes);
+            if let Err(e) = self.out.write_all(bytes) {
+                self.error = Some(e);
+            }
+        }
+    }
+}
+
+impl Default for ByteWriter<'_> {
+    fn default() -> Self {
+        ByteWriter {
+            buf: Vec::new(),
+            limit: usize::MAX,
+            drained: 0,
+            drain: None,
+        }
+    }
+}
+
+impl<'a> ByteWriter<'a> {
     /// An empty writer.
     pub fn new() -> Self {
         ByteWriter::default()
     }
 
-    /// The bytes written so far.
-    pub(crate) fn as_bytes(&self) -> &[u8] {
-        &self.buf
+    /// A writer that hands its bytes to `out` in chunks of about
+    /// [`DRAIN_CHUNK_BYTES`], buffering them in `buf` (cleared first;
+    /// pass the buffer back from [`ByteWriter::finish_drain`] to reuse
+    /// it).
+    pub(crate) fn draining(out: &'a mut dyn Write, mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        buf.reserve(DRAIN_CHUNK_BYTES);
+        ByteWriter {
+            buf,
+            limit: DRAIN_CHUNK_BYTES,
+            drained: 0,
+            drain: Some(Drain {
+                out,
+                crc: 0xFFFF_FFFF,
+                error: None,
+            }),
+        }
     }
 
-    /// The encoded bytes.
+    /// Drains what is buffered. Returns the emptied buffer for reuse and
+    /// the CRC-32 of every byte written, or the first write error.
+    pub(crate) fn finish_drain(mut self) -> Result<(Vec<u8>, u32), io::Error> {
+        self.spill();
+        let drain = self.drain.take().expect("a draining writer");
+        match drain.error {
+            Some(e) => Err(e),
+            None => Ok((self.buf, !drain.crc)),
+        }
+    }
+
+    /// The encoded bytes of a writer from [`ByteWriter::new`].
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
     /// Bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.drained + self.buf.len()
     }
 
     /// Whether nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
+    }
+
+    /// Hands the buffer to the drain, if this writer has one.
+    fn spill(&mut self) {
+        if let Some(drain) = &mut self.drain {
+            drain.write(&self.buf);
+            self.drained += self.buf.len();
+            self.buf.clear();
+        }
+    }
+
+    /// Appends a fixed-size value's bytes.
+    #[inline]
+    fn put_array<const N: usize>(&mut self, bytes: [u8; N]) {
+        if self.limit - self.buf.len() < N {
+            self.spill();
+        }
+        self.buf.extend_from_slice(&bytes);
     }
 
     /// Appends one byte.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put_array([v]);
     }
 
     /// Appends a little-endian `u16`.
     pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put_array(v.to_le_bytes());
     }
 
     /// Appends a little-endian `u32`.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put_array(v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put_array(v.to_le_bytes());
     }
 
     /// Appends an `f64` as its IEEE-754 bit pattern.
@@ -98,6 +201,15 @@ impl ByteWriter {
 
     /// Appends raw bytes with no length prefix.
     pub fn put_raw(&mut self, bytes: &[u8]) {
+        if self.limit - self.buf.len() < bytes.len() {
+            self.spill();
+            // More than a chunk: straight to the drain, uncopied.
+            if let Some(drain) = self.drain.as_mut().filter(|_| bytes.len() > self.limit) {
+                drain.write(bytes);
+                self.drained += bytes.len();
+                return;
+            }
+        }
         self.buf.extend_from_slice(bytes);
     }
 
@@ -108,9 +220,15 @@ impl ByteWriter {
     }
 
     /// Appends zero bytes up to the next multiple of `align` from the
-    /// start of the buffer.
+    /// start of the writer.
     pub fn align(&mut self, align: usize) {
-        self.buf.resize(self.buf.len().next_multiple_of(align), 0);
+        let len = self.len();
+        let mut pad = len.next_multiple_of(align) - len;
+        while pad > 0 {
+            let run = pad.min(ZEROS.len());
+            self.put_raw(&ZEROS[..run]);
+            pad -= run;
+        }
     }
 }
 
@@ -569,6 +687,79 @@ mod tests {
         let mut r = ByteReader::new(&bytes[..5]);
         r.u8().unwrap();
         assert!(matches!(r.align(8), Err(StoreError::Malformed(_))));
+    }
+
+    /// One encoder run against a writer: fixed-width puts, pads, raw
+    /// runs of every size around the drain chunk.
+    fn encode_mixed(w: &mut ByteWriter, lens: &mut Vec<usize>) {
+        for i in 0..3 * DRAIN_CHUNK_BYTES / 8 {
+            w.put_u64((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            if i % 4099 == 0 {
+                w.put_u8(i as u8);
+                w.align(64);
+            }
+        }
+        lens.push(w.len());
+        for run in [
+            1,
+            DRAIN_CHUNK_BYTES - 3,
+            DRAIN_CHUNK_BYTES,
+            2 * DRAIN_CHUNK_BYTES + 5,
+        ] {
+            w.put_raw(&vec![run as u8; run]);
+            w.put_u16(run as u16);
+            lens.push(w.len());
+        }
+        w.align(4096);
+        w.put_bytes(b"tail");
+        lens.push(w.len());
+    }
+
+    #[test]
+    fn a_draining_writer_writes_what_an_in_memory_one_keeps() {
+        let (mut kept_lens, mut drained_lens) = (Vec::new(), Vec::new());
+        let mut kept = ByteWriter::new();
+        encode_mixed(&mut kept, &mut kept_lens);
+        let kept = kept.into_bytes();
+
+        let mut sink = Vec::new();
+        let mut w = ByteWriter::draining(&mut sink, Vec::new());
+        encode_mixed(&mut w, &mut drained_lens);
+        assert!(
+            w.buf.capacity() <= DRAIN_CHUNK_BYTES,
+            "the buffer stays one chunk"
+        );
+        let (buf, crc) = w.finish_drain().expect("Vec write cannot fail");
+        assert!(buf.is_empty());
+        assert_eq!(
+            drained_lens, kept_lens,
+            "len counts from the writer's start"
+        );
+        assert_eq!(sink, kept);
+        assert_eq!(crc, crate::crc32(&kept));
+    }
+
+    #[test]
+    fn a_drain_error_is_kept_for_the_finish() {
+        struct Full(usize);
+        impl Write for Full {
+            fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+                if self.0 == 0 {
+                    return Err(io::Error::other("disk full"));
+                }
+                let n = bytes.len().min(self.0);
+                self.0 -= n;
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut out = Full(DRAIN_CHUNK_BYTES + 10);
+        let mut w = ByteWriter::draining(&mut out, Vec::new());
+        encode_mixed(&mut w, &mut Vec::new());
+        let err = w.finish_drain().expect_err("the sink filled up");
+        assert_eq!(err.to_string(), "disk full");
     }
 
     #[test]

@@ -3,14 +3,18 @@
 //! Each section prelude is `tag/len/crc/pad`, and the writer zero-fills
 //! `pad` bytes so every payload starts on a [`SECTION_ALIGN`]-byte file
 //! offset — the property that makes payloads directly memory-mappable.
-//! The one reader is [`crate::MappedStore`].
+//! [`SectionWriter`] writes a file front to back and streams the index
+//! pool; [`StoreWriter`] buffers small sections and writes them through
+//! it. The one reader is [`crate::MappedStore`].
 
-use std::io::Write;
+use std::io::{Seek, SeekFrom, Write};
 
-use crate::checksum::{crc32, crc32_concat};
+use crate::checksum::{crc32, crc32_concat, crc32_pair};
+use crate::codec::ByteWriter;
 use crate::error::StoreError;
-use crate::pool::EncodedPool;
-use crate::{FORMAT_VERSION, MAGIC, SECTION_ALIGN};
+use crate::manifest::SectionDigest;
+use crate::pool::{stream_pool, write_zeros};
+use crate::{section_tag, FORMAT_VERSION, MAGIC, SECTION_ALIGN};
 
 /// A section's four-byte tag.
 pub type SectionTag = [u8; 4];
@@ -35,17 +39,146 @@ pub struct StoreHeader {
     pub sections: u32,
 }
 
-/// Assembles a store file: sections are buffered, then written with the
-/// header in one pass.
+/// A section's `u32` length field, or [`StoreError::Unsupported`] for a
+/// payload the format cannot describe: refuse to write what cannot be
+/// read back rather than silently truncate the prefix.
+fn section_len(tag: &SectionTag, len: u64) -> Result<u32, StoreError> {
+    len.try_into().map_err(|_| {
+        StoreError::Unsupported(format!(
+            "section {} is {len} bytes; the format caps sections at 4 GiB",
+            String::from_utf8_lossy(tag)
+        ))
+    })
+}
+
+/// A section prelude.
+fn prelude(tag: SectionTag, len: u32, crc: u32, pad: usize) -> [u8; SECTION_PRELUDE_BYTES] {
+    let mut prelude = [0; SECTION_PRELUDE_BYTES];
+    prelude[..4].copy_from_slice(&tag);
+    prelude[4..8].copy_from_slice(&len.to_le_bytes());
+    prelude[8..12].copy_from_slice(&crc.to_le_bytes());
+    prelude[12..].copy_from_slice(&(pad as u32).to_le_bytes());
+    prelude
+}
+
+/// Writes a store file front to back: the header first, then each
+/// section as it is handed over, digesting every section as it goes.
 ///
-/// Each payload is digested once as it is appended; the tag-inclusive
-/// section checksum is derived by the streaming combine
-/// ([`crate::crc32_concat`]) wherever it is needed, so multi-megabyte
-/// payloads are hashed exactly once no matter how many times
-/// [`StoreWriter::digests`] and [`StoreWriter::write_to`] run.
+/// The header declares the section count up front, and
+/// [`SectionWriter::finish`] checks that exactly that many were written.
+/// Offsets count from the writer's first byte, which must be the file's
+/// first byte for payloads to land aligned in the file.
+pub struct SectionWriter<W> {
+    out: W,
+    /// Bytes written so far.
+    offset: u64,
+    /// Sections the header declares.
+    declared: u32,
+    digests: Vec<SectionDigest>,
+}
+
+impl<W: Write> SectionWriter<W> {
+    /// Writes the header of a container of the given kind holding
+    /// `sections` sections.
+    pub fn new(mut out: W, kind: u8, sections: u32) -> Result<Self, StoreError> {
+        let mut header = [0; HEADER_BYTES];
+        header[..4].copy_from_slice(&MAGIC);
+        header[4..6].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+        header[6] = kind;
+        header[8..].copy_from_slice(&sections.to_le_bytes());
+        out.write_all(&header)?;
+        Ok(SectionWriter {
+            out,
+            offset: HEADER_BYTES as u64,
+            declared: sections,
+            digests: Vec::new(),
+        })
+    }
+
+    /// Zero bytes after a prelude written at the current offset, so its
+    /// payload lands aligned.
+    fn pad(&self) -> usize {
+        let prelude_end = self.offset as usize + SECTION_PRELUDE_BYTES;
+        prelude_end.next_multiple_of(SECTION_ALIGN) - prelude_end
+    }
+
+    /// Writes one section.
+    pub fn section(&mut self, tag: SectionTag, payload: &[u8]) -> Result<(), StoreError> {
+        let len = section_len(&tag, payload.len() as u64)?;
+        let crc = crc32_pair(&tag, payload);
+        let pad = self.pad();
+        self.out.write_all(&prelude(tag, len, crc, pad))?;
+        write_zeros(&mut self.out, pad as u64)?;
+        self.out.write_all(payload)?;
+        self.offset += (SECTION_PRELUDE_BYTES + pad + payload.len()) as u64;
+        self.digests.push(SectionDigest { tag, len, crc });
+        Ok(())
+    }
+
+    /// Digests (tag, length, CRC-32) of every section written so far, in
+    /// order — what a writer embeds in a trailing `MNFT` manifest section
+    /// (see [`crate::manifest`]).
+    pub fn digests(&self) -> &[SectionDigest] {
+        &self.digests
+    }
+
+    /// The output, once every declared section has been written.
+    pub fn finish(self) -> Result<W, StoreError> {
+        if self.digests.len() != self.declared as usize {
+            return Err(StoreError::Malformed(format!(
+                "header declares {} sections, {} written",
+                self.declared,
+                self.digests.len()
+            )));
+        }
+        Ok(self.out)
+    }
+}
+
+impl<W: Write + Seek> SectionWriter<W> {
+    /// Streams the `IDXP` index pool section, one entry per item, which
+    /// `encode` writes at its aligned offset (see [`crate::pool`]).
+    ///
+    /// The prelude goes out with its length and CRC zeroed and the table
+    /// as zeros; once the entries have streamed, the writer seeks back
+    /// once to stamp prelude and table (they are contiguous) and returns
+    /// to the end. The bytes equal those of the whole section written at
+    /// once. A pool past the 4 GiB section cap is only known after
+    /// streaming: it is [`StoreError::Unsupported`] before the stamp.
+    pub fn pool_section<T>(
+        &mut self,
+        items: &[T],
+        encode: impl FnMut(&T, &mut ByteWriter),
+    ) -> Result<(), StoreError> {
+        let tag = section_tag::INDEX_POOL;
+        let pad = self.pad();
+        self.out.write_all(&prelude(tag, 0, 0, pad))?;
+        write_zeros(&mut self.out, pad as u64)?;
+        let pool = stream_pool(&mut self.out, items, encode)?;
+        let len = section_len(&tag, pool.len)?;
+        let crc = crc32_concat(crc32(&tag), pool.crc, pool.len);
+
+        let mut stamp = prelude(tag, len, crc, pad).to_vec();
+        stamp.resize(SECTION_PRELUDE_BYTES + pad, 0);
+        stamp.extend_from_slice(&pool.table);
+        let written = (SECTION_PRELUDE_BYTES + pad) as i64 + pool.len as i64;
+        self.out.seek(SeekFrom::Current(-written))?;
+        self.out.write_all(&stamp)?;
+        self.out
+            .seek(SeekFrom::Current(written - stamp.len() as i64))?;
+        self.offset += written as u64;
+        self.digests.push(SectionDigest { tag, len, crc });
+        Ok(())
+    }
+}
+
+/// Assembles a small store file in memory: sections are buffered, then
+/// written with the header in one pass through a [`SectionWriter`].
+/// Hand-built containers (test fixtures, format examples) use it; a
+/// bundle save streams through a [`SectionWriter`] directly.
 pub struct StoreWriter {
     kind: u8,
-    sections: Vec<(SectionTag, Vec<u8>, u32)>,
+    sections: Vec<(SectionTag, Vec<u8>)>,
 }
 
 impl StoreWriter {
@@ -59,74 +192,31 @@ impl StoreWriter {
 
     /// Appends a section.
     pub fn section(&mut self, tag: SectionTag, payload: Vec<u8>) -> &mut Self {
-        let payload_crc = crc32(&payload);
-        self.sections.push((tag, payload, payload_crc));
+        self.sections.push((tag, payload));
         self
-    }
-
-    /// Appends the `IDXP` section, taking the payload CRC the pool
-    /// encoder stitched instead of hashing the pool again.
-    pub fn pool_section(&mut self, pool: EncodedPool) -> &mut Self {
-        self.sections
-            .push((crate::section_tag::INDEX_POOL, pool.bytes, pool.crc));
-        self
-    }
-
-    /// The tag-inclusive checksum of a section, stitched from the
-    /// payload digest computed at append time.
-    fn section_crc(tag: &SectionTag, payload_len: usize, payload_crc: u32) -> u32 {
-        crc32_concat(crc32(tag), payload_crc, payload_len as u64)
     }
 
     /// Digests (tag, length, CRC-32) of every section appended so far, in
     /// order — what a writer embeds in a trailing `MNFT` manifest section
     /// (see [`crate::manifest`]).
-    pub fn digests(&self) -> Vec<crate::manifest::SectionDigest> {
+    pub fn digests(&self) -> Vec<SectionDigest> {
         self.sections
             .iter()
-            .map(
-                |(tag, payload, payload_crc)| crate::manifest::SectionDigest {
-                    tag: *tag,
-                    len: payload.len() as u32,
-                    crc: Self::section_crc(tag, payload.len(), *payload_crc),
-                },
-            )
+            .map(|(tag, payload)| SectionDigest {
+                tag: *tag,
+                len: payload.len() as u32,
+                crc: crc32_pair(tag, payload),
+            })
             .collect()
     }
 
     /// Writes header and sections to `out`.
     pub fn write_to(&self, out: &mut impl Write) -> Result<(), StoreError> {
-        out.write_all(&MAGIC).map_err(StoreError::Io)?;
-        out.write_all(&FORMAT_VERSION.to_le_bytes())
-            .map_err(StoreError::Io)?;
-        out.write_all(&[self.kind, 0]).map_err(StoreError::Io)?;
-        out.write_all(&(self.sections.len() as u32).to_le_bytes())
-            .map_err(StoreError::Io)?;
-        let mut offset = HEADER_BYTES;
-        for (tag, payload, payload_crc) in &self.sections {
-            // The length field is u32: refuse to write what cannot be
-            // read back rather than silently truncating the prefix.
-            let len: u32 = payload.len().try_into().map_err(|_| {
-                StoreError::Unsupported(format!(
-                    "section {} is {} bytes; the format caps sections at 4 GiB",
-                    String::from_utf8_lossy(tag),
-                    payload.len()
-                ))
-            })?;
-            let crc = Self::section_crc(tag, payload.len(), *payload_crc);
-            out.write_all(tag).map_err(StoreError::Io)?;
-            out.write_all(&len.to_le_bytes()).map_err(StoreError::Io)?;
-            out.write_all(&crc.to_le_bytes()).map_err(StoreError::Io)?;
-            // Zero-fill so the payload lands on an aligned offset.
-            let prelude_end = offset + SECTION_PRELUDE_BYTES;
-            let pad = prelude_end.next_multiple_of(SECTION_ALIGN) - prelude_end;
-            out.write_all(&(pad as u32).to_le_bytes())
-                .map_err(StoreError::Io)?;
-            out.write_all(&vec![0u8; pad]).map_err(StoreError::Io)?;
-            offset = prelude_end + pad + payload.len();
-            out.write_all(payload).map_err(StoreError::Io)?;
+        let mut writer = SectionWriter::new(out, self.kind, self.sections.len() as u32)?;
+        for (tag, payload) in &self.sections {
+            writer.section(*tag, payload)?;
         }
-        Ok(())
+        writer.finish().map(drop)
     }
 
     /// The whole container as bytes.

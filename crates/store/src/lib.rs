@@ -75,7 +75,9 @@ pub use checksum::{crc32, crc32_concat, crc32_pair};
 pub use codec::{
     decode_capacity, encode_slice, ByteReader, ByteWriter, Codec, MAX_DECODE_PREALLOC_BYTES,
 };
-pub use container::{SectionTag, StoreHeader, StoreWriter, HEADER_BYTES, SECTION_PRELUDE_BYTES};
+pub use container::{
+    SectionTag, SectionWriter, StoreHeader, StoreWriter, HEADER_BYTES, SECTION_PRELUDE_BYTES,
+};
 pub use error::{PayloadFault, StoreError};
 pub use limbs::Limbs;
 pub use manifest::{scan, scan_file, Manifest, SectionDigest};

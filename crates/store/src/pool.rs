@@ -17,6 +17,16 @@
 //! bytes only — the section-level checksum (which would page in the
 //! whole pool) is left to the heap backend, which verifies every section
 //! when it parses its owned buffer.
+//!
+//! The writer streams: [`crate::SectionWriter::pool_section`] writes the
+//! table region as zeros, encodes each entry at its aligned offset
+//! through a draining [`ByteWriter`] (one reused chunk buffer, each
+//! chunk hashed as it is written), then seeks back once to stamp the
+//! section prelude and the table. A save therefore holds O(chunk) bytes
+//! of the pool, never O(pool), and the bytes are those of an encoder
+//! that built the whole section in memory.
+
+use std::io::{self, Read, Write};
 
 use crate::checksum::{crc32, crc32_concat};
 use crate::codec::{decode_capacity, ByteWriter};
@@ -40,74 +50,89 @@ pub struct PoolEntry {
     pub crc: u32,
 }
 
-/// An encoded `IDXP` payload with its CRC-32, for
-/// [`crate::StoreWriter::pool_section`]. Only [`encode_pool_with`]
-/// builds one, so the CRC always matches the bytes.
-pub struct EncodedPool {
-    /// The section payload.
-    pub(crate) bytes: Vec<u8>,
-    /// `crc32(&bytes)`, stitched rather than re-hashed.
+/// An `IDXP` payload [`stream_pool`] wrote, less its table.
+pub(crate) struct StreamedPool {
+    /// The table prefix and entry table, to stamp over the zeros
+    /// streamed in their place.
+    pub(crate) table: Vec<u8>,
+    /// Payload length in bytes.
+    pub(crate) len: u64,
+    /// CRC-32 of the payload as it reads once the table is stamped.
     pub(crate) crc: u32,
 }
 
-/// Encodes one pool entry per item straight into the `IDXP` layout:
-/// `encode` appends an item's bytes to the section buffer at the
-/// entry's aligned offset, so no per-entry buffer is built or copied.
-///
-/// Every entry is hashed once, as it lands. The payload CRC is then
-/// stitched with [`crc32_concat`] from the table region's CRC, each
-/// entry CRC and the CRCs of the zero runs between entries, so no entry
-/// byte is hashed twice. Entries start [`SECTION_ALIGN`]-aligned in the
-/// buffer, so an encoder's [`ByteWriter::align`] to any divisor of it
-/// pads exactly as it would in a buffer of its own.
-pub fn encode_pool_with<T>(
-    items: &[T],
-    mut encode: impl FnMut(&T, &mut ByteWriter),
-) -> EncodedPool {
-    let table_end = POOL_TABLE_PREFIX_BYTES + items.len() * POOL_ENTRY_BYTES;
-    let mut w = ByteWriter::new();
-    w.put_raw(&vec![0; table_end]);
-    let mut entries = Vec::with_capacity(items.len());
-    for item in items {
-        w.align(SECTION_ALIGN);
-        let offset = w.len();
-        encode(item, &mut w);
-        let payload = &w.as_bytes()[offset..];
-        entries.push(PoolEntry {
-            offset: offset as u64,
-            len: payload.len() as u64,
-            crc: crc32(payload),
-        });
-    }
-    let mut bytes = w.into_bytes();
-    let mut table = Vec::with_capacity(table_end - POOL_TABLE_PREFIX_BYTES);
-    for entry in &entries {
-        table.extend_from_slice(&entry.offset.to_le_bytes());
-        table.extend_from_slice(&entry.len.to_le_bytes());
-        table.extend_from_slice(&entry.crc.to_le_bytes());
-    }
-    bytes[..4].copy_from_slice(&(items.len() as u32).to_le_bytes());
-    bytes[4..8].copy_from_slice(&crc32(&table).to_le_bytes());
-    bytes[POOL_TABLE_PREFIX_BYTES..table_end].copy_from_slice(&table);
-
-    // Stitch: the bytes before each entry (table region, then zero
-    // padding) are short and hashed here; entries contribute their CRCs.
-    let mut crc = crc32(b"");
-    let mut at = 0;
-    for entry in &entries {
-        let gap = &bytes[at..entry.offset as usize];
-        crc = crc32_concat(crc, crc32(gap), gap.len() as u64);
-        crc = crc32_concat(crc, entry.crc, entry.len);
-        at = (entry.offset + entry.len) as usize;
-    }
-    let rest = &bytes[at..];
-    crc = crc32_concat(crc, crc32(rest), rest.len() as u64);
-    EncodedPool { bytes, crc }
+/// Writes `n` zero bytes.
+pub(crate) fn write_zeros(out: &mut dyn Write, n: u64) -> io::Result<()> {
+    io::copy(&mut io::repeat(0).take(n), out).map(drop)
 }
 
-/// Encodes ready-made payloads into the `IDXP` section layout.
+/// Streams an `IDXP` payload to `out`: the table region as zeros, then
+/// one entry per item, which `encode` writes at the entry's aligned
+/// offset through a draining [`ByteWriter`].
+///
+/// Entries start [`SECTION_ALIGN`]-aligned and each gets a writer of its
+/// own, so an encoder's [`ByteWriter::align`] to any divisor of it pads
+/// exactly as it would in a buffer of its own. Every entry is hashed
+/// once, chunk by chunk as it is written. The payload CRC is stitched
+/// with [`crc32_concat`] from the table's CRC, the CRCs of the zero runs
+/// between entries and each entry CRC, so no entry byte is hashed twice.
+/// A write error inside an entry is returned as [`StoreError::Io`] once
+/// that entry's encoder returns.
+pub(crate) fn stream_pool<T>(
+    out: &mut dyn Write,
+    items: &[T],
+    mut encode: impl FnMut(&T, &mut ByteWriter),
+) -> Result<StreamedPool, StoreError> {
+    let table_end = (POOL_TABLE_PREFIX_BYTES + items.len() * POOL_ENTRY_BYTES) as u64;
+    write_zeros(out, table_end)?;
+    let mut entries = Vec::with_capacity(items.len());
+    let mut end = table_end;
+    let mut buf = Vec::new();
+    for item in items {
+        let offset = end.next_multiple_of(SECTION_ALIGN as u64);
+        write_zeros(out, offset - end)?;
+        let mut w = ByteWriter::draining(out, buf);
+        encode(item, &mut w);
+        let len = w.len() as u64;
+        let crc;
+        (buf, crc) = w.finish_drain()?;
+        entries.push(PoolEntry { offset, len, crc });
+        end = offset + len;
+    }
+
+    let mut rows = Vec::with_capacity(items.len() * POOL_ENTRY_BYTES);
+    for entry in &entries {
+        rows.extend_from_slice(&entry.offset.to_le_bytes());
+        rows.extend_from_slice(&entry.len.to_le_bytes());
+        rows.extend_from_slice(&entry.crc.to_le_bytes());
+    }
+    let mut table = (items.len() as u32).to_le_bytes().to_vec();
+    table.extend_from_slice(&crc32(&rows).to_le_bytes());
+    table.extend_from_slice(&rows);
+
+    let mut crc = crc32(&table);
+    let mut at = table_end;
+    for entry in &entries {
+        let gap = entry.offset - at;
+        crc = crc32_concat(crc, crc32(&[0; SECTION_ALIGN][..gap as usize]), gap);
+        crc = crc32_concat(crc, entry.crc, entry.len);
+        at = entry.offset + entry.len;
+    }
+    Ok(StreamedPool {
+        table,
+        len: end,
+        crc,
+    })
+}
+
+/// Encodes ready-made payloads into the `IDXP` section layout, in
+/// memory: the bytes [`crate::SectionWriter::pool_section`] streams.
 pub fn encode_pool(payloads: &[Vec<u8>]) -> Vec<u8> {
-    encode_pool_with(payloads, |payload, w| w.put_raw(payload)).bytes
+    let mut bytes = Vec::new();
+    let pool = stream_pool(&mut bytes, payloads, |payload, w| w.put_raw(payload))
+        .expect("Vec write cannot fail");
+    bytes[..pool.table.len()].copy_from_slice(&pool.table);
+    bytes
 }
 
 /// Decodes and verifies the entry table from a pool section payload.
@@ -172,8 +197,11 @@ pub fn decode_pool_table(payload: &[u8]) -> Result<Vec<PoolEntry>, StoreError> {
 
 #[cfg(test)]
 mod tests {
+    use std::io::Cursor;
+
     use super::*;
-    use crate::{crc32_pair, MappedStore, StoreWriter, KIND_BUNDLE};
+    use crate::codec::DRAIN_CHUNK_BYTES;
+    use crate::{crc32_pair, MappedStore, SectionWriter, StoreWriter, KIND_BUNDLE};
     use proptest::prelude::*;
 
     /// The pool layout built the two-pass way: each payload in a buffer
@@ -207,33 +235,42 @@ mod tests {
         w.put_raw(slab);
     }
 
-    fn check_in_place_matches_reference(items: &[(Vec<u8>, Vec<u8>)]) {
+    /// Streams `items` as the middle section of a three-section file and
+    /// checks it against the same file with the reference pool buffered.
+    fn check_streamed_matches_reference(
+        items: &[(Vec<u8>, Vec<u8>)],
+        encode: fn(&(Vec<u8>, Vec<u8>), &mut ByteWriter),
+    ) {
         let payloads: Vec<Vec<u8>> = items
             .iter()
             .map(|item| {
                 let mut w = ByteWriter::new();
-                encode_item(item, &mut w);
+                encode(item, &mut w);
                 w.into_bytes()
             })
             .collect();
-        let pool = encode_pool_with(items, encode_item);
-        assert_eq!(pool.bytes, reference_pool(&payloads));
-        assert_eq!(pool.crc, crc32(&pool.bytes));
-        // The tag-inclusive section digest a writer stitches from it.
+        let reference = reference_pool(&payloads);
+        assert_eq!(encode_pool(&payloads), reference);
+
         let tag = crate::section_tag::INDEX_POOL;
-        assert_eq!(
-            crc32_concat(crc32(&tag), pool.crc, pool.bytes.len() as u64),
-            crc32_pair(&tag, &pool.bytes)
-        );
-        // A writer handed the CRC writes the file it would hash itself.
-        let (mut hashed, mut handed) =
-            (StoreWriter::new(KIND_BUNDLE), StoreWriter::new(KIND_BUNDLE));
-        hashed.section(tag, pool.bytes.clone());
-        handed.pool_section(pool);
-        assert_eq!(hashed.digests(), handed.digests());
-        let file = handed.to_bytes();
-        assert_eq!(file, hashed.to_bytes());
-        MappedStore::from_bytes(file).expect("a stitched section verifies");
+        let mut streamed =
+            SectionWriter::new(Cursor::new(Vec::new()), KIND_BUNDLE, 3).expect("header");
+        streamed.section(*b"META", b"hello").expect("META");
+        streamed.pool_section(items, encode).expect("pool");
+        streamed.section(*b"TAIL", b"after the pool").expect("TAIL");
+        let digests = streamed.digests().to_vec();
+        let file = streamed.finish().expect("all sections").into_inner();
+
+        let mut buffered = StoreWriter::new(KIND_BUNDLE);
+        buffered.section(*b"META", b"hello".to_vec());
+        buffered.section(tag, reference.clone());
+        buffered.section(*b"TAIL", b"after the pool".to_vec());
+        assert_eq!(digests, buffered.digests());
+        assert_eq!(file, buffered.to_bytes());
+        // The stamped prelude's CRC covers the tag and the whole payload.
+        assert_eq!(digests[1].crc, crc32_pair(&tag, &reference));
+        let store = MappedStore::from_bytes(file).expect("a stamped section verifies");
+        assert_eq!(store.find(tag).unwrap().bytes().unwrap(), &reference[..]);
     }
 
     proptest! {
@@ -242,7 +279,7 @@ mod tests {
         /// Random pools: empty, one entry, and entries of any length,
         /// most of them not a multiple of the alignment.
         #[test]
-        fn in_place_pool_matches_the_two_pass_encoder(
+        fn streamed_pool_matches_the_two_pass_encoder(
             items in prop::collection::vec(
                 (
                     prop::collection::vec(any::<u8>(), 0..40),
@@ -251,20 +288,44 @@ mod tests {
                 0..5,
             ),
         ) {
-            check_in_place_matches_reference(&items);
+            check_streamed_matches_reference(&items, encode_item);
         }
     }
 
     #[test]
-    fn in_place_pool_matches_at_the_edges() {
-        check_in_place_matches_reference(&[]);
-        check_in_place_matches_reference(&[(Vec::new(), Vec::new())]);
-        check_in_place_matches_reference(&[(vec![1; 3], vec![2; 61])]);
-        check_in_place_matches_reference(&[
-            (vec![1; 5], vec![2; 64]),
-            (Vec::new(), Vec::new()),
-            (vec![3; 17], vec![4; 4097]),
-        ]);
+    fn streamed_pool_matches_at_the_edges() {
+        check_streamed_matches_reference(&[], encode_item);
+        check_streamed_matches_reference(&[(Vec::new(), Vec::new())], encode_item);
+        check_streamed_matches_reference(&[(vec![1; 3], vec![2; 61])], encode_item);
+        check_streamed_matches_reference(
+            &[
+                (vec![1; 5], vec![2; 64]),
+                (Vec::new(), Vec::new()),
+                (vec![3; 17], vec![4; 4097]),
+            ],
+            encode_item,
+        );
+    }
+
+    #[test]
+    fn streamed_pool_matches_across_drain_chunks() {
+        // Entries larger than a drain chunk: one handed over whole by
+        // `put_raw`, one byte by byte so every chunk boundary falls
+        // mid-entry.
+        let big: Vec<u8> = (0..3 * DRAIN_CHUNK_BYTES + 77).map(|i| i as u8).collect();
+        let items = [
+            (vec![9; 7], big.clone()),
+            (Vec::new(), vec![5; 10]),
+            (vec![1; 2], big[..DRAIN_CHUNK_BYTES + 1].to_vec()),
+        ];
+        check_streamed_matches_reference(&items, encode_item);
+        check_streamed_matches_reference(&items, |(head, slab), w| {
+            w.put_bytes(head);
+            w.align(8);
+            for &byte in slab {
+                w.put_u8(byte);
+            }
+        });
     }
 
     #[test]
