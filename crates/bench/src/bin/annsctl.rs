@@ -106,10 +106,11 @@ use anns_cellprobe::{
 use anns_core::serve::{ServableScheme, SoloServable};
 use anns_core::{Alg2Config, AnnIndex, AnnsInstance, BuildOptions};
 use anns_engine::{
-    current_rss_anon_bytes, current_rss_bytes, AdmissionOptions, AdmissionQueue, Clock, Engine,
-    EngineOptions, FlightRecorder, MountManifest, MountTable, NamedRequest, NullRecorder,
-    QueryRequest, RealClock, Recorder, Registry, Resolution, RingRecorder, ServeReport, Served,
-    ShardId, StoreBackend, Ticket, TraceCounters, TraceEvent, VirtualClock,
+    current_rss_anon_bytes, current_rss_bytes, current_rss_file_bytes, AdmissionOptions,
+    AdmissionQueue, Clock, Engine, EngineOptions, FlightRecorder, MountManifest, MountTable,
+    NamedRequest, NullRecorder, QueryRequest, RealClock, Recorder, Registry, Resolution,
+    RingRecorder, ServeReport, Served, ShardId, StoreBackend, Ticket, TraceCounters, TraceEvent,
+    VirtualClock,
 };
 use anns_hamming::{gen, Point};
 use anns_lpm::{certified_lower_bound, lower_bound_form, ElimParams, LpmInstance, TrieLpm};
@@ -2264,6 +2265,10 @@ struct StoreMountRow {
     rss_after_heap_bytes: u64,
     rss_after_mmap_bytes: u64,
     rss_after_mmap_ready_bytes: u64,
+    /// The file-backed part (`RssFile`) of the last reading: bundle pages
+    /// the ready shards mapped in, with the binary's own (informational,
+    /// not gated).
+    rss_file_after_mmap_ready_bytes: u64,
 }
 
 fn cmd_bench_store(flags: HashMap<String, String>) {
@@ -2313,6 +2318,7 @@ fn cmd_bench_store(flags: HashMap<String, String>) {
             }
         }
         let rss_after_mmap_ready_bytes = current_rss_bytes();
+        let rss_file_after_mmap_ready_bytes = current_rss_file_bytes();
         let mmap_report = mapped.report.clone();
         drop(mapped);
         let heap = load_bundle_with(&path, StoreBackend::Heap);
@@ -2337,6 +2343,7 @@ fn cmd_bench_store(flags: HashMap<String, String>) {
             rss_after_heap_bytes,
             rss_after_mmap_bytes,
             rss_after_mmap_ready_bytes,
+            rss_file_after_mmap_ready_bytes,
         }
     };
 

@@ -204,13 +204,10 @@ impl Table for ConcreteTables {
                 for (pos, (&scale, n_sketch)) in
                     key.indices.iter().zip(key.n_sketches.iter()).enumerate()
                 {
+                    let n_row = inner.db.n_scale(scale);
                     let d_count = c_members
                         .iter()
-                        .filter(|&&z| {
-                            inner
-                                .family
-                                .n_passes(scale, n_sketch, inner.db.n_limbs(scale, z))
-                        })
+                        .filter(|&&z| inner.family.n_passes(scale, n_sketch, n_row(z)))
                         .count();
                     if d_count as f64 > threshold {
                         return encode_aux_cell(Some(pos as u32 + 1));

@@ -9,12 +9,14 @@
 //! payload stays cold — unread, unverified, undecoded — until the first
 //! query routes at a shard that needs it. [`LazyPool`] owns that
 //! deferral: a verified-once cell per entry checks the entry's own
-//! CRC-32 over exactly its mapped window (never the whole section, so
-//! touching one shard pages in one index) and latches either the decoded
-//! `Arc<AnnIndex>` or a typed [`PayloadFault`] replayed to every later
-//! toucher. The decoded index's database-sketch slabs borrow the mapped
-//! entry bytes in place, so the index holds the mapping alive and its
-//! scans read the page cache.
+//! CRC-32 over exactly its window (never the whole section) and latches
+//! either the decoded `Arc<AnnIndex>` or a typed [`PayloadFault`]
+//! replayed to every later toucher. The check reads the window through
+//! the file rather than the mapping, so it maps no page in. The decoded
+//! index's database-sketch slabs borrow the mapped entry bytes in place
+//! and check their tail bits on first scan, so the index holds the
+//! mapping alive, its scans read the page cache, and a shard's resident
+//! set is the slabs its queries scan.
 //!
 //! [`LazyServable`] is the registry-facing face of one deferred shard:
 //! it carries the parsed shard record and instantiates the real scheme
@@ -29,7 +31,7 @@ use anns_core::serve::{ServableScheme, ServedAnswer};
 use anns_core::AnnIndex;
 use anns_hamming::Point;
 use anns_store::pool::{decode_pool_table, PoolEntry, POOL_ENTRY_BYTES, POOL_TABLE_PREFIX_BYTES};
-use anns_store::{crc32, Codec, LazySection, PayloadFault, PayloadSource, StoreError};
+use anns_store::{Codec, LazySection, PayloadFault, PayloadSource, StoreError};
 
 use crate::registry::{instantiate_record, ShardRecord};
 
@@ -112,8 +114,10 @@ impl LazyPool {
         })?;
         slot.cell
             .get_or_init(|| {
-                let bytes = slot.source.raw();
-                let computed = crc32(bytes);
+                // Read through the file, so the check leaves the
+                // entry's pages out of the resident set until a scan
+                // reads them.
+                let computed = slot.source.crc32()?;
                 if computed != slot.crc {
                     return Err(PayloadFault::Checksum {
                         tag: anns_store::section_tag::INDEX_POOL,

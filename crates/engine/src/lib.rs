@@ -135,8 +135,8 @@ pub use engine::{
 };
 pub use lazy::{LazyPool, LazyServable};
 pub use mount::{
-    current_rss_anon_bytes, current_rss_bytes, MountError, MountManifest, MountTable, StoreBackend,
-    SwapReceipt,
+    current_rss_anon_bytes, current_rss_bytes, current_rss_file_bytes, MountError, MountManifest,
+    MountTable, StoreBackend, SwapReceipt,
 };
 pub use registry::{load_index_snapshot, BundleMeta, LoadedBundle, Registry, ShardId, ShardInfo};
 pub use scheduler::{DispatchTrace, Generation};

@@ -135,6 +135,13 @@ pub fn current_rss_anon_bytes() -> u64 {
     proc_status_bytes("RssAnon:")
 }
 
+/// The file-backed part of [`current_rss_bytes`] (`RssFile`): pages of
+/// mapped files, such as mapped bundles, that this process has touched.
+/// 0 where procfs is unavailable.
+pub fn current_rss_file_bytes() -> u64 {
+    proc_status_bytes("RssFile:")
+}
+
 /// A `kB` field of `/proc/self/status`, in bytes, or 0.
 fn proc_status_bytes(field: &str) -> u64 {
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else {

@@ -301,10 +301,12 @@ impl SketchSlabs {
         self.rows.div_ceil(LIMB_BITS) as usize
     }
 
-    /// Sketch of point `z` at scale `i`.
-    pub(crate) fn row(&self, i: u32, z: usize) -> &[u64] {
-        let w = self.width();
-        &self.scales[i as usize][z * w..(z + 1) * w]
+    /// The scale-`i` sketch of a point, as a function of the point. The
+    /// slab is dereferenced once, here, so a loop over many points pays
+    /// for that (and a borrowed slab's tail-check latch) once.
+    pub(crate) fn rows<'a>(&'a self, i: u32) -> impl Fn(usize) -> &'a [u64] + 'a {
+        let (slab, w) = (&*self.scales[i as usize], self.width());
+        move |z| &slab[z * w..(z + 1) * w]
     }
 
     /// The scale-`i` slab, checked against the width of the address it is
@@ -323,14 +325,18 @@ impl SketchSlabs {
 /// substitution S1). Each kind is a set of flat limb slabs, one per scale,
 /// holding `(top+1) · n · (⌈m_rows/64⌉ + ⌈n_rows/64⌉) · 8` bytes in all:
 /// 42.75 MiB at the serving benchmark's unique-large shape (n = 32768,
-/// d = 512, 19 scales, 360 + 180 rows). A build or a copying decode puts
+/// d = 512, 19 scales, 360 + 180 rows), of which the 14.25 MiB of `N`
+/// slabs are never read by Algorithm 1. A build or a copying decode puts
 /// them on the heap in `2·(top+1)` allocations. A mapped mount borrows
 /// them in place from the bundle (store format v3 writes each scale as
 /// one raw 8-aligned slab), so they cost file-backed page cache, shared
-/// and reclaimable, instead of anonymous memory: forcing a mapped
-/// unique-large index ready grows anonymous RSS by 2.7 MiB (its dataset
-/// and family), where decoding heap copies grew it by 45.5 MiB (x86-64,
-/// glibc). The `C_i` /
+/// and reclaimable, instead of anonymous memory, and only once scanned:
+/// a borrowed slab checks its tail bits on its first scan, and the
+/// entry's CRC is read through the file. Forcing a mapped unique-large
+/// index ready grows anonymous RSS by 2.7 MiB (its dataset and family),
+/// where decoding heap copies grew it by 45.5 MiB, and total RSS by
+/// 2.8 MB, where mapping in the whole 47.6 MB entry grew it by 47.5 MB
+/// (x86-64, glibc). The `C_i` /
 /// `D_{i,j}` oracles scan a scale's slab contiguously with the
 /// `anns_hamming::kernel` row scans. Serializable, so indices can be
 /// snapshotted and reloaded without re-sketching.
@@ -454,7 +460,8 @@ impl DbSketches {
     }
 
     /// Whether every slab is borrowed in place from a mapped bundle
-    /// rather than owned.
+    /// rather than owned. Runs the slabs' deferred tail checks, so it
+    /// reads them: a slab with a dirty tail reads as copied.
     pub fn is_borrowed(&self) -> bool {
         self.m
             .scales
@@ -475,12 +482,18 @@ impl DbSketches {
 
     /// Limbs of the `M_i`-sketch of database point `z`.
     pub fn m_limbs(&self, i: u32, z: usize) -> &[u64] {
-        self.m.row(i, z)
+        self.m.rows(i)(z)
     }
 
     /// Limbs of the `N_j`-sketch of database point `z`.
     pub fn n_limbs(&self, j: u32, z: usize) -> &[u64] {
-        self.n.row(j, z)
+        self.n.rows(j)(z)
+    }
+
+    /// [`DbSketches::n_limbs`] at scale `j`, as a function of the point:
+    /// for loops over many points, which then look the slab up once.
+    pub fn n_scale<'a>(&'a self, j: u32) -> impl Fn(usize) -> &'a [u64] + 'a {
+        self.n.rows(j)
     }
 
     /// Database size.
@@ -534,7 +547,8 @@ impl DbSketches {
         addr_n: &Sketch,
     ) -> Vec<usize> {
         let mut members = self.c_members(family, i, addr_m);
-        members.retain(|&z| family.n_passes(j, addr_n, self.n_limbs(j, z)));
+        let n_row = self.n_scale(j);
+        members.retain(|&z| family.n_passes(j, addr_n, n_row(z)));
         members
     }
 }

@@ -115,8 +115,9 @@ fn encode_slabs(slabs: &SketchSlabs, points: usize, w: &mut ByteWriter) {
 /// bytes, is checked against the bytes remaining before anything is
 /// reserved, so hostile counts and widths are a typed error. Each slab
 /// is borrowed in place when the reader allows it
-/// ([`ByteReader::limbs`]) and otherwise copied with its tail bits
-/// masked, as `Point::from_limbs` does.
+/// ([`ByteReader::limbs`]), with its tail bits checked on its first
+/// scan, and otherwise copied with its tail bits masked, as
+/// `Point::from_limbs` does.
 fn decode_slabs(r: &mut ByteReader<'_>) -> Result<(SketchSlabs, usize), StoreError> {
     let rows = r.u32()?;
     let scale_count = usize::decode(r)?;

@@ -18,13 +18,14 @@
 //!
 //! A reader may carry a keep-alive owner of its bytes (a mapped bundle,
 //! see [`crate::PayloadSource::reader`]). [`ByteReader::limbs`] then
-//! borrows aligned limb slabs in place instead of copying them.
+//! borrows aligned limb slabs in place instead of copying them, and
+//! checks their tail bits on first scan rather than at decode.
 
 use std::io::{self, Write};
 
 use crate::checksum;
 use crate::error::StoreError;
-use crate::limbs::{Limbs, Owner};
+use crate::limbs::{mask_tails, Limbs, Owner};
 
 /// Upper bound, in bytes, on any single speculative pre-reservation made
 /// while decoding (1 MiB).
@@ -359,11 +360,13 @@ impl<'a> ByteReader<'a> {
     /// Reads `rows` rows of `bits` bits, each row `⌈bits/64⌉`
     /// little-endian `u64` limbs whose bits past `bits` should be zero.
     ///
-    /// The slab is borrowed in place when this reader has an owner, the
-    /// bytes are 8-aligned in memory and every row's tail bits are
-    /// clean. Otherwise it is copied, with the tail bits masked. The
-    /// size is checked against the bytes remaining before anything is
-    /// reserved.
+    /// The slab is borrowed in place when this reader has an owner and
+    /// the bytes are 8-aligned in memory. Its tail bits are then checked
+    /// on its first deref, which keeps the borrow when they are clean
+    /// and swaps in a masked copy when they are not. Otherwise the slab
+    /// is copied now, with the tail bits masked. Either way it reads
+    /// with clean tails. The size is checked against the bytes remaining
+    /// before anything is reserved.
     pub fn limbs(&mut self, rows: usize, bits: u32) -> Result<Limbs, StoreError> {
         if bits == 0 {
             return Err(StoreError::Malformed("limb rows of 0 bits".into()));
@@ -383,21 +386,18 @@ impl<'a> ByteReader<'a> {
             0 => u64::MAX,
             tail => (1u64 << tail) - 1,
         };
-        if let Some(limbs) = self.owner.as_ref().and_then(|o| Limbs::borrow(raw, o)) {
-            if limbs
-                .chunks_exact(width)
-                .all(|row| row[width - 1] & !tail_mask == 0)
-            {
-                return Ok(limbs);
-            }
+        if let Some(limbs) = self
+            .owner
+            .as_ref()
+            .and_then(|o| Limbs::borrow(raw, o, width, tail_mask))
+        {
+            return Ok(limbs);
         }
         let mut out: Vec<u64> = raw
             .chunks_exact(8)
             .map(|chunk| u64::from_le_bytes(chunk.try_into().expect("len 8")))
             .collect();
-        for row in out.chunks_exact_mut(width) {
-            row[width - 1] &= tail_mask;
-        }
+        mask_tails(&mut out, width, tail_mask);
         Ok(Limbs::from(out))
     }
 

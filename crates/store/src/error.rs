@@ -114,6 +114,15 @@ pub enum PayloadFault {
     },
     /// The bytes verified (or were heap-owned) but failed to decode.
     Decode(String),
+    /// The bytes could not be read back from the file: it ends before
+    /// the payload does (it was truncated under the mount), or the read
+    /// failed.
+    Read {
+        /// The I/O error's kind: `UnexpectedEof` for a short file.
+        kind: std::io::ErrorKind,
+        /// What was being read, and the error.
+        what: String,
+    },
 }
 
 impl fmt::Display for PayloadFault {
@@ -129,6 +138,7 @@ impl fmt::Display for PayloadFault {
                 String::from_utf8_lossy(tag)
             ),
             PayloadFault::Decode(what) => write!(f, "lazy decode failed: {what}"),
+            PayloadFault::Read { what, .. } => write!(f, "lazy read failed: {what}"),
         }
     }
 }
@@ -148,6 +158,7 @@ impl From<PayloadFault> for StoreError {
                 computed,
             },
             PayloadFault::Decode(what) => StoreError::Malformed(what),
+            PayloadFault::Read { kind, what } => StoreError::Io(std::io::Error::new(kind, what)),
         }
     }
 }
@@ -163,6 +174,10 @@ impl From<&StoreError> for PayloadFault {
                 tag: *tag,
                 stored: *stored,
                 computed: *computed,
+            },
+            StoreError::Io(e) => PayloadFault::Read {
+                kind: e.kind(),
+                what: e.to_string(),
             },
             other => PayloadFault::Decode(other.to_string()),
         }
@@ -233,5 +248,17 @@ mod tests {
         ));
         let other = std::io::Error::new(std::io::ErrorKind::PermissionDenied, "no");
         assert!(matches!(StoreError::from(other), StoreError::Io(_)));
+    }
+
+    #[test]
+    fn read_faults_survive_the_store_error_round_trip() {
+        let fault = PayloadFault::Read {
+            kind: std::io::ErrorKind::UnexpectedEof,
+            what: "reading 64 bytes at file offset 128: failed to fill whole buffer".into(),
+        };
+        let err = StoreError::from(fault.clone());
+        assert!(matches!(&err, StoreError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof));
+        assert_eq!(PayloadFault::from(&err), fault);
+        assert!(fault.to_string().contains("at file offset 128"));
     }
 }

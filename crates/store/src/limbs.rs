@@ -11,10 +11,16 @@
 //! limbs little-endian. Anything else is copied by the caller. The one
 //! promise no check can make — that the owner's bytes never move or
 //! change — is the `unsafe` contract of [`KeepAlive`].
+//!
+//! The rows' tail bits are checked later, on the slab's first deref:
+//! the check reads the last limb of every row, so running it at decode
+//! would page in every slab of a mapped index, scanned or not. A clean
+//! slab keeps its borrow; a dirty one becomes a masked owned copy. Clones
+//! share the check, so it runs once per decoded slab.
 
 use std::fmt;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Memory that stays put and unchanged for as long as it lives: what a
 /// borrowed [`Limbs`] keeps alive. Implemented by the store's parsed
@@ -32,32 +38,98 @@ pub(crate) unsafe trait KeepAlive: Send + Sync {
 /// A shared handle to a [`KeepAlive`] owner.
 pub(crate) type Owner = Arc<dyn KeepAlive>;
 
-/// A `u64` slab: owned (built or copied from a buffer) or borrowed from
-/// a mapped bundle. Derefs to `&[u64]` either way; equality, cloning and
-/// serialization look only at the limbs.
+/// A `u64` slab of rows of `⌈bits/64⌉` limbs each: owned (built or
+/// copied from a buffer) or borrowed from a mapped bundle. Derefs to
+/// `&[u64]` either way, with every row's bits past `bits` zero;
+/// equality, cloning and serialization look only at the limbs.
 pub struct Limbs(Repr);
 
 enum Repr {
     Owned(Vec<u64>),
-    Borrowed {
-        ptr: *const u64,
-        len: usize,
-        _owner: Owner,
-    },
+    Borrowed(Arc<Borrowed>),
 }
 
-// SAFETY: `Owned` is a `Vec<u64>`. `Borrowed` only reads through `ptr`,
-// into memory its `Send + Sync` owner keeps alive and unchanged, so
-// sharing or sending the pointer races with no write; `len` is a plain
-// count and `_owner` is itself `Send + Sync`.
-unsafe impl Send for Limbs {}
-unsafe impl Sync for Limbs {}
+/// A slab borrowed in place, with its tail check latched.
+struct Borrowed {
+    ptr: *const u64,
+    len: usize,
+    /// Limbs per row.
+    width: usize,
+    /// The bits of a row's last limb that may be set.
+    tail_mask: u64,
+    /// The tail check's verdict: `None` when every tail is clean, or the
+    /// masked copy that replaces the borrow.
+    checked: OnceLock<Option<Vec<u64>>>,
+    _owner: Owner,
+}
+
+// SAFETY: `Borrowed` only reads through `ptr`, into memory its
+// `Send + Sync` owner keeps alive and unchanged, so sharing or sending
+// the pointer races with no write. `len`, `width` and `tail_mask` are
+// plain values, `checked` is a `Send + Sync` latch, and `_owner` is
+// itself `Send + Sync`.
+unsafe impl Send for Borrowed {}
+unsafe impl Sync for Borrowed {}
+
+impl Borrowed {
+    #[inline]
+    fn in_place(&self) -> &[u64] {
+        // SAFETY: `Limbs::borrow` checked that `len` aligned limbs at
+        // `ptr` lie inside the owner's bytes, which `_owner` keeps alive
+        // and unchanged.
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+    }
+
+    /// The masked copy if some row's tail is dirty, running the check on
+    /// first call.
+    #[inline]
+    fn copy(&self) -> Option<&[u64]> {
+        match self.checked.get() {
+            Some(verdict) => verdict.as_deref(),
+            None => self.check(),
+        }
+    }
+
+    /// The tail check itself: off the scan path, run once per slab.
+    #[cold]
+    fn check(&self) -> Option<&[u64]> {
+        self.checked
+            .get_or_init(|| {
+                let limbs = self.in_place();
+                let clean = limbs
+                    .chunks_exact(self.width)
+                    .all(|row| row[self.width - 1] & !self.tail_mask == 0);
+                (!clean).then(|| {
+                    let mut copy = limbs.to_vec();
+                    mask_tails(&mut copy, self.width, self.tail_mask);
+                    copy
+                })
+            })
+            .as_deref()
+    }
+}
+
+/// Clears the bits outside `tail_mask` in the last limb of every row of
+/// `width` limbs.
+pub(crate) fn mask_tails(limbs: &mut [u64], width: usize, tail_mask: u64) {
+    for row in limbs.chunks_exact_mut(width) {
+        row[width - 1] &= tail_mask;
+    }
+}
 
 impl Limbs {
-    /// Borrows `bytes` as limbs in place, or `None` when they are not
-    /// inside `owner`'s bytes, not 8-aligned, not a whole number of
-    /// limbs, or the target is not little-endian.
-    pub(crate) fn borrow(bytes: &[u8], owner: &Owner) -> Option<Limbs> {
+    /// Borrows `bytes` in place as rows of `width` limbs whose last limb
+    /// may set only `tail_mask`, or `None` when the bytes are not inside
+    /// `owner`'s bytes, not 8-aligned, not a whole number of limbs, or
+    /// the target is not little-endian. The tails are checked on first
+    /// deref, not here. `width` is nonzero and divides the limb count:
+    /// the reader computed both from one row shape.
+    pub(crate) fn borrow(
+        bytes: &[u8],
+        owner: &Owner,
+        width: usize,
+        tail_mask: u64,
+    ) -> Option<Limbs> {
         if cfg!(target_endian = "big") {
             return None;
         }
@@ -67,30 +139,45 @@ impl Limbs {
         // splits the slice at the first and last aligned positions.
         let (head, body, tail) = unsafe { bytes.align_to::<u64>() };
         (inside && head.is_empty() && tail.is_empty()).then(|| {
-            Limbs(Repr::Borrowed {
+            Limbs(Repr::Borrowed(Arc::new(Borrowed {
                 ptr: body.as_ptr(),
                 len: body.len(),
+                width,
+                tail_mask,
+                checked: OnceLock::new(),
                 _owner: Arc::clone(owner),
-            })
+            })))
         })
     }
 
-    /// Whether the limbs are borrowed from a mapped bundle.
+    /// Number of limbs. Unlike a deref, this never runs the tail check.
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Repr::Owned(limbs) => limbs.len(),
+            Repr::Borrowed(b) => b.len,
+        }
+    }
+
+    /// Whether the slab holds no limbs (never runs the tail check).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Whether the limbs are borrowed from a mapped bundle. Runs the
+    /// tail check first, so a slab with a dirty tail reads as copied.
     pub fn is_borrowed(&self) -> bool {
-        matches!(self.0, Repr::Borrowed { .. })
+        matches!(&self.0, Repr::Borrowed(b) if b.copy().is_none())
     }
 }
 
 impl Deref for Limbs {
     type Target = [u64];
 
+    #[inline]
     fn deref(&self) -> &[u64] {
         match &self.0 {
             Repr::Owned(limbs) => limbs,
-            // SAFETY: `borrow` checked that `len` aligned limbs at `ptr`
-            // lie inside the owner's bytes, which `_owner` keeps alive
-            // and unchanged.
-            Repr::Borrowed { ptr, len, .. } => unsafe { std::slice::from_raw_parts(*ptr, *len) },
+            Repr::Borrowed(b) => b.copy().unwrap_or_else(|| b.in_place()),
         }
     }
 }
@@ -105,11 +192,7 @@ impl Clone for Limbs {
     fn clone(&self) -> Self {
         Limbs(match &self.0 {
             Repr::Owned(limbs) => Repr::Owned(limbs.clone()),
-            Repr::Borrowed { ptr, len, _owner } => Repr::Borrowed {
-                ptr: *ptr,
-                len: *len,
-                _owner: Arc::clone(_owner),
-            },
+            Repr::Borrowed(b) => Repr::Borrowed(Arc::clone(b)),
         })
     }
 }
@@ -229,6 +312,26 @@ mod tests {
             .limbs(12, 64)
             .unwrap();
         assert!(clean.is_borrowed());
+    }
+
+    #[test]
+    fn tail_checks_wait_for_the_first_deref_and_clones_share_them() {
+        let (owner, aligned, _) = owner_with_sample();
+        let window = &owner.bytes()[aligned..aligned + 96];
+        let checked = |l: &Limbs| matches!(&l.0, Repr::Borrowed(b) if b.checked.get().is_some());
+        let dirty = ByteReader::with_owner(window, Arc::clone(&owner))
+            .limbs(12, 60)
+            .unwrap();
+        let clone = dirty.clone();
+        // Shape queries leave the check to the first scan.
+        assert_eq!((dirty.len(), dirty.is_empty()), (12, false));
+        assert!(!checked(&dirty) && !checked(&clone));
+        // Scanning one clone masks a copy that both then read.
+        assert_eq!(clone[0], sample()[0] & ((1 << 60) - 1));
+        assert!(checked(&dirty));
+        assert_eq!(dirty.as_ptr(), clone.as_ptr());
+        assert_ne!(dirty.as_ptr().cast::<u8>(), window.as_ptr());
+        assert!(!dirty.is_borrowed());
     }
 
     #[test]

@@ -23,17 +23,21 @@
 //!
 //! [`PayloadSource::reader`] hands decoders a reader that keeps the
 //! parsed file alive, so database-sketch slabs are scanned in place in
-//! the mapping instead of copied to the heap. The mapping is private and
-//! read-only, but it still reads the file: a bundle file must never be
-//! rewritten in place while it is mounted (`Registry::save_bundle`
-//! renames a new file over the path instead).
+//! the mapping instead of copied to the heap. [`PayloadSource::crc32`]
+//! checks a window before that decode by reading it through the file,
+//! not the mapping, so the check leaves none of the window's pages in
+//! the process's resident set: a slab's pages map in when a scan first
+//! reads them. The mapping is private and read-only, but it still reads
+//! the file: a bundle file must never be rewritten in place while it is
+//! mounted (`Registry::save_bundle` renames a new file over the path
+//! instead).
 
 use std::collections::HashSet;
 use std::io::Read;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
-use crate::checksum::crc32_pair;
+use crate::checksum::{self, crc32_pair};
 use crate::codec::ByteReader;
 use crate::container::{SectionTag, StoreHeader, HEADER_BYTES, SECTION_PRELUDE_BYTES};
 use crate::error::{PayloadFault, StoreError};
@@ -115,9 +119,13 @@ mod sys {
 
 /// Where a store's bytes live.
 enum Backing {
-    /// A read-only file mapping: pages fault in on first touch.
+    /// A read-only file mapping: pages fault in on first touch. The file
+    /// stays open so checksums can read it without touching the mapping.
     #[cfg(unix)]
-    Mapped(sys::Mapping),
+    Mapped {
+        map: sys::Mapping,
+        file: std::fs::File,
+    },
     /// A file or stream read into memory.
     Owned(Vec<u8>),
 }
@@ -126,10 +134,37 @@ impl Backing {
     fn bytes(&self) -> &[u8] {
         match self {
             #[cfg(unix)]
-            Backing::Mapped(map) => map.bytes(),
+            Backing::Mapped { map, .. } => map.bytes(),
             Backing::Owned(buf) => buf,
         }
     }
+}
+
+/// Bytes [`PayloadSource::crc32`] reads from the file per call to
+/// `read_at`: the size of its one buffer.
+#[cfg(unix)]
+const READ_CHUNK_BYTES: usize = 64 * 1024;
+
+/// CRC-32 of `len` bytes of `file` from offset `at`, read through one
+/// reused buffer of at most [`READ_CHUNK_BYTES`]. A file that ends
+/// early, or a failed read, is [`PayloadFault::Read`].
+#[cfg(unix)]
+fn crc32_read_at(file: &std::fs::File, at: u64, len: usize) -> Result<u32, PayloadFault> {
+    use std::os::unix::fs::FileExt;
+    let mut buf = vec![0u8; len.min(READ_CHUNK_BYTES)];
+    let mut crc = 0xFFFF_FFFF;
+    let mut done = 0;
+    while done < len {
+        let chunk = &mut buf[..(len - done).min(READ_CHUNK_BYTES)];
+        file.read_exact_at(chunk, at + done as u64)
+            .map_err(|e| PayloadFault::Read {
+                kind: e.kind(),
+                what: format!("{len} bytes at file offset {at}: {e}"),
+            })?;
+        crc = checksum::update(crc, chunk);
+        done += chunk.len();
+    }
+    Ok(!crc)
 }
 
 /// Digest and file offset of one section's payload.
@@ -179,7 +214,10 @@ impl MappedStore {
             let file_len: usize = file_len
                 .try_into()
                 .map_err(|_| StoreError::Unsupported("file exceeds the address space".into()))?;
-            Backing::Mapped(sys::Mapping::map(&file, file_len)?)
+            Backing::Mapped {
+                map: sys::Mapping::map(&file, file_len)?,
+                file,
+            }
         };
         #[cfg(not(unix))]
         let backing = Backing::Owned(std::fs::read(path).map_err(StoreError::Io)?);
@@ -535,6 +573,22 @@ impl PayloadSource {
         &self.section.raw()[self.offset..self.offset + self.len]
     }
 
+    /// CRC-32 of the window's bytes, for callers that verify a window
+    /// against their own digest. Over a mapping the bytes are read
+    /// through the file, not the mapping, so the check maps none of the
+    /// window's pages into the process; a file that no longer holds the
+    /// whole window (truncated under the mount) or a failed read is a
+    /// typed [`PayloadFault::Read`]. Over an owned buffer it hashes
+    /// [`PayloadSource::raw`].
+    pub fn crc32(&self) -> Result<u32, PayloadFault> {
+        #[cfg(unix)]
+        if let Backing::Mapped { file, .. } = &self.section.inner.backing {
+            let at = self.section.meta().payload_offset + self.offset;
+            return crc32_read_at(file, at as u64, self.len);
+        }
+        Ok(crate::crc32(self.raw()))
+    }
+
     /// The bytes, through the owning section's verified-once latch
     /// (typed [`PayloadFault`] on damage).
     pub fn bytes(&self) -> Result<&[u8], PayloadFault> {
@@ -712,6 +766,44 @@ mod tests {
         assert_eq!(sub.bytes().unwrap(), &[4]);
         assert!(src.window(4, 2).is_err());
         assert!(src.window(usize::MAX, 1).is_err());
+    }
+
+    #[test]
+    fn window_crcs_read_the_file_and_type_a_short_read() {
+        // A section of 40,000 words: 160,000 bytes, so windows cross the
+        // 64 KiB read chunks.
+        let words: Vec<u8> = (0..40_000u32).flat_map(u32::to_le_bytes).collect();
+        let mut w = StoreWriter::new(KIND_BUNDLE);
+        w.section(*b"BODY", words.clone());
+        let path = temp_path("crc");
+        w.write_file(&path).unwrap();
+        let store = MappedStore::open(&path).unwrap();
+        let owned = MappedStore::from_bytes(std::fs::read(&path).unwrap()).unwrap();
+        for store in [&store, &owned] {
+            let src = PayloadSource::mapped(store.find(*b"BODY").unwrap());
+            for (offset, len) in [(0, 160_000), (3, 1), (1000, 0), (65_535, 2), (17, 140_000)] {
+                let win = src.window(offset, len).unwrap();
+                let want = crate::crc32(&words[offset..offset + len]);
+                assert_eq!(win.crc32(), Ok(want), "{offset}+{len}");
+            }
+        }
+        // Cut the file inside the section under the mount: a window past
+        // the cut is a typed short read, a window before it still
+        // verifies, and neither reads the mapping.
+        let body = PayloadSource::mapped(store.find(*b"BODY").unwrap());
+        let cut = body.section.meta().payload_offset + 100_000;
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(cut as u64).unwrap();
+        let before = body.window(0, 100_000).unwrap();
+        assert_eq!(before.crc32(), Ok(crate::crc32(&words[..100_000])));
+        assert!(matches!(
+            body.window(99_000, 2_000).unwrap().crc32(),
+            Err(PayloadFault::Read {
+                kind: std::io::ErrorKind::UnexpectedEof,
+                ..
+            })
+        ));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
