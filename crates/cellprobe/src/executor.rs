@@ -102,6 +102,14 @@ impl ExecOptions {
             ..ExecOptions::default()
         }
     }
+
+    /// These options with the word-size limit lowered to at most
+    /// `declared` bits — how every executor enforces a scheme's declared
+    /// `w` on top of the caller's own cap.
+    pub fn capped_at(mut self, declared: u64) -> Self {
+        self.word_bits_limit = Some(self.word_bits_limit.map_or(declared, |l| l.min(declared)));
+        self
+    }
 }
 
 /// Probe accounting for one query: the paper's `(t₁, …, t_k)`.
@@ -203,12 +211,11 @@ impl Transcript {
 ///
 /// The default implementor is a [`Table`] (each address is read from the
 /// oracle, possibly on parallel threads — see [`read_batch`]). The serving
-/// engine substitutes a *coalescing* source that parks the round at a
-/// generation barrier, merges it with the same round of every other
-/// in-flight query, executes one sorted batch per shard, and hands the
-/// words back — all without the scheme being able to tell the difference,
-/// which is exactly the paper's point: a round's addresses are fixed
-/// before any content is revealed, so *who* executes the batch is
+/// engine substitutes a source that already holds the round's words,
+/// read in one sorted batch per shard together with the same round of
+/// every other in-flight query, so each query's executor still does its
+/// own accounting. That is the paper's point: a round's addresses are
+/// fixed before any content is revealed, so *who* executes the batch is
 /// irrelevant to correctness.
 pub trait RoundSource: Sync {
     /// Executes one round of probes, returning words in address order.
@@ -280,9 +287,10 @@ pub fn read_batch_observed(
     read_batch_tiled(table, addrs, threads, tile)
 }
 
-/// Maps `f` over `items` on up to `threads` scoped threads
-/// (contiguous chunks, never an empty-range worker), results in item
-/// order; runs inline when `threads <= 1` or there is at most one item.
+/// Maps `f` over `items` on up to `threads` threads (contiguous chunks,
+/// never an empty-range worker), results in item order; runs inline when
+/// `threads <= 1` or there is at most one item. The calling thread works
+/// the last chunk itself, so `threads` workers cost `threads - 1` spawns.
 /// The one scatter/gather primitive behind [`read_batch`], the batch
 /// driver's query sharding, and the engine's per-shard dispatch fan-out.
 pub fn chunked_parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
@@ -298,14 +306,20 @@ where
     let chunk = items.len().div_ceil(workers).max(1);
     let mut out: Vec<Option<R>> = Vec::new();
     out.resize_with(items.len(), || None);
+    let fill = |slots: &mut [Option<R>], chunk: &[T]| {
+        for (slot, item) in slots.iter_mut().zip(chunk) {
+            *slot = Some(f(item));
+        }
+    };
     std::thread::scope(|scope| {
-        for (slot_chunk, item_chunk) in out.chunks_mut(chunk).zip(items.chunks(chunk)) {
-            let f = &f;
-            scope.spawn(move || {
-                for (slot, item) in slot_chunk.iter_mut().zip(item_chunk.iter()) {
-                    *slot = Some(f(item));
-                }
-            });
+        let mut chunks = out.chunks_mut(chunk).zip(items.chunks(chunk));
+        let last = chunks.next_back();
+        for (slots, items) in chunks {
+            let fill = &fill;
+            scope.spawn(move || fill(slots, items));
+        }
+        if let Some((slots, items)) = last {
+            fill(slots, items);
         }
     });
     out.into_iter()

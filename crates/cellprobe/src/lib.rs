@@ -19,6 +19,9 @@
 //!   charged to a [`ProbeLedger`];
 //! * [`CellProbeScheme`] — the trait shared by Algorithms 1/2, λ-ANNS, LSH
 //!   and the adaptive baseline, so complexity accounting is uniform;
+//! * [`RoundMachine`] — the same algorithms as step functions
+//!   (`words → next round | answer`), run by [`drive`] or by a serving
+//!   loop that steps many queries at once;
 //! * [`space`] — table-size accounting, including the public-coin →
 //!   private-coin translation of Lemma 5 / Proposition 6 (Newman's theorem);
 //! * [`batch`] — a scoped-thread parallel driver for query batches.
@@ -77,7 +80,9 @@ pub use executor::{
     chunked_parallel_map, read_batch, read_batch_observed, read_batch_tiled, ExecOptions,
     ProbeLedger, RoundExecutor, RoundSource, Transcript, TranscriptEntry, DEFAULT_PROBE_TILE,
 };
-pub use scheme::{execute, execute_on, execute_with, CellProbeScheme};
+pub use scheme::{
+    drive, execute, execute_with, CellProbeScheme, Map, OneRound, RoundMachine, Step,
+};
 pub use space::{newman_private_coin_cells_log2, SpaceModel};
 pub use table::{Address, MaterializedTable, Table, TableId};
 pub use word::Word;

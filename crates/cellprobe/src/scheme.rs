@@ -5,9 +5,17 @@
 //! table oracle and its query logic; [`execute`] wires them through a
 //! [`RoundExecutor`] so Algorithms 1/2, λ-ANNS, LSH and the baselines are
 //! all measured by the same ledger.
+//!
+//! [`RoundMachine`] is the same query algorithm written as a step
+//! function: every round's addresses are fixed before any of its contents
+//! return (paper §2), so a query can hand out one round, wait for its
+//! words, and hand out the next. [`drive`] runs a machine through a
+//! [`RoundExecutor`]; a serving engine instead steps many machines from
+//! one loop and executes their rounds together.
 
-use crate::executor::{ExecOptions, ProbeLedger, RoundExecutor, RoundSource, Transcript};
-use crate::table::Table;
+use crate::executor::{ExecOptions, ProbeLedger, RoundExecutor, Transcript};
+use crate::table::{Address, Table};
+use crate::word::Word;
 
 /// A static data structure plus its query algorithm.
 pub trait CellProbeScheme {
@@ -45,35 +53,106 @@ pub fn execute_with<S: CellProbeScheme>(
     (answer, ledger, transcript)
 }
 
-/// Runs one query with its rounds executed by an external [`RoundSource`]
-/// instead of the scheme's own table — the entry point the serving engine
-/// uses to coalesce one round of *many* queries into a single batched
-/// dispatch. Accounting (ledger, transcript, declared word-size
-/// enforcement) is identical to [`execute_with`]; the source is trusted to
-/// answer each address with the same word the scheme's table would
-/// (sources that disagree are caught by the word-size check and by the
-/// engine's equivalence audits).
-pub fn execute_on<S: CellProbeScheme>(
-    scheme: &S,
-    query: &S::Query,
-    source: &dyn RoundSource,
-    opts: ExecOptions,
-) -> (S::Answer, ProbeLedger, Option<Transcript>) {
-    let mut exec = RoundExecutor::with_source(source, clamp_word_limit(scheme, opts));
-    let answer = scheme.run(query, &mut exec);
-    let (ledger, transcript) = exec.finish();
-    (answer, ledger, transcript)
-}
-
 /// The declared word size is always enforced on top of whatever the
 /// options say.
-fn clamp_word_limit<S: CellProbeScheme>(scheme: &S, mut opts: ExecOptions) -> ExecOptions {
-    let declared = scheme.word_bits();
-    opts.word_bits_limit = Some(match opts.word_bits_limit {
-        Some(limit) => limit.min(declared),
-        None => declared,
-    });
-    opts
+fn clamp_word_limit<S: CellProbeScheme>(scheme: &S, opts: ExecOptions) -> ExecOptions {
+    opts.capped_at(scheme.word_bits())
+}
+
+/// What a [`RoundMachine`] wants next.
+#[derive(Debug)]
+pub enum Step<A> {
+    /// One round of probes; the next `step` receives their words in
+    /// address order. An empty round is free and not counted.
+    Probe(Vec<Address>),
+    /// The query's answer; the machine is not stepped again.
+    Done(A),
+}
+
+/// A query algorithm as a step function over rounds.
+///
+/// The first `step` receives no words; every later one receives the
+/// words of the round the previous `step` asked for. A machine reads no
+/// cell on its own, so whoever steps it decides how its rounds execute:
+/// [`drive`] sends them through one query's [`RoundExecutor`], the
+/// serving engine merges them with the same round of other queries.
+pub trait RoundMachine {
+    /// The answer type.
+    type Answer;
+
+    /// Consumes the words of the last round, returns the next round or
+    /// the answer.
+    fn step(&mut self, words: &[Word]) -> Step<Self::Answer>;
+
+    /// This machine with its answer passed through `f`.
+    fn map<B, F: FnMut(Self::Answer) -> B>(self, f: F) -> Map<Self, F>
+    where
+        Self: Sized,
+    {
+        Map { machine: self, f }
+    }
+}
+
+/// A machine whose answer is mapped (see [`RoundMachine::map`]).
+pub struct Map<M, F> {
+    machine: M,
+    f: F,
+}
+
+impl<M: RoundMachine, B, F: FnMut(M::Answer) -> B> RoundMachine for Map<M, F> {
+    type Answer = B;
+
+    fn step(&mut self, words: &[Word]) -> Step<B> {
+        match self.machine.step(words) {
+            Step::Probe(addrs) => Step::Probe(addrs),
+            Step::Done(answer) => Step::Done((self.f)(answer)),
+        }
+    }
+}
+
+/// A non-adaptive (one-round) machine: probes `addrs`, then answers
+/// with `finish(words)`.
+pub struct OneRound<F> {
+    addrs: Option<Vec<Address>>,
+    finish: Option<F>,
+}
+
+impl<F> OneRound<F> {
+    /// Probes `addrs` in one round and answers with `finish`.
+    pub fn new(addrs: Vec<Address>, finish: F) -> Self {
+        OneRound {
+            addrs: Some(addrs),
+            finish: Some(finish),
+        }
+    }
+}
+
+impl<A, F: FnOnce(&[Word]) -> A> RoundMachine for OneRound<F> {
+    type Answer = A;
+
+    fn step(&mut self, words: &[Word]) -> Step<A> {
+        match self.addrs.take() {
+            Some(addrs) => Step::Probe(addrs),
+            None => {
+                let finish = self
+                    .finish
+                    .take()
+                    .expect("machine stepped after its answer");
+                Step::Done(finish(words))
+            }
+        }
+    }
+}
+
+/// Runs a machine to its answer, executing each round through `exec`.
+pub fn drive<M: RoundMachine + ?Sized>(machine: &mut M, exec: &mut RoundExecutor<'_>) -> M::Answer {
+    let mut words = Vec::new();
+    loop {
+        match machine.step(&words) {
+            Step::Probe(addrs) => words = exec.round(&addrs),
+            Step::Done(answer) => return answer,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -139,21 +218,44 @@ mod tests {
     }
 
     #[test]
-    fn execute_on_matches_execute_with() {
-        struct Passthrough<'a>(&'a dyn Table);
-        impl crate::executor::RoundSource for Passthrough<'_> {
-            fn read_round(&self, addrs: &[Address]) -> Vec<Word> {
-                crate::executor::read_batch(self.0, addrs, 1)
+    fn driven_machine_matches_the_scheme() {
+        // Toy's two rounds as a machine: the same probes, ledger and
+        // transcript as `Toy::run`.
+        struct Chase {
+            query: u64,
+            round: u8,
+        }
+        impl RoundMachine for Chase {
+            type Answer = u64;
+            fn step(&mut self, words: &[Word]) -> Step<u64> {
+                self.round += 1;
+                match self.round {
+                    1 => Step::Probe(vec![Address::with_u64(0, self.query)]),
+                    2 => Step::Probe(vec![Address::with_u64(0, words[0].to_u64() % 64)]),
+                    _ => Step::Done(words[0].to_u64()),
+                }
             }
         }
         let scheme = Toy::new();
         let opts = ExecOptions::with_transcript();
         let (a1, l1, t1) = execute_with(&scheme, &5, opts);
-        let source = Passthrough(scheme.table());
-        let (a2, l2, t2) = execute_on(&scheme, &5, &source, opts);
-        assert_eq!(a1, a2);
-        assert_eq!(l1, l2);
-        assert_eq!(t1, t2);
+        let mut exec = RoundExecutor::new(scheme.table(), opts.capped_at(64));
+        let a2 = drive(&mut Chase { query: 5, round: 0 }, &mut exec);
+        let (l2, t2) = exec.finish();
+        assert_eq!((a1, l1, t1), (a2, l2, t2));
+    }
+
+    #[test]
+    fn one_round_machine_probes_once() {
+        let scheme = Toy::new();
+        let mut exec = RoundExecutor::new(scheme.table(), ExecOptions::default());
+        let addrs = vec![Address::with_u64(0, 2), Address::with_u64(0, 3)];
+        let sum = drive(
+            &mut OneRound::new(addrs, |w: &[Word]| w.iter().map(Word::to_u64).sum::<u64>()),
+            &mut exec,
+        );
+        assert_eq!(sum, 15);
+        assert_eq!(exec.ledger().per_round, vec![2]);
     }
 
     #[test]

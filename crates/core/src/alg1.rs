@@ -17,7 +17,9 @@
 //! (`x ∈ B?`, `x ∈ N1(B)?`) ride along in the first round, exactly as in
 //! the paper.
 
-use anns_cellprobe::{Address, CellProbeScheme, RoundExecutor, Table};
+use anns_cellprobe::{
+    drive, Address, CellProbeScheme, RoundExecutor, RoundMachine, Step, Table, Word,
+};
 
 use crate::instance::AnnsInstance;
 use crate::outcome::{decode_t_cell, OutcomeKind, QueryOutcome};
@@ -50,7 +52,7 @@ pub fn choose_tau_alg1(top: u32, k: u32) -> u32 {
 ///
 /// `tau_override` forces a grid width (used by the fully-adaptive baseline,
 /// `τ = 2`, and by the A2 τ-sensitivity ablation); `None` uses
-/// [`choose_tau_alg1`].
+/// [`choose_tau_alg1`]. A thin driver over [`Alg1Machine`].
 pub fn alg1<I: AnnsInstance>(
     instance: &I,
     query: &I::Query,
@@ -58,95 +60,149 @@ pub fn alg1<I: AnnsInstance>(
     tau_override: Option<u32>,
     exec: &mut RoundExecutor<'_>,
 ) -> QueryOutcome {
-    let top = instance.top();
-    let tau = tau_override.unwrap_or_else(|| choose_tau_alg1(top, k));
-    assert!(tau >= 2, "grid width must be at least 2");
-    let degen = instance.degen_addresses(query);
-    let mut l: u32 = 0;
-    let mut u: u32 = top;
-    let mut first_round = true;
-    // Defensive cap: the gap strictly shrinks every round, so `top + 2`
-    // rounds are impossible unless an (error-injected) oracle breaks the
-    // invariant; bail out rather than loop.
-    let mut rounds_left = top + 2;
-    loop {
-        let completing = u - l < tau;
-        // Scales probed this round.
+    drive(
+        &mut Alg1Machine::new(instance, query, k, tau_override),
+        exec,
+    )
+}
+
+/// Algorithm 1 as a step machine: each step consumes one round's words
+/// and returns the next round's addresses or the outcome.
+pub struct Alg1Machine<'a, I: AnnsInstance> {
+    instance: &'a I,
+    query: &'a I::Query,
+    tau: u32,
+    l: u32,
+    u: u32,
+    /// The degenerate-case probes, taken by the first round.
+    degen: Option<[Address; 2]>,
+    /// Whether the outstanding round leads with the degenerate probes.
+    degen_led: bool,
+    /// Defensive cap: the gap strictly shrinks every round, so `top + 2`
+    /// rounds are impossible unless an (error-injected) oracle breaks the
+    /// invariant; bail out rather than loop.
+    rounds_left: u32,
+    /// The outstanding round: its scales, and whether it is the
+    /// completion round. `None` before the first step.
+    pending: Option<(Vec<u32>, bool)>,
+}
+
+impl<'a, I: AnnsInstance> Alg1Machine<'a, I> {
+    /// A machine for one query (see [`alg1`] for `k` and `tau_override`).
+    pub fn new(instance: &'a I, query: &'a I::Query, k: u32, tau_override: Option<u32>) -> Self {
+        let top = instance.top();
+        let tau = tau_override.unwrap_or_else(|| choose_tau_alg1(top, k));
+        assert!(tau >= 2, "grid width must be at least 2");
+        Alg1Machine {
+            instance,
+            query,
+            tau,
+            l: 0,
+            u: top,
+            degen: instance.degen_addresses(query),
+            degen_led: false,
+            rounds_left: top + 2,
+            pending: None,
+        }
+    }
+
+    /// `ρ(r) = ⌊l + r(u−l)/τ⌋`, the r-th interior grid point.
+    fn rho(&self, r: u32) -> u32 {
+        self.l + ((u64::from(r) * u64::from(self.u - self.l)) / u64::from(self.tau)) as u32
+    }
+
+    /// Issues the next round: the completion round once the gap is below
+    /// `τ`, a shrinking round otherwise.
+    fn next_round(&mut self) -> Step<QueryOutcome> {
+        let completing = self.u - self.l < self.tau;
         let scales: Vec<u32> = if completing {
-            (l + 1..=u).collect()
+            (self.l + 1..=self.u).collect()
         } else {
-            let gap = u64::from(u - l);
-            (1..tau)
-                .map(|r| l + ((u64::from(r) * gap) / u64::from(tau)) as u32)
-                .collect()
+            (1..self.tau).map(|r| self.rho(r)).collect()
         };
         let mut addrs: Vec<Address> = Vec::with_capacity(scales.len() + 2);
-        let degen_probes = if first_round {
-            if let Some(two) = &degen {
-                addrs.extend(two.iter().cloned());
-                2
-            } else {
-                0
-            }
-        } else {
-            0
+        if let Some(two) = self.degen.take() {
+            addrs.extend(two);
+            self.degen_led = true;
+        }
+        addrs.extend(
+            scales
+                .iter()
+                .map(|&i| self.instance.t_address(self.query, i)),
+        );
+        self.pending = Some((scales, completing));
+        Step::Probe(addrs)
+    }
+}
+
+impl<I: AnnsInstance> RoundMachine for Alg1Machine<'_, I> {
+    type Answer = QueryOutcome;
+
+    fn step(&mut self, mut cells: &[Word]) -> Step<QueryOutcome> {
+        let Some((scales, completing)) = self.pending.take() else {
+            return self.next_round();
         };
-        addrs.extend(scales.iter().map(|&i| instance.t_address(query, i)));
-        let words = exec.round(&addrs);
-        if degen_probes == 2 {
+        if std::mem::take(&mut self.degen_led) {
             // Degenerate hits take precedence: they are exact / distance-1
             // answers and short-circuit the main search.
-            if let Some((index, _)) = decode_t_cell(&words[0]) {
-                return QueryOutcome {
-                    kind: OutcomeKind::Exact { index },
-                };
+            if let Some(kind) = decode_degen(cells) {
+                return Step::Done(QueryOutcome { kind });
             }
-            if let Some((index, point)) = decode_t_cell(&words[1]) {
-                return QueryOutcome {
-                    kind: OutcomeKind::NearOne { index, point },
-                };
-            }
+            cells = &cells[2..];
         }
-        first_round = false;
-        let cells = &words[degen_probes..];
         if completing {
-            for (pos, word) in cells.iter().enumerate() {
-                if let Some((index, point)) = decode_t_cell(word) {
-                    return QueryOutcome {
-                        kind: OutcomeKind::AtScale {
-                            scale: scales[pos],
-                            index,
-                            point,
-                        },
-                    };
-                }
-            }
-            // Possible only when the sketch assumptions failed: C_u read
-            // empty although the invariant said otherwise.
-            return QueryOutcome {
-                kind: OutcomeKind::NotFound,
-            };
+            return Step::Done(complete(cells, &scales));
         }
         // Shrinking round: r* = smallest r with C_ρ(r) ≠ ∅, else τ.
         let r_star = cells
             .iter()
             .position(|w| decode_t_cell(w).is_some())
             .map(|pos| pos as u32 + 1)
-            .unwrap_or(tau);
-        let gap = u64::from(u - l);
-        let rho = |r: u32| l + ((u64::from(r) * gap) / u64::from(tau)) as u32;
-        let (new_l, new_u) = (rho(r_star - 1), rho(r_star));
+            .unwrap_or(self.tau);
+        let (new_l, new_u) = (self.rho(r_star - 1), self.rho(r_star));
         debug_assert!(new_l < new_u, "grid points must be distinct when gap ≥ τ");
-        debug_assert!(new_u - new_l <= (u - l) / tau + 1, "paper's gap bound");
-        l = new_l;
-        u = new_u;
-        rounds_left -= 1;
-        if rounds_left == 0 {
-            return QueryOutcome {
+        debug_assert!(
+            new_u - new_l <= (self.u - self.l) / self.tau + 1,
+            "paper's gap bound"
+        );
+        self.l = new_l;
+        self.u = new_u;
+        self.rounds_left -= 1;
+        if self.rounds_left == 0 {
+            return Step::Done(QueryOutcome {
                 kind: OutcomeKind::NotFound,
-            };
+            });
         }
+        self.next_round()
     }
+}
+
+/// The completion round's outcome: the point stored at the first
+/// non-empty `C_i` among `scales` (read as `cells`). `NotFound` is
+/// possible only when the sketch assumptions failed: `C_u` read empty
+/// although the invariant said otherwise.
+pub(crate) fn complete(cells: &[Word], scales: &[u32]) -> QueryOutcome {
+    let kind = cells
+        .iter()
+        .zip(scales)
+        .find_map(|(word, &scale)| {
+            decode_t_cell(word).map(|(index, point)| OutcomeKind::AtScale {
+                scale,
+                index,
+                point,
+            })
+        })
+        .unwrap_or(OutcomeKind::NotFound);
+    QueryOutcome { kind }
+}
+
+/// The outcome of the two degenerate-case probes leading a first round
+/// (`x ∈ B`, then `x ∈ N1(B)`), if either hit.
+pub(crate) fn decode_degen(words: &[Word]) -> Option<OutcomeKind> {
+    if let Some((index, _)) = decode_t_cell(&words[0]) {
+        return Some(OutcomeKind::Exact { index });
+    }
+    decode_t_cell(&words[1]).map(|(index, point)| OutcomeKind::NearOne { index, point })
 }
 
 /// [`CellProbeScheme`] adapter for Algorithm 1, so executions share the

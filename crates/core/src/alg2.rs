@@ -16,10 +16,12 @@
 //! is at most `(k−1)/2` and the probe total is
 //! `O(k + ((log d)/k)^{c/k})` (paper eq. (4)).
 
-use anns_cellprobe::{Address, CellProbeScheme, RoundExecutor, Table};
+use anns_cellprobe::{
+    drive, Address, CellProbeScheme, RoundExecutor, RoundMachine, Step, Table, Word,
+};
 use serde::{Deserialize, Serialize};
 
-use crate::alg1::choose_tau_alg1;
+use crate::alg1::{choose_tau_alg1, complete, decode_degen};
 use crate::instance::{AnnsInstance, AuxGroupSpec};
 use crate::outcome::{decode_aux_cell, decode_t_cell, OutcomeKind, QueryOutcome};
 
@@ -75,159 +77,211 @@ pub fn choose_tau_alg2(top: u32, k: u32, c: f64) -> u32 {
     }
 }
 
-/// Runs Algorithm 2 against any instance backend.
+/// Runs Algorithm 2 against any instance backend. A thin driver over
+/// [`Alg2Machine`].
 pub fn alg2<I: AnnsInstance>(
     instance: &I,
     query: &I::Query,
     cfg: &Alg2Config,
     exec: &mut RoundExecutor<'_>,
 ) -> QueryOutcome {
-    let top = instance.top();
-    let k = cfg.k;
-    assert!(k >= 2, "Algorithm 2 needs at least two rounds");
-    // Group size: the instance's tables were built for a fixed s (it enters
-    // the n^{-1/s} threshold on the table side), so the query side takes it
-    // from the instance rather than recomputing from (k, c).
-    let s_int = (instance.s().floor() as u32).max(1);
-    let tau = cfg
-        .tau_override
-        .unwrap_or_else(|| choose_tau_alg2(top, k, cfg.c));
-    assert!(tau >= 3, "grid width must be at least 3");
-    let completion_width = (3 * tau).max(k);
-    let degen = instance.degen_addresses(query);
-    let mut l: u32 = 0;
-    let mut u: u32 = top;
-    let mut first_round = true;
-    // The gap strictly shrinks every phase; cap defensively for
-    // error-injected oracles.
-    let mut phases_left = 2 * top + 8;
-    loop {
-        if u - l < completion_width {
+    drive(&mut Alg2Machine::new(instance, query, cfg), exec)
+}
+
+/// The round an [`Alg2Machine`] is waiting on.
+enum Pending {
+    /// Nothing issued yet.
+    Start,
+    /// The completion round over these scales.
+    Completion { scales: Vec<u32> },
+    /// A phase's first round, issued with the phase's `l` and gap.
+    PhaseFirst { l: u32, gap: u64 },
+    /// A phase's second round, probing `T_{probe_scale}`.
+    PhaseSecond {
+        probe_scale: u32,
+        r_star: u32,
+        l: u32,
+        gap: u64,
+    },
+}
+
+/// Algorithm 2 as a step machine: each step consumes one round's words
+/// and returns the next round's addresses or the outcome.
+pub struct Alg2Machine<'a, I: AnnsInstance> {
+    instance: &'a I,
+    query: &'a I::Query,
+    /// Group size `s` (see [`Alg2Machine::new`]).
+    s_int: u32,
+    tau: u32,
+    completion_width: u32,
+    l: u32,
+    u: u32,
+    /// The degenerate-case probes, taken by the first round.
+    degen: Option<[Address; 2]>,
+    /// Whether the outstanding round leads with the degenerate probes.
+    degen_led: bool,
+    /// The gap strictly shrinks every phase; capped defensively for
+    /// error-injected oracles.
+    phases_left: u32,
+    pending: Pending,
+}
+
+impl<'a, I: AnnsInstance> Alg2Machine<'a, I> {
+    /// A machine for one query under `cfg`.
+    pub fn new(instance: &'a I, query: &'a I::Query, cfg: &Alg2Config) -> Self {
+        let top = instance.top();
+        let k = cfg.k;
+        assert!(k >= 2, "Algorithm 2 needs at least two rounds");
+        // Group size: the instance's tables were built for a fixed s (it
+        // enters the n^{-1/s} threshold on the table side), so the query
+        // side takes it from the instance rather than recomputing from
+        // (k, c).
+        let s_int = (instance.s().floor() as u32).max(1);
+        let tau = cfg
+            .tau_override
+            .unwrap_or_else(|| choose_tau_alg2(top, k, cfg.c));
+        assert!(tau >= 3, "grid width must be at least 3");
+        Alg2Machine {
+            instance,
+            query,
+            s_int,
+            tau,
+            completion_width: (3 * tau).max(k),
+            l: 0,
+            u: top,
+            degen: instance.degen_addresses(query),
+            degen_led: false,
+            phases_left: 2 * top + 8,
+            pending: Pending::Start,
+        }
+    }
+
+    /// Starts a round's address list, leading with the degenerate probes
+    /// if this is the first round.
+    fn round_start(&mut self, capacity: usize) -> Vec<Address> {
+        let mut addrs = Vec::with_capacity(capacity + 2);
+        if let Some(two) = self.degen.take() {
+            addrs.extend(two);
+            self.degen_led = true;
+        }
+        addrs
+    }
+
+    /// Issues the completion round once the gap is below the completion
+    /// width, else a shrinking phase's first round.
+    fn next_round(&mut self) -> Step<QueryOutcome> {
+        let (l, u, tau, s_int) = (self.l, self.u, self.tau, self.s_int);
+        if u - l < self.completion_width {
             // Completion round (shared logic with Algorithm 1's final round).
             let scales: Vec<u32> = (l + 1..=u).collect();
-            let mut addrs: Vec<Address> = Vec::with_capacity(scales.len() + 2);
-            let degen_probes = if first_round {
-                degen.as_ref().map_or(0, |two| {
-                    addrs.extend(two.iter().cloned());
-                    2
-                })
-            } else {
-                0
-            };
-            addrs.extend(scales.iter().map(|&i| instance.t_address(query, i)));
-            let words = exec.round(&addrs);
-            if degen_probes == 2 {
-                if let Some((index, _)) = decode_t_cell(&words[0]) {
-                    return QueryOutcome {
-                        kind: OutcomeKind::Exact { index },
-                    };
-                }
-                if let Some((index, point)) = decode_t_cell(&words[1]) {
-                    return QueryOutcome {
-                        kind: OutcomeKind::NearOne { index, point },
-                    };
-                }
-            }
-            for (pos, word) in words[degen_probes..].iter().enumerate() {
-                if let Some((index, point)) = decode_t_cell(word) {
-                    return QueryOutcome {
-                        kind: OutcomeKind::AtScale {
-                            scale: scales[pos],
-                            index,
-                            point,
-                        },
-                    };
-                }
-            }
-            return QueryOutcome {
-                kind: OutcomeKind::NotFound,
-            };
+            let mut addrs = self.round_start(scales.len());
+            addrs.extend(
+                scales
+                    .iter()
+                    .map(|&i| self.instance.t_address(self.query, i)),
+            );
+            self.pending = Pending::Completion { scales };
+            return Step::Probe(addrs);
         }
-
-        // ---- Shrinking phase, first round ----
-        let gap = u64::from(u - l);
-        let l_snapshot = l;
-        let rho = move |r: u32| l_snapshot + ((u64::from(r) * gap) / u64::from(tau)) as u32;
         // Arrange the τ−1 coarse queries into groups of (at most) s.
+        let gap = u64::from(u - l);
         let num_groups = (tau - 1).div_ceil(s_int);
-        let mut groups: Vec<AuxGroupSpec> = Vec::with_capacity(num_groups as usize);
+        let mut addrs = self.round_start(num_groups as usize + 1);
+        addrs.push(self.instance.t_address(self.query, u)); // T_u[M_u x], per the paper
         for j in 1..=num_groups {
             let r_start = 1 + (j - 1) * s_int;
             let r_end = (j * s_int).min(tau - 1);
-            let indices: Vec<u32> = (r_start..=r_end).map(rho).collect();
-            groups.push(AuxGroupSpec {
+            let indices: Vec<u32> = (r_start..=r_end).map(|r| rho(l, gap, tau, r)).collect();
+            let group = AuxGroupSpec {
                 u_scale: u,
                 lo: indices[0],
                 hi: *indices.last().expect("groups are non-empty"),
                 indices,
+            };
+            addrs.push(self.instance.aux_address(self.query, &group));
+        }
+        self.pending = Pending::PhaseFirst { l, gap };
+        Step::Probe(addrs)
+    }
+
+    /// Closes a shrinking phase: checks the invariant and the phase cap,
+    /// then issues the next round.
+    fn end_phase(&mut self) -> Step<QueryOutcome> {
+        // `u <= l` is unreachable with a consistent oracle (the paper's
+        // invariant argument); reachable only under injected errors.
+        self.phases_left -= 1;
+        if self.u <= self.l || self.phases_left == 0 {
+            return Step::Done(QueryOutcome {
+                kind: OutcomeKind::NotFound,
             });
         }
-        let mut addrs: Vec<Address> = Vec::with_capacity(groups.len() + 3);
-        let degen_probes = if first_round {
-            degen.as_ref().map_or(0, |two| {
-                addrs.extend(two.iter().cloned());
-                2
-            })
-        } else {
-            0
-        };
-        addrs.push(instance.t_address(query, u)); // T_u[M_u x], per the paper
-        addrs.extend(groups.iter().map(|g| instance.aux_address(query, g)));
-        let words = exec.round(&addrs);
-        if degen_probes == 2 {
-            if let Some((index, _)) = decode_t_cell(&words[0]) {
-                return QueryOutcome {
-                    kind: OutcomeKind::Exact { index },
-                };
-            }
-            if let Some((index, point)) = decode_t_cell(&words[1]) {
-                return QueryOutcome {
-                    kind: OutcomeKind::NearOne { index, point },
-                };
-            }
-        }
-        first_round = false;
-        // r* = smallest r ∈ [τ] with |D_{u,ρ(r)}| > n^{-1/s}|C_u|, else τ.
-        let aux_words = &words[degen_probes + 1..];
-        let mut r_star = tau;
-        for (jpos, word) in aux_words.iter().enumerate() {
-            if let Some(r_in_group) = decode_aux_cell(word) {
-                r_star = jpos as u32 * s_int + r_in_group;
-                break;
-            }
-        }
-        debug_assert!((1..=tau).contains(&r_star));
+        self.next_round()
+    }
+}
 
-        if r_star == 1 {
-            // CASE 1: gap shrinks to ρ(1)+1 − l; no second round.
-            u = rho(1) + 1;
-        } else {
-            // ---- Shrinking phase, second round ----
-            let probe_scale = rho(r_star - 1) - 1;
-            let word = exec.round(&[instance.t_address(query, probe_scale)]);
-            if decode_t_cell(&word[0]).is_none() {
-                // CASE 2: C_{ρ(r*−1)−1} = ∅ — raise l (and trim u if r* < τ).
-                l = probe_scale;
-                if r_star < tau {
-                    u = rho(r_star) + 1;
-                }
-            } else {
-                // CASE 3: C_{ρ(r*−1)−1} ≠ ∅ — |C_u| shrinks by ≈ n^{-1/2s}.
-                u = probe_scale;
+/// `ρ(r) = ⌊l + r·gap/τ⌋`, the r-th interior grid point of a phase.
+fn rho(l: u32, gap: u64, tau: u32, r: u32) -> u32 {
+    l + ((u64::from(r) * gap) / u64::from(tau)) as u32
+}
+
+impl<I: AnnsInstance> RoundMachine for Alg2Machine<'_, I> {
+    type Answer = QueryOutcome;
+
+    fn step(&mut self, mut words: &[Word]) -> Step<QueryOutcome> {
+        let tau = self.tau;
+        if std::mem::take(&mut self.degen_led) {
+            if let Some(kind) = decode_degen(words) {
+                return Step::Done(QueryOutcome { kind });
             }
+            words = &words[2..];
         }
-        if u <= l {
-            // Unreachable with a consistent oracle (the paper's invariant
-            // argument); reachable only under injected errors.
-            return QueryOutcome {
-                kind: OutcomeKind::NotFound,
-            };
-        }
-        phases_left -= 1;
-        if phases_left == 0 {
-            return QueryOutcome {
-                kind: OutcomeKind::NotFound,
-            };
+        match std::mem::replace(&mut self.pending, Pending::Start) {
+            Pending::Start => self.next_round(),
+            Pending::Completion { scales } => Step::Done(complete(words, &scales)),
+            Pending::PhaseFirst { l, gap } => {
+                // r* = smallest r ∈ [τ] with |D_{u,ρ(r)}| > n^{-1/s}|C_u|, else τ.
+                let r_star = words[1..]
+                    .iter()
+                    .enumerate()
+                    .find_map(|(jpos, word)| {
+                        decode_aux_cell(word)
+                            .map(|r_in_group| jpos as u32 * self.s_int + r_in_group)
+                    })
+                    .unwrap_or(tau);
+                debug_assert!((1..=tau).contains(&r_star));
+                if r_star == 1 {
+                    // CASE 1: gap shrinks to ρ(1)+1 − l; no second round.
+                    self.u = rho(l, gap, tau, 1) + 1;
+                    return self.end_phase();
+                }
+                // ---- Shrinking phase, second round ----
+                let probe_scale = rho(l, gap, tau, r_star - 1) - 1;
+                self.pending = Pending::PhaseSecond {
+                    probe_scale,
+                    r_star,
+                    l,
+                    gap,
+                };
+                Step::Probe(vec![self.instance.t_address(self.query, probe_scale)])
+            }
+            Pending::PhaseSecond {
+                probe_scale,
+                r_star,
+                l,
+                gap,
+            } => {
+                if decode_t_cell(&words[0]).is_none() {
+                    // CASE 2: C_{ρ(r*−1)−1} = ∅ — raise l (and trim u if r* < τ).
+                    self.l = probe_scale;
+                    if r_star < tau {
+                        self.u = rho(l, gap, tau, r_star) + 1;
+                    }
+                } else {
+                    // CASE 3: C_{ρ(r*−1)−1} ≠ ∅ — |C_u| shrinks by ≈ n^{-1/2s}.
+                    self.u = probe_scale;
+                }
+                self.end_phase()
+            }
         }
     }
 }

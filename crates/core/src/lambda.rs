@@ -14,7 +14,7 @@
 //! This is why the paper's lower bound must target the *search* problem:
 //! the decision version collapses to `O(1)` probes (§1, §4 prelude).
 
-use anns_cellprobe::{CellProbeScheme, RoundExecutor, Table};
+use anns_cellprobe::{drive, CellProbeScheme, OneRound, RoundExecutor, RoundMachine, Table, Word};
 use serde::{Deserialize, Serialize};
 
 use crate::instance::AnnsInstance;
@@ -52,17 +52,29 @@ pub enum LambdaAnswer {
 }
 
 /// Runs the 1-probe λ-ANNS scheme: reads `T_i[M_i x]` at `i = ⌈log_α λ⌉`.
+/// A thin driver over [`lambda_machine`].
 pub fn lambda_ann<I: AnnsInstance>(
     instance: &I,
     query: &I::Query,
     scale: u32,
     exec: &mut RoundExecutor<'_>,
 ) -> LambdaAnswer {
-    let words = exec.round(&[instance.t_address(query, scale)]);
-    match decode_t_cell(&words[0]) {
-        Some((index, point)) => LambdaAnswer::Neighbor { index, point },
-        None => LambdaAnswer::No,
-    }
+    drive(&mut lambda_machine(instance, query, scale), exec)
+}
+
+/// The λ-ANNS scheme as a step machine: one round of one probe.
+pub fn lambda_machine<I: AnnsInstance>(
+    instance: &I,
+    query: &I::Query,
+    scale: u32,
+) -> impl RoundMachine<Answer = LambdaAnswer> {
+    OneRound::new(
+        vec![instance.t_address(query, scale)],
+        |words: &[Word]| match decode_t_cell(&words[0]) {
+            Some((index, point)) => LambdaAnswer::Neighbor { index, point },
+            None => LambdaAnswer::No,
+        },
+    )
 }
 
 /// [`CellProbeScheme`] adapter for the λ-ANNS scheme.

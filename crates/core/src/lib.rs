@@ -78,15 +78,16 @@ pub mod store;
 pub mod subsample;
 pub mod synthetic;
 
-pub use alg1::{alg1, choose_tau_alg1, Alg1Scheme};
-pub use alg2::{alg2, alg2_s, choose_tau_alg2, Alg2Config, Alg2Scheme};
+pub use alg1::{alg1, choose_tau_alg1, Alg1Machine, Alg1Scheme};
+pub use alg2::{alg2, alg2_s, choose_tau_alg2, Alg2Config, Alg2Machine, Alg2Scheme};
 pub use boosted::{BoostedIndex, BoostedLedger};
 pub use concrete::{AnnIndex, BuildOptions, ErasureModel, IndexSnapshot};
 pub use instance::{AnnsInstance, AuxGroupSpec};
-pub use lambda::{lambda_ann, lambda_scale, LambdaScheme};
+pub use lambda::{lambda_ann, lambda_machine, lambda_scale, LambdaScheme};
 pub use outcome::{OutcomeKind, QueryOutcome};
 pub use serve::{
-    Candidate, ServableScheme, ServeAlg1, ServeAlg2, ServeLambda, ServedAnswer, SoloServable,
+    Candidate, QueryMachine, ServableScheme, ServeAlg1, ServeAlg2, ServeLambda, ServedAnswer,
+    SoloServable,
 };
 pub use store::{SchemeSpec, StoredScheme};
 pub use subsample::{Aggregation, SubsampledRepetition, REPLICA_STRIDE};

@@ -15,18 +15,25 @@
 //! adaptive-distance-estimation and adversarially-robust-ANN lines of work
 //! make exactly this accounting the object of study; see `PAPERS.md`).
 //!
+//! A scheme serves a query either as a step machine ([`QueryMachine`],
+//! from [`ServableScheme::start`]) or by running it to completion
+//! against an executor ([`ServableScheme::serve`]). Every in-tree scheme
+//! is a machine, which lets an engine step a whole generation of
+//! queries from one loop; `serve` drives the same machine for the solo
+//! paths.
+//!
 //! [`RoundExecutor`]: anns_cellprobe::RoundExecutor
 
 use std::sync::Arc;
 
-use anns_cellprobe::{CellProbeScheme, ProbeLedger, RoundExecutor, Table};
+use anns_cellprobe::{drive, CellProbeScheme, ProbeLedger, RoundExecutor, RoundMachine, Table};
 use anns_hamming::Point;
 
-use crate::alg1::{alg1, choose_tau_alg1};
-use crate::alg2::{alg2, Alg2Config};
+use crate::alg1::{choose_tau_alg1, Alg1Machine};
+use crate::alg2::{Alg2Config, Alg2Machine};
 use crate::concrete::AnnIndex;
 use crate::instance::AnnsInstance;
-use crate::lambda::{lambda_ann, lambda_scale, LambdaAnswer};
+use crate::lambda::{lambda_machine, lambda_scale, LambdaAnswer};
 use crate::outcome::QueryOutcome;
 
 /// A candidate neighbor returned by a baseline scheme.
@@ -61,8 +68,19 @@ impl ServedAnswer {
     }
 }
 
+/// One served query as a step machine: a [`RoundMachine`] answering
+/// with a [`ServedAnswer`].
+pub trait QueryMachine: RoundMachine<Answer = ServedAnswer> {}
+
+impl<M: RoundMachine<Answer = ServedAnswer> + ?Sized> QueryMachine for M {}
+
 /// An index instance servable behind a trait object: table oracle, declared
 /// word size, declared budgets, and the query algorithm itself.
+///
+/// Implement [`ServableScheme::start`] (a step machine, stepped by the
+/// engine's generation loop and driven by the default `serve`), or
+/// override [`ServableScheme::serve`] alone; an engine runs a
+/// serve-only scheme's query on a thread of its own.
 ///
 /// This is the object-safe sibling of [`CellProbeScheme`], with the query
 /// type fixed to [`Point`] and the answer unified to [`ServedAnswer`];
@@ -117,8 +135,24 @@ pub trait ServableScheme: Send + Sync {
                 .is_none_or(|t| ledger.total_probes() as u64 <= t)
     }
 
+    /// The query algorithm as a step machine, or `None` for a scheme
+    /// that implements only [`ServableScheme::serve`].
+    fn start<'a>(&'a self, query: &'a Point) -> Option<Box<dyn QueryMachine + 'a>> {
+        let _ = query;
+        None
+    }
+
     /// The query algorithm. All table access must go through `exec`.
-    fn serve(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> ServedAnswer;
+    /// The default drives the [`ServableScheme::start`] machine.
+    ///
+    /// # Panics
+    /// If the scheme overrides neither method.
+    fn serve(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> ServedAnswer {
+        let mut machine = self
+            .start(query)
+            .expect("a servable scheme implements `start` or `serve`");
+        drive(&mut *machine, exec)
+    }
 
     /// The scheme's persistent form for the binary store
     /// ([`crate::store`]), or `None` if it cannot be persisted (ad-hoc
@@ -158,7 +192,7 @@ pub struct ServeAlg1 {
     pub index: Arc<AnnIndex>,
     /// Round budget `k ≥ 1`.
     pub k: u32,
-    /// Optional grid-width override (see [`alg1`]).
+    /// Optional grid-width override (see [`crate::alg1::alg1`]).
     pub tau_override: Option<u32>,
 }
 
@@ -195,8 +229,9 @@ impl ServableScheme for ServeAlg1 {
         Some(u64::from(self.k) * u64::from(tau - 1) + 2)
     }
 
-    fn serve(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> ServedAnswer {
-        ServedAnswer::Outcome(alg1(&*self.index, query, self.k, self.tau_override, exec))
+    fn start<'a>(&'a self, query: &'a Point) -> Option<Box<dyn QueryMachine + 'a>> {
+        let machine = Alg1Machine::new(&*self.index, query, self.k, self.tau_override);
+        Some(Box::new(machine.map(ServedAnswer::Outcome)))
     }
 
     fn stored(&self) -> Option<crate::store::StoredScheme> {
@@ -239,8 +274,9 @@ impl ServableScheme for ServeAlg2 {
         Some(self.config.k)
     }
 
-    fn serve(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> ServedAnswer {
-        ServedAnswer::Outcome(alg2(&*self.index, query, &self.config, exec))
+    fn start<'a>(&'a self, query: &'a Point) -> Option<Box<dyn QueryMachine + 'a>> {
+        let machine = Alg2Machine::new(&*self.index, query, &self.config);
+        Some(Box::new(machine.map(ServedAnswer::Outcome)))
     }
 
     fn stored(&self) -> Option<crate::store::StoredScheme> {
@@ -284,13 +320,14 @@ impl ServableScheme for ServeLambda {
         Some(1)
     }
 
-    fn serve(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> ServedAnswer {
+    fn start<'a>(&'a self, query: &'a Point) -> Option<Box<dyn QueryMachine + 'a>> {
         let scale = lambda_scale(
             self.lambda,
             self.index.family().alpha(),
             self.index.family().top(),
         );
-        ServedAnswer::Lambda(lambda_ann(&*self.index, query, scale, exec))
+        let machine = lambda_machine(&*self.index, query, scale);
+        Some(Box::new(machine.map(ServedAnswer::Lambda)))
     }
 
     fn stored(&self) -> Option<crate::store::StoredScheme> {

@@ -34,12 +34,13 @@
 use std::sync::{Arc, Mutex};
 
 use anns_cellprobe::{
-    Address, ExecOptions, RoundExecutor, RoundSource, SpaceModel, Table, TableId,
+    drive, Address, ExecOptions, RoundExecutor, RoundMachine, RoundSource, SpaceModel, Step, Table,
+    TableId, Word,
 };
 use anns_hamming::Point;
 
 use crate::lambda::LambdaAnswer;
-use crate::serve::{ServableScheme, ServedAnswer};
+use crate::serve::{QueryMachine, ServableScheme, ServedAnswer};
 
 /// Table-id block reserved per replica: replica `i`'s inner table `t`
 /// appears on the shared oracle as `i × REPLICA_STRIDE + t`.
@@ -287,18 +288,35 @@ impl ServableScheme for SubsampledRepetition {
         Some(u64::from(self.sample) * worst.into_iter().max().unwrap_or(0))
     }
 
+    /// A machine running the `K` picked inners' machines one after
+    /// another, or `None` if a picked inner is serve-only.
+    fn start<'a>(&'a self, query: &'a Point) -> Option<Box<dyn QueryMachine + 'a>> {
+        let inners = self
+            .subsample_for(query)
+            .into_iter()
+            .map(|replica| Some((replica, self.inners[replica].start(query)?)))
+            .collect::<Option<Vec<_>>>()?;
+        Some(Box::new(Ensemble {
+            owner: self,
+            query,
+            answers: Vec::with_capacity(inners.len()),
+            inners,
+        }))
+    }
+
     fn serve(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> ServedAnswer {
-        let picks = self.subsample_for(query);
-        let mut answers = Vec::with_capacity(picks.len());
-        for &replica in &picks {
-            // Each inner runs on its own executor whose rounds are
-            // re-issued (table ids offset into the replica's block)
-            // against the *outer* executor: the outer ledger sees
-            // every probe and the engine's coalescing seam still
-            // carries them all.
+        if let Some(mut machine) = self.start(query) {
+            return drive(&mut *machine, exec);
+        }
+        // A picked inner is serve-only: run each inner on its own
+        // executor whose rounds are re-issued (table ids offset into
+        // the replica's block) against the outer executor, so the
+        // outer ledger sees every probe, exactly as the machine does.
+        let mut answers = Vec::with_capacity(self.sample as usize);
+        for replica in self.subsample_for(query) {
             let source = OffsetSource {
                 outer: Mutex::new(&mut *exec),
-                base: replica as TableId * REPLICA_STRIDE,
+                base: replica_base(replica),
             };
             let mut sub = RoundExecutor::with_source(&source, ExecOptions::default());
             answers.push((replica, self.inners[replica].serve(query, &mut sub)));
@@ -328,7 +346,7 @@ struct ReplicaRouter {
 }
 
 impl Table for ReplicaRouter {
-    fn read(&self, addr: &Address) -> anns_cellprobe::Word {
+    fn read(&self, addr: &Address) -> Word {
         let replica = (addr.table / REPLICA_STRIDE) as usize;
         assert!(
             replica < self.inners.len(),
@@ -347,6 +365,50 @@ impl Table for ReplicaRouter {
     }
 }
 
+/// The first table id of replica `replica`'s block.
+fn replica_base(replica: usize) -> TableId {
+    replica as TableId * REPLICA_STRIDE
+}
+
+/// Shifts inner addresses into a replica's table-id block.
+fn shifted(base: TableId, addrs: &[Address]) -> Vec<Address> {
+    addrs
+        .iter()
+        .map(|a| Address::new(base + a.table, a.key.clone()))
+        .collect()
+}
+
+/// The ensemble's step machine: the picked inners run one after
+/// another (never in lock-step), their rounds shifted into each
+/// replica's table-id block, so the outer ledger is the concatenation
+/// of the inner ones.
+struct Ensemble<'a> {
+    owner: &'a SubsampledRepetition,
+    query: &'a Point,
+    /// The picked inners in subsample order; the first
+    /// `answers.len()` of them have answered.
+    inners: Vec<(usize, Box<dyn QueryMachine + 'a>)>,
+    answers: Vec<(usize, ServedAnswer)>,
+}
+
+impl RoundMachine for Ensemble<'_> {
+    type Answer = ServedAnswer;
+
+    fn step(&mut self, mut words: &[Word]) -> Step<ServedAnswer> {
+        while let Some((replica, machine)) = self.inners.get_mut(self.answers.len()) {
+            match machine.step(words) {
+                Step::Probe(addrs) => return Step::Probe(shifted(replica_base(*replica), &addrs)),
+                Step::Done(answer) => {
+                    self.answers.push((*replica, answer));
+                    // The next inner starts from no words.
+                    words = &[];
+                }
+            }
+        }
+        Step::Done(self.owner.aggregate(self.query, &self.answers))
+    }
+}
+
 /// Re-issues a sub-executor's rounds against the outer executor with
 /// the replica's table-id offset applied. `Mutex` only to satisfy the
 /// `Sync` bound on [`RoundSource`]; rounds arrive one at a time.
@@ -356,15 +418,11 @@ struct OffsetSource<'e, 'o> {
 }
 
 impl RoundSource for OffsetSource<'_, '_> {
-    fn read_round(&self, addrs: &[Address]) -> Vec<anns_cellprobe::Word> {
-        let shifted: Vec<Address> = addrs
-            .iter()
-            .map(|a| Address::new(self.base + a.table, a.key.clone()))
-            .collect();
+    fn read_round(&self, addrs: &[Address]) -> Vec<Word> {
         self.outer
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .round(&shifted)
+            .round(&shifted(self.base, addrs))
     }
 }
 

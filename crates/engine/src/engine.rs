@@ -2,24 +2,22 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
-use anns_cellprobe::{execute_on, ExecOptions, ProbeLedger, Transcript};
-use anns_core::serve::{ServedAnswer, SoloServable};
+use anns_cellprobe::{ExecOptions, ProbeLedger, Transcript};
+use anns_core::serve::ServedAnswer;
 use anns_hamming::Point;
 use anns_obs::{NullRecorder, Recorder, TraceEvent};
 
 use crate::mount::MountTable;
 use crate::registry::{Registry, ShardId};
-use crate::scheduler::{DispatchTrace, Generation};
+use crate::scheduler::{DispatchTrace, Shards};
 use crate::stats::EngineStats;
 
 /// Engine configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineOptions {
-    /// Maximum queries admitted into one generation (the coalescing and
-    /// parallelism width; also the number of worker threads per
-    /// generation, one per in-flight query).
+    /// Maximum queries admitted into one generation: the coalescing
+    /// width. One loop on the calling thread steps all of them.
     pub generation: usize,
     /// Per-query executor options (transcripts, serialization, word caps).
     /// The `parallel*` fields are inert on the engine path — parallelism
@@ -133,8 +131,9 @@ pub struct Served {
     /// Full probe transcript when `exec.record_transcript` is set.
     pub transcript: Option<Transcript>,
     /// Wall-clock latency of this query inside its generation, in
-    /// nanoseconds (includes time parked at round barriers — that is the
-    /// latency a caller actually observes under coalesced serving).
+    /// nanoseconds: from the generation's start to this query's answer,
+    /// including the rounds it waited on peers' reads and steps — the
+    /// latency a caller actually observes under coalesced serving.
     pub latency_ns: u64,
     /// Whether the query stayed within the shard scheme's declared round
     /// and probe budgets (`true` when no budget is declared).
@@ -271,10 +270,10 @@ impl Engine {
         // Shard ids are epoch-relative, so the *whole call* pins the
         // epoch current at admission: validating ids against one epoch
         // and then serving chunks from a newer one would misroute (or
-        // panic mid-generation, stranding peers at the round barrier) if
-        // a swap landed between chunks. Name-addressed requests
-        // ([`Engine::submit_named`]) re-pin per generation instead —
-        // names stay valid across the flip, ids do not.
+        // panic mid-generation) if a swap landed between chunks.
+        // Name-addressed requests ([`Engine::submit_named`]) re-pin per
+        // generation instead — names stay valid across the flip, ids do
+        // not.
         let epoch = self.mounts.current();
         for request in requests {
             assert!(
@@ -315,7 +314,7 @@ impl Engine {
                     // `ready()` forces any deferred (mmap-backed) load
                     // before the query enters a generation, so damaged
                     // backing bytes surface as a typed per-query error
-                    // here instead of a panic at the round barrier.
+                    // here instead of a panic mid-generation.
                     Some(shard) => match epoch.scheme(shard).ready() {
                         Ok(()) => {
                             slots.push(chunk_start + offset);
@@ -381,8 +380,9 @@ impl Engine {
         )
     }
 
-    /// Runs one generation against a pinned epoch: a scoped thread per
-    /// query, all advanced round by round through the generation barrier.
+    /// Runs one generation against a pinned epoch: one loop on this
+    /// thread steps every query's machine round by round (serve-only
+    /// schemes run on scoped threads behind channel-backed machines).
     fn run_generation(
         &self,
         epoch: &Arc<Registry>,
@@ -400,63 +400,20 @@ impl Engine {
         let obs = self.obs.as_ref();
         let gen_id = self.gen_seq.fetch_add(1, Ordering::Relaxed);
         let gen_started_ns = if obs.enabled() { obs.now_ns() } else { 0 };
-        let generation = Generation::new(
+        let shards = Shards {
             tables,
-            requests.len(),
-            self.opts.batch_threads,
-            self.opts.exec.probe_tile,
-            epoch.epoch(),
+            batch_threads: self.opts.batch_threads,
+            probe_tile: self.opts.exec.probe_tile,
+            mount_epoch: epoch.epoch(),
             gen_id,
             obs,
-        );
-        let mut slots: Vec<Option<Served>> = (0..requests.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for ((slot, request), out) in requests.iter().enumerate().zip(slots.iter_mut()) {
-                let generation = &generation;
-                assert!(
-                    request.shard.0 < epoch.len(),
-                    "unknown shard {:?} in epoch {} (registry holds {})",
-                    request.shard,
-                    epoch.epoch(),
-                    epoch.len()
-                );
-                let scheme = epoch.scheme(request.shard);
-                let exec = self.opts.exec;
-                let mount_epoch = epoch.epoch();
-                scope.spawn(move || {
-                    let started = Instant::now();
-                    let source = generation.source(slot, request.shard.0);
-                    let solo = SoloServable(scheme);
-                    // Departs on drop — also mid-unwind if the scheme
-                    // panics, so one failing query can't strand its peers
-                    // at the round barrier.
-                    let departing = generation.depart_guard();
-                    let (answer, ledger, transcript) =
-                        execute_on(&solo, &request.query, &source, exec);
-                    drop(departing);
-                    let within_budget = scheme.within_budget(&ledger);
-                    *out = Some(Served {
-                        answer,
-                        ledger,
-                        transcript,
-                        latency_ns: started.elapsed().as_nanos() as u64,
-                        within_budget,
-                        epoch: mount_epoch,
-                    });
-                });
-            }
-        });
-        let served: Vec<Served> = slots
-            .into_iter()
-            .map(|s| s.expect("query not served"))
-            .collect();
+        };
+        let (served, dispatches) = shards.run(epoch, requests, self.opts.exec);
         if obs.enabled() {
-            // Emit completions here — sequentially, in slot order, after
-            // the barrier — rather than from the worker threads, whose
-            // finish order is scheduler-dependent. This is what makes a
-            // VirtualClock trace byte-stable across runs. `wait_ns` is
-            // the generation's wall time on the recorder's clock (per-
-            // query latency_ns stays on `Instant`, as before).
+            // Emit completions here — sequentially, in slot order, once
+            // the generation ends — so a VirtualClock trace is byte-stable
+            // across runs. `wait_ns` is the generation's wall time on the
+            // recorder's clock (per-query latency_ns stays on `Instant`).
             let wait_ns = obs.now_ns().saturating_sub(gen_started_ns);
             for (slot, query) in served.iter().enumerate() {
                 obs.record(TraceEvent::QueryServed {
@@ -471,7 +428,7 @@ impl Engine {
         }
         let trace = GenerationTrace {
             epoch: epoch.epoch(),
-            dispatches: generation.into_traces(),
+            dispatches,
         };
         self.totals
             .lock()

@@ -27,7 +27,7 @@
 use std::sync::{Arc, OnceLock};
 
 use anns_cellprobe::{ProbeLedger, RoundExecutor, Table};
-use anns_core::serve::{ServableScheme, ServedAnswer};
+use anns_core::serve::{QueryMachine, ServableScheme, ServedAnswer};
 use anns_core::AnnIndex;
 use anns_hamming::Point;
 use anns_store::pool::{decode_pool_table, PoolEntry, POOL_ENTRY_BYTES, POOL_TABLE_PREFIX_BYTES};
@@ -237,6 +237,10 @@ impl ServableScheme for LazyServable {
 
     fn within_budget(&self, ledger: &ProbeLedger) -> bool {
         self.forced().within_budget(ledger)
+    }
+
+    fn start<'a>(&'a self, query: &'a Point) -> Option<Box<dyn QueryMachine + 'a>> {
+        self.forced().start(query)
     }
 
     fn serve(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> ServedAnswer {

@@ -34,11 +34,13 @@
 //!   them, new admissions see the new bundle, and the old mount retires
 //!   (observably, via [`mount::SwapReceipt`]) when its last generation
 //!   drains;
-//! * [`scheduler`] — the **generation barrier**: queries admitted
-//!   together advance one round at a time; the last query to park a round
-//!   leads the coalesced dispatch (sort + dedup + one
-//!   `anns_cellprobe::read_batch` per shard) and every dispatch is
-//!   recorded in an auditable [`scheduler::DispatchTrace`];
+//! * [`scheduler`] — the **generation loop**: queries admitted together
+//!   are step machines (`ServableScheme::start`) advanced one round at a
+//!   time by one loop on the calling thread, which gathers every live
+//!   query's round, runs the coalesced dispatch (sort + dedup + one
+//!   `anns_cellprobe::read_batch` per shard), and steps each query with
+//!   its words; every dispatch is recorded in an auditable
+//!   [`scheduler::DispatchTrace`];
 //! * [`engine`] — the **front-end**: [`engine::Engine::submit`] /
 //!   [`engine::Engine::submit_batch`] admit queries in generations, and
 //!   per-query results carry the answer, the probe [`ProbeLedger`]
@@ -67,10 +69,10 @@
 //!   flight recorder, free (one guarded branch per site) under the
 //!   default `anns_obs::NullRecorder`. See `docs/OBSERVABILITY.md`.
 //!
-//! Within-round non-adaptivity is preserved *by construction*: every
-//! query still reads cells only through its own `RoundExecutor`, which
-//! hands whole rounds to the generation barrier via the `RoundSource`
-//! seam, and the engine's equivalence audits (see
+//! Within-round non-adaptivity is preserved *by construction*: a step
+//! machine hands out a whole round before it sees any of its words, every
+//! query's round is still accounted by its own `RoundExecutor`, and the
+//! engine's equivalence audits (see
 //! `tests/engine_equivalence.rs`) check answers, ledgers and transcripts
 //! against sequential `execute_with` runs — the round count per query is
 //! identical, which is the paper's `k` showing up unchanged under
@@ -139,7 +141,7 @@ pub use mount::{
     MountTable, StoreBackend, SwapReceipt,
 };
 pub use registry::{load_index_snapshot, BundleMeta, LoadedBundle, Registry, ShardId, ShardInfo};
-pub use scheduler::{DispatchTrace, Generation};
+pub use scheduler::DispatchTrace;
 pub use stats::{
     percentile, EngineStats, Histogram, LatencySummary, OnlineStats, ServeReport, TenantUsage,
 };

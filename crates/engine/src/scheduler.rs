@@ -1,49 +1,49 @@
-//! The round-synchronous generation scheduler.
+//! The generation loop.
 //!
 //! A *generation* is a set of queries admitted together and advanced **one
-//! round at a time**: every in-flight query computes its next round's
-//! addresses, parks them at a barrier, and only when *all* still-active
-//! queries of the generation have parked does the scheduler execute the
-//! union — one sorted, deduplicated batch per shard — and hand each query
-//! its words back. This is the paper's round structure lifted from one
-//! query to many: within a generation-round, no query's probe contents can
-//! influence any probe address of the same round (its own addresses were
-//! fixed before dispatch — [`RoundExecutor`] enforces that per query — and
-//! other queries' addresses are data-independent of it), so coalescing is
-//! correctness-free by construction and every per-query `Transcript` is
-//! byte-identical to a solo execution.
+//! round at a time** by a single loop on the calling thread. Each query is
+//! a step machine ([`QueryMachine`]): given its last round's words it
+//! returns the next round's addresses or its answer. One pass of the loop
+//! gathers the outstanding round of every live query, executes the union —
+//! one sorted, deduplicated batch per shard — and steps each of those
+//! queries with its own words. This is the paper's round structure lifted
+//! from one query to many: a round's addresses are fixed before any of its
+//! contents return, and other queries' addresses are data-independent of
+//! it, so coalescing is correctness-free by construction.
 //!
-//! Implementation: each query runs on its own scoped thread whose
-//! [`RoundSource`] is a handle onto the shared [`Generation`] state. The
-//! *last* participant to park a round becomes the leader and executes the
-//! coalesced dispatch in place (no separate coordinator thread); queries
-//! that finish *depart*, shrinking the barrier width, and trigger the
-//! dispatch themselves if they were the ones holding it open. Every
-//! dispatch appends a [`DispatchTrace`] so audits can verify that a
-//! query's rounds are never reordered or merged across engine dispatches.
+//! Every query keeps its own [`RoundExecutor`], fed from a source that
+//! already holds that query's words, so its ledger, transcript and
+//! declared word-size checks are byte-identical to a solo execution.
+//! Every pass appends a [`DispatchTrace`] so audits can verify that a
+//! query's rounds are never reordered or merged across dispatches.
 //!
-//! [`RoundExecutor`]: anns_cellprobe::RoundExecutor
+//! A scheme that implements only `serve` (no machine) runs its query on a
+//! scoped thread behind a channel-backed machine (`serve_on_thread`);
+//! the loop steps it like any other and re-raises the thread's panic, if
+//! it has one, on the loop's thread.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::Mutex;
+use std::thread::{Scope, ScopedJoinHandle};
+use std::time::Instant;
 
 use anns_cellprobe::{
-    chunked_parallel_map, read_batch_observed, Address, RoundSource, Table, Word,
+    chunked_parallel_map, read_batch_observed, Address, ExecOptions, RoundExecutor, RoundMachine,
+    RoundSource, Step, Table, Word,
 };
+use anns_core::serve::{QueryMachine, ServableScheme, ServedAnswer};
+use anns_hamming::Point;
 use anns_obs::{Recorder, TraceEvent};
+
+use crate::engine::{QueryRequest, Served};
+use crate::registry::Registry;
 
 /// Total order on addresses: shard batches are dispatched sorted so the
 /// table oracle sees cache-friendly, deterministic access patterns.
 pub fn addr_cmp(a: &Address, b: &Address) -> Ordering {
     (a.table, &a.key).cmp(&(b.table, &b.key))
-}
-
-/// One query's parked round.
-struct Pending {
-    slot: usize,
-    shard: usize,
-    addrs: Vec<Address>,
 }
 
 /// Audit record of one coalesced dispatch (one generation-round).
@@ -63,279 +63,381 @@ pub struct DispatchTrace {
     pub participants: Vec<(usize, usize)>,
 }
 
-struct GenState {
-    /// Queries still running (parked or computing); the barrier width.
-    active: usize,
-    /// Bumped once per dispatch; parked threads wait on it.
-    epoch: u64,
-    /// Rounds parked since the last dispatch (at most one per active query).
-    pending: Vec<Pending>,
-    /// Per-slot words from the last dispatch, taken by their owners.
-    results: Vec<Option<Vec<Word>>>,
-    /// Per-slot count of rounds already dispatched.
-    rounds_done: Vec<usize>,
-    /// Audit log, one entry per dispatch.
-    traces: Vec<DispatchTrace>,
-}
-
-/// Shared state of one in-flight generation.
-pub struct Generation<'a> {
+/// The read side of one generation: its shard tables and how to read
+/// them.
+pub(crate) struct Shards<'t> {
     /// Table oracle of each shard, indexed by shard id. `None` for
     /// shards no query in this generation targets — the engine only
     /// materializes (and, for mmap-deferred shards, decodes) the tables
     /// it will actually probe.
-    tables: Vec<Option<&'a dyn Table>>,
-    state: Mutex<GenState>,
-    parked: Condvar,
+    pub tables: Vec<Option<&'t dyn Table>>,
     /// Worker threads per coalesced shard batch.
-    batch_threads: usize,
+    pub batch_threads: usize,
     /// Cache-block tile size for each shard batch (0 = untiled).
-    probe_tile: usize,
+    pub probe_tile: usize,
     /// Mount-table epoch pinned at admission (stamped on every trace).
-    mount_epoch: u64,
+    pub mount_epoch: u64,
     /// Engine-wide generation id (labels trace events, not dispatches).
-    gen_id: u64,
+    pub gen_id: u64,
     /// Trace sink; `RoundDispatched` / `ProbeBatchRead` events flow here.
-    obs: &'a dyn Recorder,
+    pub obs: &'t dyn Recorder,
 }
 
-impl<'a> Generation<'a> {
-    /// A generation of `slots` queries over the given shard tables
-    /// (`None` for shards the generation will not touch), pinned to one
-    /// mount-table epoch. `probe_tile` cache-blocks each shard's
-    /// coalesced batch (see `anns_cellprobe::read_batch_tiled`).
-    pub fn new(
-        tables: Vec<Option<&'a dyn Table>>,
-        slots: usize,
-        batch_threads: usize,
-        probe_tile: usize,
-        mount_epoch: u64,
-        gen_id: u64,
-        obs: &'a dyn Recorder,
-    ) -> Self {
-        Generation {
-            tables,
-            state: Mutex::new(GenState {
-                active: slots,
-                epoch: 0,
-                pending: Vec::with_capacity(slots),
-                results: (0..slots).map(|_| None).collect(),
-                rounds_done: vec![0; slots],
-                traces: Vec::new(),
-            }),
-            parked: Condvar::new(),
-            batch_threads,
-            probe_tile,
-            mount_epoch,
-            gen_id,
-            obs,
+/// Each shard's sorted unique addresses of one round, and their words.
+type ShardBatches = BTreeMap<usize, (Vec<Address>, Vec<Word>)>;
+
+/// A query in flight: its machine, its executor and its outstanding
+/// round (empty once answered).
+struct InFlight<'s, 'm> {
+    shard: usize,
+    machine: Box<dyn QueryMachine + 'm>,
+    exec: RoundExecutor<'s>,
+    probe: Vec<Address>,
+    rounds: usize,
+    answer: Option<(ServedAnswer, u64)>,
+}
+
+impl InFlight<'_, '_> {
+    /// Steps the machine past `words` to its next non-empty round or its
+    /// answer. An empty round reads nothing and is not counted, exactly
+    /// as `RoundExecutor::round` treats it.
+    fn advance(&mut self, mut words: &[Word], started: Instant) {
+        loop {
+            match self.machine.step(words) {
+                Step::Probe(addrs) if addrs.is_empty() => words = &[],
+                Step::Probe(addrs) => {
+                    self.probe = addrs;
+                    return;
+                }
+                Step::Done(answer) => {
+                    self.answer = Some((answer, started.elapsed().as_nanos() as u64));
+                    return;
+                }
+            }
         }
     }
+}
 
-    /// The round source for one slot; pass to `execute_on`.
-    pub fn source(&self, slot: usize, shard: usize) -> SlotSource<'_, 'a> {
-        SlotSource {
-            generation: self,
-            slot,
-            shard,
-        }
+/// The round source every in-flight executor reads through: it holds
+/// the words of the one query the loop is stepping.
+#[derive(Default)]
+struct Held(Mutex<Option<Vec<Word>>>);
+
+impl RoundSource for Held {
+    fn read_round(&self, _addrs: &[Address]) -> Vec<Word> {
+        self.0
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .take()
+            .expect("no words held for this round")
+    }
+}
+
+impl Shards<'_> {
+    /// Runs a generation of `requests` against the shards of `epoch` to
+    /// completion: results in request order, plus one trace per
+    /// dispatch. `exec` is every query's executor options (each capped
+    /// at its scheme's declared word size).
+    pub(crate) fn run(
+        &self,
+        epoch: &Registry,
+        requests: &[QueryRequest],
+        exec: ExecOptions,
+    ) -> (Vec<Served>, Vec<DispatchTrace>) {
+        let started = Instant::now();
+        let held = Held::default();
+        let mut traces = Vec::new();
+        std::thread::scope(|scope| {
+            let mut live: Vec<InFlight<'_, '_>> = requests
+                .iter()
+                .map(|request| {
+                    let scheme = epoch.scheme(request.shard);
+                    let query = &request.query;
+                    InFlight {
+                        shard: request.shard.0,
+                        machine: scheme
+                            .start(query)
+                            .unwrap_or_else(|| serve_on_thread(scope, scheme, query)),
+                        exec: RoundExecutor::with_source(&held, exec.capped_at(scheme.word_bits())),
+                        probe: Vec::new(),
+                        rounds: 0,
+                        answer: None,
+                    }
+                })
+                .collect();
+            for query in &mut live {
+                query.advance(&[], started);
+            }
+            loop {
+                let mut by_shard: BTreeMap<usize, Vec<Address>> = BTreeMap::new();
+                let mut participants = Vec::new();
+                for (slot, query) in live.iter().enumerate() {
+                    if !query.probe.is_empty() {
+                        let batch = by_shard.entry(query.shard).or_default();
+                        batch.extend(query.probe.iter().cloned());
+                        participants.push((slot, query.rounds));
+                    }
+                }
+                if participants.is_empty() {
+                    break;
+                }
+                let submitted = by_shard.values().map(Vec::len).sum();
+                let batches = self.read(by_shard);
+                for &(slot, _) in &participants {
+                    let query = &mut live[slot];
+                    let (unique, words) = &batches[&query.shard];
+                    let probe = std::mem::take(&mut query.probe);
+                    let held_words = probe.iter().map(|a| {
+                        let i = unique
+                            .binary_search_by(|u| addr_cmp(u, a))
+                            .expect("probed address must be in its shard batch");
+                        words[i].clone()
+                    });
+                    *held.0.lock().unwrap_or_else(|e| e.into_inner()) = Some(held_words.collect());
+                    let words = query.exec.round(&probe);
+                    query.rounds += 1;
+                    query.advance(&words, started);
+                }
+                traces.push(DispatchTrace {
+                    epoch: self.mount_epoch,
+                    submitted,
+                    executed: batches.values().map(|(unique, _)| unique.len()).sum(),
+                    shards: batches.len(),
+                    participants,
+                });
+            }
+            let served = live
+                .into_iter()
+                .zip(requests)
+                .map(|(query, request)| {
+                    let (answer, latency_ns) = query.answer.expect("every query answered");
+                    let (ledger, transcript) = query.exec.finish();
+                    Served {
+                        answer,
+                        within_budget: epoch.scheme(request.shard).within_budget(&ledger),
+                        ledger,
+                        transcript,
+                        latency_ns,
+                        epoch: self.mount_epoch,
+                    }
+                })
+                .collect();
+            (served, traces)
+        })
     }
 
-    /// Marks a slot's query as finished, shrinking the barrier. If the
-    /// departing query was the last one the barrier was waiting for, the
-    /// parked rounds are dispatched now.
-    pub fn depart(&self) {
-        let mut st = self.lock();
-        st.active -= 1;
-        if st.active > 0 && st.pending.len() == st.active {
-            self.dispatch(&mut st);
-        }
-    }
-
-    /// A guard that departs when dropped — including during a panic
-    /// unwind, so one failing query shrinks the barrier instead of
-    /// deadlocking every peer parked at it.
-    pub fn depart_guard(&self) -> DepartOnDrop<'_, 'a> {
-        DepartOnDrop(self)
-    }
-
-    /// Consumes the generation, returning its audit log.
-    pub fn into_traces(self) -> Vec<DispatchTrace> {
-        let st = self.state.into_inner().unwrap_or_else(|e| e.into_inner());
-        debug_assert_eq!(st.active, 0, "generation finished with active queries");
-        st.traces
-    }
-
-    fn lock(&self) -> MutexGuard<'_, GenState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Executes every parked round as one sorted, deduplicated batch per
-    /// shard and distributes the words. Called with the state lock held;
-    /// all other active queries are parked, so holding it is contention-free.
-    fn dispatch(&self, st: &mut GenState) {
-        let pending = std::mem::take(&mut st.pending);
-        let mut by_shard: BTreeMap<usize, Vec<Address>> = BTreeMap::new();
-        let mut submitted = 0usize;
-        for p in &pending {
-            submitted += p.addrs.len();
-            by_shard
-                .entry(p.shard)
-                .or_default()
-                .extend(p.addrs.iter().cloned());
-        }
-        let batch_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut executed = 0usize;
-            // Per shard: (shard, pre-dedup submitted count, unique addrs).
-            let mut prepared: Vec<(usize, usize, Vec<Address>)> =
-                Vec::with_capacity(by_shard.len());
-            for (shard, mut addrs) in by_shard {
-                let shard_submitted = addrs.len();
+    /// Executes one generation-round: per shard, sorts and deduplicates
+    /// the submitted addresses and reads them.
+    fn read(&self, by_shard: BTreeMap<usize, Vec<Address>>) -> ShardBatches {
+        // One event per shard, in shard order and *before* any read, so
+        // dispatch events sit at a deterministic position in the trace.
+        let unique: Vec<(usize, Vec<Address>)> = by_shard
+            .into_iter()
+            .map(|(shard, mut addrs)| {
+                let submitted = addrs.len();
                 addrs.sort_by(addr_cmp);
                 addrs.dedup();
-                executed += addrs.len();
-                prepared.push((shard, shard_submitted, addrs));
-            }
-            if self.obs.enabled() {
-                // One event per shard, emitted in shard order *before*
-                // the parallel reads, so dispatch events sit at a
-                // deterministic position in the trace.
-                for (shard, shard_submitted, addrs) in &prepared {
+                if self.obs.enabled() {
                     self.obs.record(TraceEvent::RoundDispatched {
                         gen: self.gen_id,
-                        shard: *shard as u64,
-                        submitted: *shard_submitted as u64,
+                        shard: shard as u64,
+                        submitted: submitted as u64,
                         deduped: addrs.len() as u64,
                     });
                 }
-            }
-            // Shard tables are independent oracles, so their batches read
-            // concurrently (one worker per shard, each fanning its own
-            // batch out over `batch_threads`, cache-blocked per tile).
-            let shard_words =
-                chunked_parallel_map(&prepared, prepared.len(), |(shard, _, addrs)| {
-                    read_batch_observed(
-                        self.tables[*shard].expect("dispatch to unmaterialized shard"),
-                        addrs,
-                        self.batch_threads,
-                        self.probe_tile,
-                        self.obs,
-                        *shard as u64,
-                        self.gen_id,
-                    )
-                });
-            let batches: BTreeMap<usize, (Vec<Address>, Vec<Word>)> = prepared
-                .into_iter()
-                .zip(shard_words)
-                .map(|((shard, _, addrs), words)| (shard, (addrs, words)))
-                .collect();
-            (executed, batches)
-        }));
-        let (executed, batches) = match batch_result {
-            Ok(v) => v,
-            Err(payload) => {
-                // A shard oracle panicked mid-dispatch. Wake every parked
-                // peer with no results — their result takes fail and unwind
-                // their own threads — instead of leaving them at a barrier
-                // no one will ever release.
-                st.epoch += 1;
-                self.parked.notify_all();
-                std::panic::resume_unwind(payload);
-            }
+                (shard, addrs)
+            })
+            .collect();
+        // Shard tables are independent oracles, so their batches read
+        // concurrently (one worker per shard, each fanning its own batch
+        // out over `batch_threads`, cache-blocked per tile).
+        let words = chunked_parallel_map(&unique, unique.len(), |(shard, addrs)| {
+            read_batch_observed(
+                self.tables[*shard].expect("dispatch to unmaterialized shard"),
+                addrs,
+                self.batch_threads,
+                self.probe_tile,
+                self.obs,
+                *shard as u64,
+                self.gen_id,
+            )
+        });
+        unique
+            .into_iter()
+            .zip(words)
+            .map(|((shard, addrs), words)| (shard, (addrs, words)))
+            .collect()
+    }
+}
+
+/// Runs a serve-only scheme's query on a thread of `scope`, returning
+/// the machine the generation loop steps: each step hands the thread its
+/// last round's words and waits for its next round or answer.
+fn serve_on_thread<'scope, 'env>(
+    scope: &'scope Scope<'scope, 'env>,
+    scheme: &'env dyn ServableScheme,
+    query: &'env Point,
+) -> Box<dyn QueryMachine + 'scope> {
+    let (words_tx, words_rx) = mpsc::channel();
+    let (steps_tx, steps_rx) = mpsc::channel();
+    let thread = scope.spawn(move || {
+        let relay = Relay {
+            steps: steps_tx,
+            words: Mutex::new(words_rx),
         };
-        let mut participants = Vec::with_capacity(pending.len());
-        for p in pending {
-            let (unique, words) = &batches[&p.shard];
-            let round_words: Vec<Word> = p
-                .addrs
-                .iter()
-                .map(|a| {
-                    let i = unique
-                        .binary_search_by(|u| addr_cmp(u, a))
-                        .expect("parked address must be in its shard batch");
-                    words[i].clone()
-                })
-                .collect();
-            participants.push((p.slot, st.rounds_done[p.slot]));
-            st.rounds_done[p.slot] += 1;
-            st.results[p.slot] = Some(round_words);
+        // The first step's (empty) words start the query.
+        relay.wait();
+        let mut exec = RoundExecutor::with_source(&relay, ExecOptions::default());
+        let answer = scheme.serve(query, &mut exec);
+        let _ = relay.steps.send(Step::Done(answer));
+    });
+    Box::new(ServeThread {
+        words: words_tx,
+        steps: steps_rx,
+        thread: Some(thread),
+    })
+}
+
+/// The loop's side of a [`serve_on_thread`] query.
+struct ServeThread<'scope> {
+    words: Sender<Vec<Word>>,
+    steps: Receiver<Step<ServedAnswer>>,
+    thread: Option<ScopedJoinHandle<'scope, ()>>,
+}
+
+impl RoundMachine for ServeThread<'_> {
+    type Answer = ServedAnswer;
+
+    fn step(&mut self, words: &[Word]) -> Step<ServedAnswer> {
+        let _ = self.words.send(words.to_vec());
+        match self.steps.recv() {
+            Ok(step) => step,
+            // The thread ended without an answer, so it panicked:
+            // re-raise its panic here, where the generation runs.
+            Err(_) => match self.thread.take().map(ScopedJoinHandle::join) {
+                Some(Err(payload)) => std::panic::resume_unwind(payload),
+                _ => panic!("serve thread stepped after it ended"),
+            },
         }
-        st.traces.push(DispatchTrace {
-            epoch: self.mount_epoch,
-            submitted,
-            executed,
-            shards: batches.len(),
-            participants,
-        });
-        st.epoch += 1;
-        self.parked.notify_all();
     }
 }
 
-/// Departs its generation on drop (see [`Generation::depart_guard`]).
-pub struct DepartOnDrop<'g, 'a>(&'g Generation<'a>);
+/// The serve thread's round source: sends each round's addresses to
+/// the loop and blocks for their words.
+struct Relay {
+    steps: Sender<Step<ServedAnswer>>,
+    /// `Mutex` only for the `Sync` bound on [`RoundSource`].
+    words: Mutex<Receiver<Vec<Word>>>,
+}
 
-impl Drop for DepartOnDrop<'_, '_> {
-    fn drop(&mut self) {
-        // If this drop runs during a panic unwind and the departure itself
-        // re-dispatches a batch that panics again (a broken table oracle),
-        // a second panic here would abort the process — swallow it and let
-        // the primary panic propagate through the scope join instead.
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.0.depart()));
+impl Relay {
+    /// Blocks for the loop's next words. None arrive when the loop has
+    /// dropped this query's machine because another query panicked:
+    /// unwind quietly (no panic message) so the scope can join this
+    /// thread and re-raise that panic.
+    fn wait(&self) -> Vec<Word> {
+        let words = self.words.lock().unwrap_or_else(|e| e.into_inner()).recv();
+        words.unwrap_or_else(|_| std::panic::resume_unwind(Box::new("generation abandoned")))
     }
 }
 
-/// One slot's handle onto the generation barrier: parking a round here is
-/// what makes the scheme's execution round-synchronous with its peers.
-pub struct SlotSource<'g, 'a> {
-    generation: &'g Generation<'a>,
-    slot: usize,
-    shard: usize,
-}
-
-impl RoundSource for SlotSource<'_, '_> {
+impl RoundSource for Relay {
     fn read_round(&self, addrs: &[Address]) -> Vec<Word> {
-        let generation = self.generation;
-        let mut st = generation.lock();
-        let parked_epoch = st.epoch;
-        st.pending.push(Pending {
-            slot: self.slot,
-            shard: self.shard,
-            addrs: addrs.to_vec(),
-        });
-        if st.pending.len() == st.active {
-            // Last to park: lead the dispatch for the whole generation.
-            generation.dispatch(&mut st);
-        } else {
-            while st.epoch == parked_epoch {
-                st = generation
-                    .parked
-                    .wait(st)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-        }
-        st.results[self.slot]
-            .take()
-            .expect("no words for this slot: the leading peer's dispatch panicked")
+        let _ = self.steps.send(Step::Probe(addrs.to_vec()));
+        self.wait()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anns_cellprobe::{ExecOptions, RoundExecutor, SpaceModel};
-    use anns_cellprobe::{MaterializedTable, Table};
+    use anns_cellprobe::{MaterializedTable, SpaceModel};
+    use anns_core::serve::Candidate;
     use anns_obs::NullRecorder;
+    use std::sync::LazyLock;
 
-    fn table(seed: u64) -> MaterializedTable {
+    use crate::registry::ShardId;
+
+    /// Cell `i` holds `7i`.
+    static TABLE: LazyLock<MaterializedTable> = LazyLock::new(|| {
         let t = MaterializedTable::new(SpaceModel::from_exact_cells(64, 64));
         for i in 0..64u64 {
-            t.write(
-                Address::with_u64(0, i),
-                anns_cellprobe::Word::from_u64(i.wrapping_mul(seed) % 1000),
-            );
+            t.write(Address::with_u64(0, i), Word::from_u64(7 * i));
         }
         t
+    });
+
+    /// Probes, in round `r`, the cells whose bits are set in the query's
+    /// limb `r`, answering with the sum of every word read.
+    struct Cells;
+
+    struct CellsMachine<'a>(std::slice::Iter<'a, u64>, u64);
+
+    impl RoundMachine for CellsMachine<'_> {
+        type Answer = ServedAnswer;
+        fn step(&mut self, words: &[Word]) -> Step<ServedAnswer> {
+            self.1 += words.iter().map(Word::to_u64).sum::<u64>();
+            match self.0.next() {
+                Some(limb) => Step::Probe(
+                    (0..64)
+                        .filter(|bit| limb >> bit & 1 == 1)
+                        .map(|bit| Address::with_u64(0, bit))
+                        .collect(),
+                ),
+                None => Step::Done(ServedAnswer::Candidate(Some(Candidate {
+                    index: self.1,
+                    distance: 0,
+                }))),
+            }
+        }
+    }
+
+    impl ServableScheme for Cells {
+        fn label(&self) -> String {
+            "cells".into()
+        }
+        fn table(&self) -> &dyn Table {
+            &*TABLE
+        }
+        fn word_bits(&self) -> u64 {
+            64
+        }
+        fn start<'a>(&'a self, query: &'a Point) -> Option<Box<dyn QueryMachine + 'a>> {
+            Some(Box::new(CellsMachine(query.limbs().iter(), 0)))
+        }
+    }
+
+    /// Runs one generation of `Cells` queries, each given as its rounds'
+    /// cell lists.
+    fn run(queries: &[&[&[u64]]]) -> (Vec<Served>, Vec<DispatchTrace>) {
+        let mut registry = Registry::new();
+        registry.register("cells", Box::new(Cells));
+        let requests: Vec<QueryRequest> = queries
+            .iter()
+            .map(|rounds| QueryRequest {
+                shard: ShardId(0),
+                query: Point::from_limbs(
+                    64 * rounds.len() as u32,
+                    rounds
+                        .iter()
+                        .map(|cells| cells.iter().map(|c| 1 << c).sum())
+                        .collect(),
+                ),
+            })
+            .collect();
+        let shards = Shards {
+            tables: vec![Some(&*TABLE)],
+            batch_threads: 1,
+            probe_tile: 64,
+            mount_epoch: 0,
+            gen_id: 0,
+            obs: &NullRecorder,
+        };
+        shards.run(&registry, &requests, ExecOptions::default())
+    }
+
+    fn sums(served: &[Served]) -> Vec<u64> {
+        served.iter().map(|s| s.answer.index().unwrap()).collect()
     }
 
     #[test]
@@ -351,34 +453,11 @@ mod tests {
 
     #[test]
     fn two_queries_coalesce_shared_addresses() {
-        let t = table(7);
-        let generation =
-            Generation::new(vec![Some(&t as &dyn Table)], 2, 1, 64, 0, 0, &NullRecorder);
-        let generation_ref = &generation;
-        let answers = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for slot in 0..2usize {
-                let source = generation_ref.source(slot, 0);
-                handles.push(scope.spawn(move || {
-                    let mut exec = RoundExecutor::with_source(&source, ExecOptions::default());
-                    // Both queries probe cells {1, 2} in round 1, then a
-                    // slot-specific cell in round 2.
-                    let r1 = exec.round(&[Address::with_u64(0, 1), Address::with_u64(0, 2)]);
-                    let r2 = exec.round(&[Address::with_u64(0, 10 + slot as u64)]);
-                    generation_ref.depart();
-                    (r1[0].to_u64(), r1[1].to_u64(), r2[0].to_u64())
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("query thread"))
-                .collect::<Vec<_>>()
-        });
-        assert_eq!(answers[0].0, 7);
-        assert_eq!(answers[0].1, 14);
-        assert_eq!(answers[0], (answers[1].0, answers[1].1, 70));
-        assert_eq!(answers[1].2, 77);
-        let traces = generation.into_traces();
+        // Both queries probe cells {1, 2} in round 1, then a
+        // slot-specific cell in round 2.
+        let (served, traces) = run(&[&[&[1, 2], &[10]], &[&[1, 2], &[11]]]);
+        assert_eq!(sums(&served), vec![7 + 14 + 70, 7 + 14 + 77]);
+        assert_eq!(served[0].ledger.per_round, vec![2, 1]);
         assert_eq!(traces.len(), 2, "two generation-rounds");
         // Round 1: 4 submitted, 2 unique after coalescing.
         assert_eq!((traces[0].submitted, traces[0].executed), (4, 2));
@@ -391,76 +470,29 @@ mod tests {
     }
 
     #[test]
-    fn departing_query_releases_the_barrier() {
-        let t = table(3);
-        let generation =
-            Generation::new(vec![Some(&t as &dyn Table)], 2, 1, 64, 0, 0, &NullRecorder);
-        let generation_ref = &generation;
-        let sums = std::thread::scope(|scope| {
-            let long = {
-                let source = generation_ref.source(0, 0);
-                scope.spawn(move || {
-                    let mut exec = RoundExecutor::with_source(&source, ExecOptions::default());
-                    let mut sum = 0u64;
-                    // Three rounds; the peer departs after one.
-                    for r in 0..3u64 {
-                        sum += exec.round(&[Address::with_u64(0, r)])[0].to_u64();
-                    }
-                    generation_ref.depart();
-                    sum
-                })
-            };
-            let short = {
-                let source = generation_ref.source(1, 0);
-                scope.spawn(move || {
-                    let mut exec = RoundExecutor::with_source(&source, ExecOptions::default());
-                    let sum = exec.round(&[Address::with_u64(0, 9)])[0].to_u64();
-                    generation_ref.depart();
-                    sum
-                })
-            };
-            (
-                long.join().expect("long query"),
-                short.join().expect("short query"),
-            )
-        });
-        assert_eq!(sums.0, 3 + 6, "cells 0,1,2 at multiplier 3");
-        assert_eq!(sums.1, 27);
-        let traces = generation.into_traces();
+    fn answered_queries_leave_later_rounds_and_empty_rounds_are_free() {
+        let (served, traces) = run(&[&[&[0], &[1], &[2]], &[&[], &[9], &[]]]);
+        assert_eq!(sums(&served), vec![7 + 14, 63]);
+        assert_eq!(
+            served[1].ledger.per_round,
+            vec![1],
+            "empty rounds uncounted"
+        );
         assert_eq!(traces.len(), 3);
-        assert_eq!(traces[0].participants.len(), 2);
-        assert_eq!(traces[1].participants.len(), 1, "peer departed");
+        assert_eq!(traces[0].participants, vec![(0, 0), (1, 0)]);
+        assert_eq!(traces[1].participants, vec![(0, 1)], "peer answered");
     }
 
     #[test]
     fn per_slot_rounds_advance_monotonically_in_traces() {
-        let t = table(11);
-        let generation =
-            Generation::new(vec![Some(&t as &dyn Table)], 3, 1, 64, 0, 0, &NullRecorder);
-        let generation_ref = &generation;
-        std::thread::scope(|scope| {
-            for slot in 0..3usize {
-                let source = generation_ref.source(slot, 0);
-                scope.spawn(move || {
-                    let mut exec = RoundExecutor::with_source(&source, ExecOptions::default());
-                    for r in 0..=slot as u64 {
-                        let _ = exec.round(&[Address::with_u64(0, r + slot as u64)]);
-                    }
-                    generation_ref.depart();
-                });
-            }
-        });
-        let traces = generation.into_traces();
-        let mut seen: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
+        let (_, traces) = run(&[&[&[0]], &[&[1], &[2]], &[&[2], &[3], &[4]]]);
+        let mut seen = [0usize; 3];
         for trace in &traces {
             for &(slot, round) in &trace.participants {
-                let next = seen.entry(slot).or_insert(0);
-                assert_eq!(round, *next, "slot {slot} rounds must not reorder");
-                *next += 1;
+                assert_eq!(round, seen[slot], "slot {slot} rounds must not reorder");
+                seen[slot] += 1;
             }
         }
-        assert_eq!(seen[&0], 1);
-        assert_eq!(seen[&1], 2);
-        assert_eq!(seen[&2], 3);
+        assert_eq!(seen, [1, 2, 3]);
     }
 }

@@ -11,12 +11,16 @@
 //!    every query's rounds dispatched strictly in order, exactly once
 //!    each.
 
-use std::sync::{Arc, OnceLock};
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::ThreadId;
 use std::time::Duration;
 
-use anns_cellprobe::{execute_with, ExecOptions};
-use anns_core::serve::SoloServable;
-use anns_core::AnnIndex;
+use anns_cellprobe::{execute_with, ExecOptions, RoundExecutor, RoundMachine, Step, Table, Word};
+use anns_core::serve::{QueryMachine, ServableScheme, ServedAnswer, SoloServable};
+use anns_core::{
+    Aggregation, Alg2Config, AnnIndex, ServeAlg1, ServeAlg2, ServeLambda, SubsampledRepetition,
+};
 use anns_engine::testkit::{clustered_index, hot_set_workload};
 use anns_engine::{Engine, EngineOptions, QueryRequest, Registry};
 use anns_hamming::Point;
@@ -380,4 +384,168 @@ fn submit_single_query_matches_batch_of_one() {
     }]);
     assert_eq!(solo.answer, batch[0].answer);
     assert_eq!(solo.ledger, batch[0].ledger);
+}
+
+/// The native scheme mix over the shared index's data: Algorithm 1
+/// and 2, λ-ANNS, LSH, and a subsampled-repetition ensemble.
+fn native_schemes() -> Vec<Box<dyn ServableScheme>> {
+    let index = shared_index();
+    let mut rng = StdRng::seed_from_u64(91);
+    let lsh = LshIndex::build(
+        index.dataset().clone(),
+        LshParams::for_radius(N, D, 6.0, 2.0, 4.0),
+        &mut rng,
+    );
+    let replicas = (0..3u64)
+        .map(|seed| {
+            let index = clustered_index(12, 16, D, 0.04, 500 + seed);
+            Arc::new(ServeAlg1 {
+                index,
+                k: 2,
+                tau_override: None,
+            }) as Arc<dyn ServableScheme>
+        })
+        .collect();
+    vec![
+        Box::new(ServeAlg1 {
+            index: Arc::clone(&index),
+            k: 3,
+            tau_override: None,
+        }),
+        Box::new(ServeAlg2 {
+            index: Arc::clone(&index),
+            config: Alg2Config::with_k(8),
+        }),
+        Box::new(ServeLambda { index, lambda: 8.0 }),
+        Box::new(ServeLsh {
+            index: Arc::new(lsh),
+        }),
+        Box::new(SubsampledRepetition::new(replicas, 2, 5, Aggregation::BestOf).unwrap()),
+    ]
+}
+
+/// A wrapped scheme: `native: false` hides its machine, so the engine
+/// runs its queries on serve threads; `native: true` keeps the machine
+/// and records the thread of its every step in `STEP_THREADS`.
+struct Wrapped {
+    inner: Box<dyn ServableScheme>,
+    native: bool,
+}
+
+static STEP_THREADS: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
+
+struct Watched<'a>(Box<dyn QueryMachine + 'a>);
+
+impl RoundMachine for Watched<'_> {
+    type Answer = ServedAnswer;
+    fn step(&mut self, words: &[Word]) -> Step<ServedAnswer> {
+        STEP_THREADS
+            .lock()
+            .unwrap()
+            .push(std::thread::current().id());
+        self.0.step(words)
+    }
+}
+
+impl ServableScheme for Wrapped {
+    fn label(&self) -> String {
+        self.inner.label()
+    }
+    fn table(&self) -> &dyn Table {
+        self.inner.table()
+    }
+    fn word_bits(&self) -> u64 {
+        self.inner.word_bits()
+    }
+    fn start<'a>(&'a self, query: &'a Point) -> Option<Box<dyn QueryMachine + 'a>> {
+        let machine = self.inner.start(query).filter(|_| self.native)?;
+        Some(Box::new(Watched(machine)))
+    }
+    fn serve(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> ServedAnswer {
+        self.inner.serve(query, exec)
+    }
+}
+
+fn round_robin(registry: &Registry, queries: Vec<Point>) -> Vec<QueryRequest> {
+    let shards = registry.len();
+    queries
+        .into_iter()
+        .enumerate()
+        .map(|(i, query)| QueryRequest {
+            shard: anns_engine::ShardId(i % shards),
+            query,
+        })
+        .collect()
+}
+
+#[test]
+fn mixed_native_and_serve_only_generation_matches_solo_execution() {
+    let mut registry = Registry::new();
+    for (i, scheme) in native_schemes().into_iter().enumerate() {
+        registry.register(format!("native-{i}"), scheme);
+    }
+    let alg2 = ServeAlg2 {
+        index: shared_index(),
+        config: Alg2Config::with_k(8),
+    };
+    let serve_only = Wrapped {
+        inner: Box::new(alg2),
+        native: false,
+    };
+    registry.register("serve-only", Box::new(serve_only));
+    let requests = round_robin(&registry, workload(31, 48, 20));
+    let engine = Engine::new(
+        registry,
+        EngineOptions {
+            generation: 24,
+            exec: ExecOptions::with_transcript(),
+            batch_threads: 2,
+        },
+    );
+    let registry = engine.registry();
+    let served = engine.submit_batch(&requests);
+    for (request, s) in requests.iter().zip(&served) {
+        let scheme = registry.scheme(request.shard);
+        let opts = ExecOptions::with_transcript();
+        let (answer, ledger, transcript) =
+            execute_with(&SoloServable(scheme), &request.query, opts);
+        assert_eq!(
+            (&s.answer, &s.ledger),
+            (&answer, &ledger),
+            "{}",
+            scheme.label()
+        );
+        assert_eq!(s.transcript, transcript, "{}", scheme.label());
+        assert!(s.within_budget);
+    }
+}
+
+#[test]
+fn every_step_of_a_native_generation_runs_on_the_calling_thread() {
+    let mut registry = Registry::new();
+    for (i, inner) in native_schemes().into_iter().enumerate() {
+        registry.register(
+            format!("native-{i}"),
+            Box::new(Wrapped {
+                inner,
+                native: true,
+            }),
+        );
+    }
+    let requests = round_robin(&registry, workload(3, 64, 64));
+    let engine = Engine::new(
+        registry,
+        EngineOptions {
+            generation: 64,
+            ..Default::default()
+        },
+    );
+    let (_, traces) = engine.submit_batch_traced(&requests);
+    assert_eq!(traces.len(), 1, "one width-64 generation");
+    let threads: HashSet<ThreadId> = STEP_THREADS.lock().unwrap().drain(..).collect();
+    assert_eq!(
+        threads,
+        HashSet::from([std::thread::current().id()]),
+        "every step runs on the thread that submitted the generation"
+    );
 }

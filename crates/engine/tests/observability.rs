@@ -98,13 +98,7 @@ fn null_recorder_serving_is_byte_identical_to_default() {
     let flat = |ts: &[anns_engine::GenerationTrace]| {
         ts.iter()
             .flat_map(|t| t.dispatches.iter())
-            .map(|d| {
-                // Participants are appended in park order, which is
-                // thread-scheduling noise; the *set* is deterministic.
-                let mut participants = d.participants.clone();
-                participants.sort_unstable();
-                (d.submitted, d.executed, d.shards, participants)
-            })
+            .map(|d| (d.submitted, d.executed, d.shards, d.participants.clone()))
             .collect::<Vec<_>>()
     };
     assert_eq!(flat(&traces_a), flat(&traces_b));

@@ -22,8 +22,8 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use anns_cellprobe::{
-    execute_with, Address, CellProbeScheme, ExecOptions, ProbeLedger, RoundExecutor, SpaceModel,
-    Table, Word,
+    drive, execute_with, Address, CellProbeScheme, ExecOptions, OneRound, ProbeLedger,
+    RoundExecutor, RoundMachine, SpaceModel, Table, Word,
 };
 use anns_hamming::{Dataset, PackedBlock, Point};
 
@@ -245,6 +245,20 @@ impl LshIndex {
         (answer, ledger)
     }
 
+    /// The query as a step machine: one non-adaptive round over every
+    /// bucket address, computed from the query alone. Every bucket is
+    /// decoded in word order, then the whole round's candidate list is
+    /// folded through the batched kernel in that same order.
+    pub fn machine<'a>(
+        &'a self,
+        query: &'a Point,
+    ) -> impl RoundMachine<Answer = Option<(usize, u32)>> + 'a {
+        OneRound::new(self.bucket_addresses(query), move |words: &[Word]| {
+            let candidates: Vec<(u64, Point)> = words.iter().flat_map(decode_bucket).collect();
+            best_candidate(query, &candidates, None)
+        })
+    }
+
     /// The query's `L` bucket addresses (table ids are this structure's
     /// local table indices `0..L`). Exposed for composing schemes.
     pub fn bucket_addresses(&self, x: &Point) -> Vec<Address> {
@@ -348,13 +362,7 @@ impl CellProbeScheme for LshIndex {
     }
 
     fn run(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> Self::Answer {
-        // One non-adaptive round: all bucket addresses from the query alone.
-        let addrs = self.bucket_addresses(query);
-        let words = exec.round(&addrs);
-        // Decode every bucket in word order, then fold the whole round's
-        // candidate list through the batched kernel in that same order.
-        let candidates: Vec<(u64, Point)> = words.iter().flat_map(decode_bucket).collect();
-        best_candidate(query, &candidates, None)
+        drive(&mut self.machine(query), exec)
     }
 }
 

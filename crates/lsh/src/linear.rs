@@ -8,8 +8,8 @@
 //! ledger as everything else.
 
 use anns_cellprobe::{
-    execute_with, Address, CellProbeScheme, ExecOptions, ProbeLedger, RoundExecutor, SpaceModel,
-    Table, Word,
+    drive, execute_with, Address, CellProbeScheme, ExecOptions, OneRound, ProbeLedger,
+    RoundExecutor, RoundMachine, SpaceModel, Table, Word,
 };
 use anns_hamming::{Dataset, ExactNeighbor, Point};
 
@@ -27,6 +27,22 @@ impl LinearScan {
     /// The database.
     pub fn dataset(&self) -> &Dataset {
         &self.dataset
+    }
+
+    /// The query as a step machine: one round over every database cell,
+    /// then the strict minimum over one batched kernel pass (every
+    /// decoded distance is < u32::MAX, so the fold resolves ties exactly
+    /// like a per-cell scalar loop).
+    pub fn machine<'a>(&self, query: &'a Point) -> impl RoundMachine<Answer = ExactNeighbor> + 'a {
+        let addrs = (0..self.dataset.len())
+            .map(|i| Address::with_u64(0, i as u64))
+            .collect();
+        OneRound::new(addrs, move |words: &[Word]| {
+            let cells: Vec<(u64, Point)> = words.iter().map(decode_point_cell).collect();
+            let (index, distance) = crate::bitsampling::best_candidate(query, &cells, None)
+                .expect("linear scan over a non-empty database yields a candidate");
+            ExactNeighbor { index, distance }
+        })
     }
 
     /// Runs one query through the cell-probe machinery.
@@ -85,17 +101,7 @@ impl CellProbeScheme for LinearScan {
     }
 
     fn run(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> ExactNeighbor {
-        let addrs: Vec<Address> = (0..self.dataset.len())
-            .map(|i| Address::with_u64(0, i as u64))
-            .collect();
-        let words = exec.round(&addrs);
-        // Decode all cells, then take the strict minimum over one batched
-        // kernel pass (every decoded distance is < u32::MAX, so the fold
-        // resolves ties exactly like the former per-cell scalar loop).
-        let cells: Vec<(u64, Point)> = words.iter().map(decode_point_cell).collect();
-        let (index, distance) = crate::bitsampling::best_candidate(query, &cells, None)
-            .expect("linear scan over a non-empty database yields a candidate");
-        ExactNeighbor { index, distance }
+        drive(&mut self.machine(query), exec)
     }
 }
 

@@ -10,8 +10,8 @@
 
 use std::sync::Arc;
 
-use anns_cellprobe::{CellProbeScheme, RoundExecutor, Table};
-use anns_core::serve::{Candidate, ServableScheme, ServedAnswer};
+use anns_cellprobe::{CellProbeScheme, RoundMachine, Table};
+use anns_core::serve::{Candidate, QueryMachine, ServableScheme, ServedAnswer};
 use anns_hamming::Point;
 
 use crate::bitsampling::LshIndex;
@@ -53,15 +53,14 @@ impl ServableScheme for ServeLsh {
         Some(u64::from(self.index.params().l_tables))
     }
 
-    fn serve(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> ServedAnswer {
-        ServedAnswer::Candidate(
-            self.index
-                .run(query, exec)
-                .map(|(index, distance)| Candidate {
-                    index: index as u64,
-                    distance,
-                }),
-        )
+    fn start<'a>(&'a self, query: &'a Point) -> Option<Box<dyn QueryMachine + 'a>> {
+        let machine = self.index.machine(query).map(|best| {
+            ServedAnswer::Candidate(best.map(|(index, distance)| Candidate {
+                index: index as u64,
+                distance,
+            }))
+        });
+        Some(Box::new(machine))
     }
 
     fn stored(&self) -> Option<anns_core::StoredScheme> {
@@ -101,12 +100,14 @@ impl ServableScheme for ServeLinear {
         Some(self.scan.dataset().len() as u64)
     }
 
-    fn serve(&self, query: &Point, exec: &mut RoundExecutor<'_>) -> ServedAnswer {
-        let best = self.scan.run(query, exec);
-        ServedAnswer::Candidate(Some(Candidate {
-            index: best.index as u64,
-            distance: best.distance,
-        }))
+    fn start<'a>(&'a self, query: &'a Point) -> Option<Box<dyn QueryMachine + 'a>> {
+        let machine = self.scan.machine(query).map(|best| {
+            ServedAnswer::Candidate(Some(Candidate {
+                index: best.index as u64,
+                distance: best.distance,
+            }))
+        });
+        Some(Box::new(machine))
     }
 
     fn stored(&self) -> Option<anns_core::StoredScheme> {
