@@ -308,6 +308,11 @@ fn cmd_stats(flags: HashMap<String, String>) {
     println!("n-rows     : {}", index.family().n_rows());
     println!("log₂ cells : {:.1} (model)", model.cells_log2);
     println!("word bits  : {}", model.word_bits);
+    let memory = index.memory();
+    println!("memory     : {} B owned (from lengths)", memory.owned());
+    for (owner, bytes) in memory.named() {
+        println!("  {owner:<14}: {bytes} B");
+    }
 }
 
 /// Loads `--index`, or builds a fresh seeded-uniform instance from

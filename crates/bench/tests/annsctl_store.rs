@@ -356,3 +356,22 @@ fn online_serve_smoke_exits_clean_with_zero_shed() {
     let stderr = String::from_utf8_lossy(&out.stderr).to_string();
     assert!(stderr.contains("overloaded"), "{stderr}");
 }
+
+#[test]
+fn stats_names_the_bytes_an_index_holds() {
+    let dir = tmp_dir("stats");
+    let index = dir.file("idx.json");
+    let index_s = index.to_str().unwrap();
+    run_ok(annsctl().args(["build", "--n", "64", "--d", "128", "--out", index_s]));
+    let out = run_ok(annsctl().args(["stats", "--index", index_s]));
+    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+    // 64 rows: next_pow2(128) membership slots of 8 bytes; a built index
+    // borrows no slab.
+    for needle in [
+        "memory     : ",
+        "  membership    : 1024 B",
+        "  slabs_borrowed: 0 B",
+    ] {
+        assert!(stdout.contains(needle), "missing {needle:?} in\n{stdout}");
+    }
+}

@@ -9,7 +9,11 @@
 //!   `|D_{u,ρ(r)}| > n^{-1/s}·|C_u|` comparisons in one word;
 //! * the two degenerate-case structures (§3.1): exact membership `x ∈ B`
 //!   and membership in the 1-neighborhood `N1(B)`, each answerable with one
-//!   probe.
+//!   probe. Both read one row-number index over the database
+//!   (`membership::RowIndex`): `next_pow2(2n)` slots of 8 bytes, keyed
+//!   by a hash of the point's limbs, every hit checked against the
+//!   dataset row. No point is copied: the `N1` cell visits the key's `d`
+//!   neighbours by rehashing one limb each.
 //!
 //! Per substitution S1 (`DESIGN.md`): the paper materializes `n^{c₁}` cells
 //! per table; here every cell's content is computed on demand from the
@@ -19,7 +23,6 @@
 //! so probe/round accounting and correctness are unaffected; only
 //! preprocessing cost moves from table-fill time to probe time.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use anns_cellprobe::{execute_with, Address, ExecOptions, ProbeLedger, SpaceModel, Table, Word};
@@ -30,6 +33,7 @@ use crate::alg1::Alg1Scheme;
 use crate::alg2::{Alg2Config, Alg2Scheme};
 use crate::instance::{table_ids, AnnsInstance, AuxGroupSpec};
 use crate::lambda::{lambda_scale, LambdaAnswer, LambdaScheme};
+use crate::membership::RowIndex;
 use crate::outcome::{encode_aux_cell, encode_t_cell, QueryOutcome};
 
 /// Deterministic erasure injection on the main tables: a non-empty `T_i`
@@ -71,9 +75,9 @@ struct Inner {
     dataset: Dataset,
     family: SketchFamily,
     db: DbSketches,
-    /// Exact-membership structure (degenerate case 1), also the backbone of
-    /// the `N1(B)` oracle (degenerate case 2: d hash lookups per probe).
-    exact: HashMap<Point, usize>,
+    /// Row numbers by point: exact membership (degenerate case 1) and the
+    /// `N1(B)` oracle (degenerate case 2: d single-limb rehashes per probe).
+    rows: RowIndex,
     /// Optional deterministic fault injection on `T_i` cells.
     erasures: Option<ErasureModel>,
 }
@@ -93,15 +97,15 @@ fn point_key(p: &Point) -> Vec<u8> {
     bytes
 }
 
-/// Decodes a point from an address key.
-fn decode_point_key(bytes: &[u8]) -> Point {
-    let dim = u32::from_le_bytes(bytes[0..4].try_into().expect("point dim"));
-    let n_limbs = dim.div_ceil(64) as usize;
-    let mut limbs = Vec::with_capacity(n_limbs);
-    for chunk in bytes[4..4 + n_limbs * 8].chunks_exact(8) {
-        limbs.push(u64::from_le_bytes(chunk.try_into().expect("point limb")));
+/// The limb bytes of an address key that encodes a point of dimension
+/// `dim`, or `None` for a key of another dimension (or too short to hold
+/// its limbs), which no database point matches.
+fn point_key_limbs(bytes: &[u8], dim: u32) -> Option<&[u8]> {
+    let key_dim = u32::from_le_bytes(bytes.get(0..4)?.try_into().expect("point dim"));
+    if key_dim != dim {
+        return None;
     }
-    Point::from_limbs(dim, limbs)
+    bytes.get(4..4 + dim.div_ceil(64) as usize * 8)
 }
 
 /// Decodes a sketch from raw limb bytes given its bit width.
@@ -176,24 +180,16 @@ impl Table for ConcreteTables {
     fn read(&self, addr: &Address) -> Word {
         let inner = &*self.inner;
         match addr.table {
-            table_ids::DEGEN_EXACT => {
-                let x = decode_point_key(&addr.key);
-                match inner.exact.get(&x) {
-                    Some(&idx) => encode_t_cell(Some((idx as u64, inner.dataset.point(idx)))),
-                    None => encode_t_cell(None),
-                }
-            }
-            table_ids::DEGEN_N1 => {
-                let x = decode_point_key(&addr.key);
-                if let Some(&idx) = inner.exact.get(&x) {
-                    return encode_t_cell(Some((idx as u64, inner.dataset.point(idx))));
-                }
-                for i in 0..x.dim() {
-                    if let Some(&idx) = inner.exact.get(&x.flipped(i)) {
-                        return encode_t_cell(Some((idx as u64, inner.dataset.point(idx))));
+            table_ids::DEGEN_EXACT | table_ids::DEGEN_N1 => {
+                let ds = &inner.dataset;
+                let found = point_key_limbs(&addr.key, ds.dim()).and_then(|key| {
+                    if addr.table == table_ids::DEGEN_EXACT {
+                        inner.rows.find(ds, key)
+                    } else {
+                        inner.rows.find_near_one(ds, key)
                     }
-                }
-                encode_t_cell(None)
+                });
+                encode_t_cell(found.map(|idx| (idx as u64, ds.point(idx))))
             }
             t if t >= table_ids::AUX_BASE => {
                 let u = t - table_ids::AUX_BASE;
@@ -254,8 +250,11 @@ impl Table for ConcreteTables {
                 + 2.0 * (top + 2.0).log2(),
             w,
         );
-        // Degenerate structures: perfect hashing of n points (O(n²) cells)
-        // and of the (d+1)·n points of N1(B) (quadratic again).
+        // Degenerate structures, as the paper counts them: perfect hashing
+        // of n points (O(n²) cells) and of the (d+1)·n points of N1(B)
+        // (quadratic again). The index itself answers both from one table
+        // of next_pow2(2n) row numbers checked against the dataset (module
+        // docs).
         let degen = SpaceModel::from_cells(2.0 * n.log2(), w)
             .combine(SpaceModel::from_cells(2.0 * ((d + 1.0) * n).log2(), w));
         main.combine(aux).combine(degen)
@@ -282,6 +281,42 @@ pub struct IndexSnapshot {
     db: DbSketches,
 }
 
+/// The bytes an index holds, by owner, computed from lengths (see
+/// [`AnnIndex::memory`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct IndexMemory {
+    /// The database points, and their packed kernel view once built.
+    pub dataset: usize,
+    /// The sketch family: matrices and thresholds.
+    pub family: usize,
+    /// Database-sketch slabs on the heap: built, decoded by copy, or
+    /// copied from a mapped slab whose tail check failed.
+    pub slabs_owned: usize,
+    /// Database-sketch slabs read in place from a mapped bundle:
+    /// file-backed page cache, not heap. Not part of [`IndexMemory::owned`].
+    pub slabs_borrowed: usize,
+    /// The degenerate-case membership index: row numbers and hash tags.
+    pub membership: usize,
+}
+
+impl IndexMemory {
+    /// Heap bytes the index owns: every count but the borrowed slabs.
+    pub fn owned(&self) -> usize {
+        self.dataset + self.family + self.slabs_owned + self.membership
+    }
+
+    /// Every count with its name, in field order.
+    pub fn named(&self) -> [(&'static str, usize); 5] {
+        [
+            ("dataset", self.dataset),
+            ("family", self.family),
+            ("slabs_owned", self.slabs_owned),
+            ("slabs_borrowed", self.slabs_borrowed),
+            ("membership", self.membership),
+        ]
+    }
+}
+
 /// The public index: build once, query with any of the paper's schemes.
 pub struct AnnIndex {
     inner: Arc<Inner>,
@@ -303,15 +338,12 @@ impl AnnIndex {
         db: DbSketches,
         erasures: Option<ErasureModel>,
     ) -> Self {
-        let mut exact = HashMap::with_capacity(dataset.len());
-        for (idx, p) in dataset.points().iter().enumerate() {
-            exact.entry(p.clone()).or_insert(idx);
-        }
+        let rows = RowIndex::build(&dataset);
         let inner = Arc::new(Inner {
             dataset,
             family,
             db,
-            exact,
+            rows,
             erasures,
         });
         AnnIndex {
@@ -332,8 +364,8 @@ impl AnnIndex {
         }
     }
 
-    /// Restores an index from a snapshot (rebuilds only the hash
-    /// structures; sketches are taken as stored).
+    /// Restores an index from a snapshot (rebuilds only the membership
+    /// index; sketches are taken as stored).
     ///
     /// # Panics
     /// Panics if the parts are inconsistent (see [`AnnIndex::from_parts`]).
@@ -390,6 +422,20 @@ impl AnnIndex {
     /// The sketch family (public randomness).
     pub fn family(&self) -> &SketchFamily {
         &self.inner.family
+    }
+
+    /// The bytes the index holds, by owner. Computed from lengths; reads
+    /// no sketch slab, so it pages nothing in on a mapped index.
+    pub fn memory(&self) -> IndexMemory {
+        let inner = &*self.inner;
+        let (slabs_owned, slabs_borrowed) = inner.db.slab_bytes();
+        IndexMemory {
+            dataset: inner.dataset.heap_bytes(),
+            family: inner.family.heap_bytes(),
+            slabs_owned,
+            slabs_borrowed,
+            membership: inner.rows.heap_bytes(),
+        }
     }
 
     /// Runs Algorithm 1 with `k` rounds.
@@ -660,8 +706,17 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         for d in [1u32, 64, 65, 300] {
             let p = Point::random(d, &mut rng);
-            assert_eq!(decode_point_key(&point_key(&p)), p);
+            let key = point_key(&p);
+            let limbs: Vec<u64> = point_key_limbs(&key, d)
+                .expect("same dimension")
+                .chunks_exact(8)
+                .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+                .collect();
+            assert_eq!(Point::from_limbs(d, limbs), p);
+            assert_eq!(point_key_limbs(&key, d + 1), None);
+            assert_eq!(point_key_limbs(&key[..key.len() - 1], d), None);
         }
+        assert_eq!(point_key_limbs(&[1, 0], 1), None);
     }
 
     #[test]
@@ -673,6 +728,33 @@ mod tests {
         assert!(model.is_poly_in(128, 64.0));
         assert!(!model.is_poly_in(128, 1.0));
         assert_eq!(model.word_bits, word_bits_for_dim(256));
+    }
+
+    #[test]
+    fn memory_counts_name_every_owned_byte() {
+        let (index, query, _) = planted_index(11, 100, 130, 6);
+        let mem = index.memory();
+        let named: usize = mem.named().iter().map(|&(_, bytes)| bytes).sum();
+        assert_eq!(mem.owned(), named - mem.slabs_borrowed);
+        // Each count, re-derived from the shapes it is made of.
+        let (n, limbs) = (100, 3 * 8);
+        let point = std::mem::size_of::<Point>();
+        assert_eq!(mem.dataset, n * (point + limbs));
+        let family = index.family();
+        let scales = family.top() as usize + 1;
+        let rows = scales * (family.m_rows() + family.n_rows()) as usize;
+        let matrix = std::mem::size_of::<anns_sketch::SketchMatrix>();
+        assert_eq!(
+            mem.family,
+            rows * (point + limbs) + 2 * scales * (matrix + 4)
+        );
+        let widths = (family.m_rows().div_ceil(64) + family.n_rows().div_ceil(64)) as usize;
+        assert_eq!(mem.slabs_owned, scales * n * widths * 8);
+        assert_eq!(mem.slabs_borrowed, 0, "a built index borrows nothing");
+        assert_eq!(mem.membership, 256 * 8, "next_pow2(2n) slots of 8 bytes");
+        // The packed kernel view counts once a query has built it.
+        index.dataset().exact_nn(&query);
+        assert_eq!(index.memory().dataset, mem.dataset + n * limbs);
     }
 
     #[test]

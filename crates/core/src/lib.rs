@@ -15,7 +15,8 @@
 //!   neighbor *search* problem (Theorem 11);
 //! * [`concrete`] — [`concrete::AnnIndex`], the real-data backend: lazy
 //!   table oracles over database sketches (substitution S1 of `DESIGN.md`),
-//!   perfect-hash degenerate-case structures, build + query API;
+//!   a row-number membership index for the degenerate cases, build +
+//!   query API;
 //! * [`synthetic`] — [`synthetic::SyntheticInstance`], the asymptotic-scale
 //!   backend: the same algorithms run against a specified ball profile
 //!   (substitution S4), so probe/round accounting is measurable for `d` far
@@ -72,6 +73,7 @@ pub mod boosted;
 pub mod concrete;
 pub mod instance;
 pub mod lambda;
+mod membership;
 pub mod outcome;
 pub mod serve;
 pub mod store;
@@ -81,7 +83,7 @@ pub mod synthetic;
 pub use alg1::{alg1, choose_tau_alg1, Alg1Machine, Alg1Scheme};
 pub use alg2::{alg2, alg2_s, choose_tau_alg2, Alg2Config, Alg2Machine, Alg2Scheme};
 pub use boosted::{BoostedIndex, BoostedLedger};
-pub use concrete::{AnnIndex, BuildOptions, ErasureModel, IndexSnapshot};
+pub use concrete::{AnnIndex, BuildOptions, ErasureModel, IndexMemory, IndexSnapshot};
 pub use instance::{AnnsInstance, AuxGroupSpec};
 pub use lambda::{lambda_ann, lambda_machine, lambda_scale, LambdaScheme};
 pub use outcome::{OutcomeKind, QueryOutcome};

@@ -16,7 +16,7 @@ use serde::{obj_get, Deserialize, Serialize, Value};
 
 use crate::ceil_log_alpha;
 use crate::kernel::PackedBlock;
-use crate::point::Point;
+use crate::point::{Point, LIMB_BITS};
 
 /// An exact nearest neighbor: index into the dataset plus its distance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -136,6 +136,14 @@ impl Dataset {
     /// clippy-idiomatic pairing with [`Dataset::len`].
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
+    }
+
+    /// Heap bytes of the points (each a limb box behind its header) and
+    /// of the packed kernel view once it is built, from their lengths.
+    pub fn heap_bytes(&self) -> usize {
+        let limbs = self.dim.div_ceil(LIMB_BITS) as usize * 8;
+        let points = self.points.len() * (std::mem::size_of::<Point>() + limbs);
+        points + self.packed.get().map_or(0, PackedBlock::heap_bytes)
     }
 
     /// The points.

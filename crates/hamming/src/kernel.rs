@@ -108,6 +108,11 @@ impl PackedBlock {
         self.n
     }
 
+    /// Heap bytes of the packed limbs.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.limbs)
+    }
+
     /// True when the block holds no points (an empty candidate batch).
     #[inline]
     pub fn is_empty(&self) -> bool {

@@ -215,6 +215,15 @@ impl SketchFamily {
         &self.n_thresholds
     }
 
+    /// Heap bytes of the matrices and thresholds, from their lengths.
+    pub fn heap_bytes(&self) -> usize {
+        let mats = self.m_mats.iter().chain(&self.n_mats);
+        let thresholds = self.m_thresholds.len() + self.n_thresholds.len();
+        mats.map(|m| std::mem::size_of::<SketchMatrix>() + m.heap_bytes())
+            .sum::<usize>()
+            + thresholds * std::mem::size_of::<u32>()
+    }
+
     /// The parameters the family was generated with.
     pub fn params(&self) -> &SketchParams {
         &self.params
@@ -468,6 +477,17 @@ impl DbSketches {
             .iter()
             .chain(&self.n.scales)
             .all(|s| s.is_borrowed())
+    }
+
+    /// Slab bytes as `(owned, borrowed)`: held on the heap, and read in
+    /// place from a mapped bundle. Reads no slab: a borrowed slab whose
+    /// tail check has not run yet counts as borrowed.
+    pub fn slab_bytes(&self) -> (usize, usize) {
+        let slabs = self.m.scales.iter().chain(&self.n.scales);
+        slabs.fold((0, 0), |(owned, borrowed), slab| {
+            let held = slab.owned_len();
+            (owned + 8 * held, borrowed + 8 * (slab.len() - held))
+        })
     }
 
     /// The accurate slabs (the store encode path).

@@ -148,6 +148,13 @@ impl SketchMatrix {
         &self.rows
     }
 
+    /// Heap bytes of the rows (each a limb box behind its header), from
+    /// their lengths.
+    pub fn heap_bytes(&self) -> usize {
+        let limbs = self.dim.div_ceil(LIMB_BITS) as usize * 8;
+        self.rows.len() * (std::mem::size_of::<Point>() + limbs)
+    }
+
     /// Sketches a point: bit `r` is the GF(2) inner product with row `r`.
     ///
     /// # Panics

@@ -163,6 +163,16 @@ impl Limbs {
         self.len() == 0
     }
 
+    /// Number of limbs held on the heap: all of an owned slab, the masked
+    /// copy of a borrowed slab whose tail check found a dirty row, else
+    /// none. Never runs the tail check, so it reads no slab.
+    pub fn owned_len(&self) -> usize {
+        match &self.0 {
+            Repr::Owned(limbs) => limbs.len(),
+            Repr::Borrowed(b) => b.checked.get().and_then(Option::as_ref).map_or(0, Vec::len),
+        }
+    }
+
     /// Whether the limbs are borrowed from a mapped bundle. Runs the
     /// tail check first, so a slab with a dirty tail reads as copied.
     pub fn is_borrowed(&self) -> bool {
@@ -312,6 +322,7 @@ mod tests {
             .limbs(12, 64)
             .unwrap();
         assert!(clean.is_borrowed());
+        assert_eq!((clean.owned_len(), masked.owned_len()), (0, 12));
     }
 
     #[test]
@@ -325,10 +336,12 @@ mod tests {
         let clone = dirty.clone();
         // Shape queries leave the check to the first scan.
         assert_eq!((dirty.len(), dirty.is_empty()), (12, false));
+        assert_eq!(dirty.owned_len(), 0);
         assert!(!checked(&dirty) && !checked(&clone));
         // Scanning one clone masks a copy that both then read.
         assert_eq!(clone[0], sample()[0] & ((1 << 60) - 1));
         assert!(checked(&dirty));
+        assert_eq!(dirty.owned_len(), 12);
         assert_eq!(dirty.as_ptr(), clone.as_ptr());
         assert_ne!(dirty.as_ptr().cast::<u8>(), window.as_ptr());
         assert!(!dirty.is_borrowed());
