@@ -1,18 +1,23 @@
 //! Preprocessing cost: index construction at the serving benchmark's
-//! d = 512 shape (n = 8192 is its in-memory `hot-online` index).
+//! d = 512 shape (n = 8192 is its in-memory `hot-online` index, n = 32768
+//! its `unique-large` one).
 //!
 //! The paper charges preprocessing nothing (the cell-probe model measures
 //! queries); the lazy-oracle implementation's real build cost is sketching
-//! the database under every `M_i` and `N_j`. That cost is now table
-//! lookups: `SketchMatrix::sketch_all_into` (Method of Four Russians) XORs
-//! `d/4` precomputed column-subset entries per point straight into the
-//! point's region of the matrix's limb slab, where the per-query
-//! row path (`SketchMatrix::sketch`) takes one AND+parity pass per row —
-//! the `m0_*` pair compares the two on one matrix. Matrices are
-//! independent jobs, so `DbSketches::build` runs them on
-//! `min(threads, available parallelism, jobs)` workers; the thread sweep
-//! therefore stops at this machine's available parallelism, above which
-//! every count measures the same thing.
+//! the database under every `M_i` and `N_j`. `SketchMatrix::sketch_all_into`
+//! does that bit-sliced: a block of 512 points is transposed once so each
+//! input column is one 512-bit word, a sketch row of the whole block is
+//! the XOR of the words at the row's set columns (a row costs its weight,
+//! which falls geometrically with the scale), and each 64-row group is
+//! transposed back into the slab. The per-query row path
+//! (`SketchMatrix::sketch`) takes one AND+parity pass per row; the `m0_*`
+//! pair compares the two on the densest matrix. `DbSketches::build` walks
+//! point blocks on `min(threads, available parallelism)` workers, each
+//! running every matrix over its block; the thread sweep therefore stops at
+//! this machine's available parallelism, above which every count measures
+//! the same thing. `db_sketches_n32768` is the `unique-large` build at the
+//! default `BuildOptions` thread count. Each line prints the median sample
+//! with its `[min, max]`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -69,6 +74,14 @@ fn bench_builds(c: &mut Criterion) {
             })
         });
     }
+    let n = 32768;
+    let mut rng = StdRng::seed_from_u64(n as u64);
+    let ds = gen::uniform(n, D, &mut rng);
+    let family = SketchFamily::generate(D, n, &SketchParams::practical(2.0, 7));
+    let threads = BuildOptions::default().threads;
+    group.bench_function(format!("db_sketches_n{n}"), |b| {
+        b.iter(|| DbSketches::build(&family, &ds, threads))
+    });
     group.finish();
 }
 

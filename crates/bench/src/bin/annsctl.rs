@@ -236,9 +236,21 @@ fn load_index(path: &str) -> AnnIndex {
     AnnIndex::from_snapshot(snapshot)
 }
 
+/// Parses `--n`/`--d` for a fresh seeded-uniform index, refusing shapes
+/// the sketch family cannot be sampled for.
+fn index_shape(flags: &HashMap<String, String>, n_default: usize, d_default: u32) -> (usize, u32) {
+    let n: usize = flag(flags, "n", n_default);
+    let d: u32 = flag(flags, "d", d_default);
+    if n < 2 || d < 2 {
+        die(&format!(
+            "--n and --d must be at least 2, got --n {n} --d {d}"
+        ));
+    }
+    (n, d)
+}
+
 fn cmd_build(flags: HashMap<String, String>) {
-    let n: usize = flag(&flags, "n", 1024);
-    let d: u32 = flag(&flags, "d", 256);
+    let (n, d) = index_shape(&flags, 1024, 256);
     let gamma: f64 = flag(&flags, "gamma", 2.0);
     let seed: u64 = flag(&flags, "seed", 7);
     let out = required(&flags, "out");
@@ -325,8 +337,7 @@ fn load_or_build_index(
     if let Some(path) = flags.get("index") {
         return anns_engine::load_index_snapshot(path).unwrap_or_else(|e| die(&e));
     }
-    let n: usize = flag(flags, "n", n_default);
-    let d: u32 = flag(flags, "d", d_default);
+    let (n, d) = index_shape(flags, n_default, d_default);
     let gamma: f64 = flag(flags, "gamma", 2.0);
     let seed: u64 = flag(flags, "seed", 7);
     let mut rng = StdRng::seed_from_u64(seed);

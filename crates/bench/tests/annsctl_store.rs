@@ -375,3 +375,22 @@ fn stats_names_the_bytes_an_index_holds() {
         assert!(stdout.contains(needle), "missing {needle:?} in\n{stdout}");
     }
 }
+
+#[test]
+fn build_refuses_a_shape_without_a_sketch_family() {
+    let dir = tmp_dir("shape");
+    let index = dir.file("idx.json");
+    let index_s = index.to_str().unwrap();
+    for (n, d) in [("64", "1"), ("1", "64")] {
+        let out = annsctl()
+            .args(["build", "--n", n, "--d", d, "--out", index_s])
+            .output()
+            .expect("spawn annsctl");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--n {n} --d {d}: {stderr}");
+        assert!(stderr.contains("must be at least 2"), "{stderr}");
+        assert!(stderr.contains("usage: annsctl"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(!index.exists(), "no snapshot for a refused shape");
+    }
+}

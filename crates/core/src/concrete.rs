@@ -326,6 +326,11 @@ pub struct AnnIndex {
 impl AnnIndex {
     /// Preprocesses a database: samples the sketch family (public coins)
     /// and sketches every point.
+    ///
+    /// # Panics
+    /// Panics if the database has fewer than 2 points or dimensions, or
+    /// `params` has `gamma ≤ 1` or `s < 1`: the family of Definition 7
+    /// needs them ([`SketchFamily::generate`]).
     pub fn build(dataset: Dataset, params: SketchParams, opts: BuildOptions) -> Self {
         let family = SketchFamily::generate(dataset.dim(), dataset.len(), &params);
         let db = DbSketches::build(&family, &dataset, opts.threads);

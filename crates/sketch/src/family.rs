@@ -25,7 +25,7 @@ use anns_hamming::{ceil_log_alpha, kernel, Dataset, Point};
 use anns_store::Limbs;
 
 use crate::delta::{threshold_fraction, ThresholdMode};
-use crate::matrix::{Sketch, SketchMatrix};
+use crate::matrix::{Sketch, SketchMatrix, SlicedBlock, BLOCK_POINTS};
 
 /// Parameters of the sketch family (the constants of Definition 7).
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -357,42 +357,69 @@ pub struct DbSketches {
 }
 
 impl DbSketches {
-    /// Sketches every database point under every matrix with the batch
-    /// kernel [`SketchMatrix::sketch_all_into`], one job (one slab) per
-    /// matrix.
+    /// Sketches every database point under every matrix with the
+    /// bit-sliced kernel behind [`SketchMatrix::sketch_all_into`], walking
+    /// the points one block at a time.
     ///
-    /// The `2·(top+1)` jobs run on `min(threads, available parallelism,
-    /// jobs)` scoped threads that claim them in order. The `M` jobs (twice
-    /// the rows of an `N` job) come first, so the cheaper `N` jobs fill in
-    /// behind them and the workers finish together. The output does not
-    /// depend on `threads`.
+    /// Work runs on `min(threads, available parallelism)` scoped threads,
+    /// in two passes. First each worker allocates an even, contiguous share
+    /// of the `2·(top+1)` slabs. Then the workers claim point blocks in
+    /// order: a worker transposes its block once into its own small buffer
+    /// and runs every matrix over it while it is hot, writing that block's
+    /// range of every slab. No transient scales with `n`, and the output
+    /// does not depend on `threads`.
     pub fn build(family: &SketchFamily, dataset: &Dataset, threads: usize) -> Self {
         assert_eq!(dataset.dim(), family.dim(), "dataset/family dimension");
         let points = dataset.points();
-        let total = family.m_mats.len() + family.n_mats.len();
-        let mut slabs: Vec<Vec<u64>> = vec![Vec::new(); total];
-        let jobs = Mutex::new(
-            family
-                .m_mats
-                .iter()
-                .chain(&family.n_mats)
-                .zip(slabs.iter_mut()),
-        );
-        // Each worker allocates the slabs it fills. Allocated on the
-        // calling thread instead, the freed sketches of a dropped index
-        // stayed resident in its allocator arena, where the threads that
-        // later decode mapped bundles never reuse them (swap-mixed rss_mb
-        // rose 16% in the serving benchmark).
-        let work = || loop {
-            let job = jobs.lock().expect("a sketch worker panicked").next();
-            let Some((mat, out)) = job else { break };
-            *out = vec![0u64; points.len() * mat.sketch_limbs()];
-            mat.sketch_all_into(points, out);
-        };
+        let mats: Vec<&SketchMatrix> = family.m_mats.iter().chain(&family.n_mats).collect();
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let workers = threads.min(cores).min(total).max(1);
+        let workers = threads.min(cores).max(1);
+        let mut slabs: Vec<Vec<u64>> = vec![Vec::new(); mats.len()];
+        // The workers, not the calling thread, allocate the slabs, and in
+        // even shares. Allocated on the calling thread, the freed sketches
+        // of a dropped index stayed resident in its allocator arena, where
+        // the threads that later decode mapped bundles never reuse them
+        // (swap-mixed rss_mb rose 16% in the serving benchmark). Shares,
+        // not claims: with no sketching between claims, one worker could
+        // take nearly all the slabs and another just one, and glibc keeps
+        // a thread arena's freed top while it is under the trim threshold
+        // (unique-large rss_mb rose ~1 MiB in 3 of 5 pairs).
+        let share = mats.len().div_ceil(workers);
         std::thread::scope(|scope| {
-            for _ in 0..workers {
+            for (mats, slabs) in mats.chunks(share).zip(slabs.chunks_mut(share)) {
+                scope.spawn(move || {
+                    for (mat, slab) in mats.iter().zip(slabs) {
+                        *slab = vec![0u64; points.len() * mat.sketch_limbs()];
+                    }
+                });
+            }
+        });
+        let chunks = slabs
+            .iter_mut()
+            .zip(&mats)
+            .map(|(slab, mat)| slab.chunks_mut(BLOCK_POINTS * mat.sketch_limbs()))
+            .collect::<Vec<_>>();
+        let blocks = Mutex::new((points.chunks(BLOCK_POINTS), chunks));
+        let work = || {
+            let mut block = SlicedBlock::new(family.dim());
+            loop {
+                let (xs, outs) = {
+                    let mut jobs = blocks.lock().expect("a sketch worker panicked");
+                    let (xs, chunks) = &mut *jobs;
+                    let Some(xs) = xs.next() else { break };
+                    let outs = chunks
+                        .iter_mut()
+                        .map(|c| c.next().expect("a chunk per block"));
+                    (xs, outs.collect::<Vec<_>>())
+                };
+                block.load(xs);
+                for (mat, out) in mats.iter().zip(outs) {
+                    mat.sketch_block_into(&block, out);
+                }
+            }
+        };
+        std::thread::scope(|scope| {
+            for _ in 0..workers.min(points.len().div_ceil(BLOCK_POINTS)) {
                 scope.spawn(work);
             }
         });
@@ -695,21 +722,27 @@ mod tests {
 
     #[test]
     fn parallel_db_sketches_match_sequential() {
+        // Three whole point blocks and a partial one.
+        let n = 3 * BLOCK_POINTS + 17;
         let mut rng = StdRng::seed_from_u64(13);
-        let ds = gen::uniform(40, 96, &mut rng);
+        let ds = gen::uniform(n, 96, &mut rng);
         let params = SketchParams::practical(GAMMA, 77);
-        let family = SketchFamily::generate(96, 40, &params);
+        let family = SketchFamily::generate(96, n, &params);
         let seq = DbSketches::build(&family, &ds, 1);
-        // 64 exceeds both the core count and the 2·(top+1) jobs.
+        for i in 0..=family.top() {
+            for z in 0..n {
+                assert_eq!(seq.m_limbs(i, z), family.sketch_m(i, ds.point(z)).limbs());
+                assert_eq!(seq.n_limbs(i, z), family.sketch_n(i, ds.point(z)).limbs());
+            }
+        }
+        fn slabs(db: &DbSketches) -> impl Iterator<Item = &Limbs> {
+            db.m.scales.iter().chain(&db.n.scales)
+        }
+        // 64 exceeds both the core count and the blocks.
         for threads in [1, 2, 3, 8, 64] {
             let par = DbSketches::build(&family, &ds, threads);
-            for i in 0..=family.top() {
-                for z in 0..ds.len() {
-                    assert_eq!(seq.m_limbs(i, z), par.m_limbs(i, z), "t={threads}");
-                    assert_eq!(seq.n_limbs(i, z), par.n_limbs(i, z), "t={threads}");
-                    assert_eq!(seq.m_limbs(i, z), family.sketch_m(i, ds.point(z)).limbs());
-                    assert_eq!(seq.n_limbs(i, z), family.sketch_n(i, ds.point(z)).limbs());
-                }
+            for (k, (a, b)) in slabs(&seq).zip(slabs(&par)).enumerate() {
+                assert!(a[..] == b[..], "t={threads}: slab {k}");
             }
         }
     }

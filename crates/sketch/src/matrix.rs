@@ -8,13 +8,15 @@
 //! ([`SketchMatrix::sketch`]) costs `rows × d/64` AND+XOR word operations
 //! and one popcount per row, and sketch distances are XOR+popcount — the
 //! same hot loop as raw Hamming distances, just in sketch space.
-//! Sketching a whole database ([`SketchMatrix::sketch_all_into`]) instead uses
-//! the "Method of Four Russians": the matrix is transposed into columns,
-//! every 4-bit chunk of `x` gets a 16-entry table of its column XORs, and
-//! each point costs `d/4` table lookups of `⌈rows/64⌉` limbs each.
-//! Row generation uses geometric skip-sampling, so sparse scales
-//! (`p = 1/(4α^i)` decays geometrically in `i`) cost time proportional to
-//! the number of set bits rather than to `d`.
+//! Sketching a whole database ([`SketchMatrix::sketch_all_into`]) instead
+//! bit-slices the points: a block of [`BLOCK_POINTS`] points is transposed
+//! with 64×64 bit transposes so each input column is one word across the
+//! block, a sketch row of the whole block is the XOR of the words at the
+//! row's set columns, and each 64-row group is transposed back into the
+//! slab's row-major layout. Row generation uses geometric skip-sampling.
+//! Both therefore cost time proportional to the number of set bits rather
+//! than to `d`, and `p = 1/(4α^i)` decays geometrically in the scale `i`:
+//! at d = 512 a scale-0 row has 128 set bits, a scale-18 row under one.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -179,71 +181,72 @@ impl SketchMatrix {
     /// `w = sketch_limbs()`, `out[k·w..(k+1)·w]` becomes the limbs of
     /// `sketch(&points[k])`, tail bits zero.
     ///
-    /// Method of Four Russians over GF(2). The rows are transposed into
-    /// `d` column bit vectors; for every 4-bit chunk of the input a 16-entry
-    /// table holds the XOR of each subset of the chunk's 4 columns, so a
-    /// point's sketch is the XOR of `d/4` table entries. The tables
-    /// (`d/4 · 16 · ⌈rows/64⌉` limbs, 98 KB at d = 512 and 360 rows) live
-    /// only for this call and pay for themselves after a handful of points;
-    /// a single query point should use [`SketchMatrix::sketch`].
+    /// Bit-sliced and sparse. The points go [`BLOCK_POINTS`] at a time
+    /// into a transposed block, where each input column is one word holding
+    /// that coordinate of every point in the block; sketch row `r` of the
+    /// whole block is then the XOR of the words at row `r`'s set columns,
+    /// so a row costs its weight (128 words at d = 512 and scale 0, under
+    /// one at the top scale) rather than a pass over `d`. Each 64-row group
+    /// is transposed back into the slab's row-major layout. A single query
+    /// point should use [`SketchMatrix::sketch`].
     ///
     /// # Panics
     /// Panics if a point's dimension does not match the matrix or
     /// `out.len() != points.len() · sketch_limbs()`.
     pub fn sketch_all_into(&self, points: &[Point], out: &mut [u64]) {
-        let out_limbs = self.sketch_limbs();
+        let w = self.sketch_limbs();
         assert_eq!(
             out.len(),
-            points.len() * out_limbs,
+            points.len() * w,
             "output slab must hold one sketch per point"
         );
-        if points.is_empty() {
-            return;
+        let mut block = SlicedBlock::new(self.dim);
+        for (xs, dst) in points
+            .chunks(BLOCK_POINTS)
+            .zip(out.chunks_mut(BLOCK_POINTS * w))
+        {
+            block.load(xs);
+            self.sketch_block_into(&block, dst);
         }
-        // Output limbs are handled `BLOCK` at a time. Columns are padded to
-        // whole input limbs (16 chunks per limb) and tables to whole blocks;
-        // the padding is zero, as are a point's tail bits.
-        let blocks = out_limbs.div_ceil(BLOCK);
-        let width = self.dim.div_ceil(LIMB_BITS) as usize * LIMB;
-        // cols[b · width + c] = block b of column c.
-        let mut cols = vec![[0u64; BLOCK]; blocks * width];
-        for (r, row) in self.rows.iter().enumerate() {
-            let (limb, bit) = (r / LIMB, r % LIMB);
-            for c in row.iter_ones() {
-                cols[limb / BLOCK * width + c as usize][limb % BLOCK] |= 1u64 << bit;
-            }
-        }
-        // tables[(b · width/4 + chunk) · 16 + v] = block b of the XOR of the
-        // chunk's columns picked by the bits of v. Entry v is the entry for
-        // v without its lowest bit, plus that bit's column.
-        let mut tables = vec![[0u64; BLOCK]; blocks * width / 4 * 16];
-        for (table, chunk_cols) in tables.chunks_exact_mut(16).zip(cols.chunks_exact(4)) {
-            for v in 1..16 {
-                let (prev, col) = (table[v & (v - 1)], chunk_cols[v.trailing_zeros() as usize]);
-                table[v] = std::array::from_fn(|k| prev[k] ^ col[k]);
-            }
-        }
-        for (x, limbs) in points.iter().zip(out.chunks_exact_mut(out_limbs)) {
-            assert_eq!(x.dim(), self.dim, "point/matrix dimension mismatch");
-            for (dst, block_tables) in limbs
-                .chunks_mut(BLOCK)
-                .zip(tables.chunks_exact(width / 4 * 16))
-            {
-                // A fixed-width accumulator stays in registers.
-                let mut acc = [0u64; BLOCK];
-                for (&word, limb_tables) in x
-                    .limbs()
-                    .iter()
-                    .zip(block_tables.chunks_exact(LIMB / 4 * 16))
-                {
-                    for (nibble, table) in limb_tables.chunks_exact(16).enumerate() {
-                        let entry = table[(word >> (4 * nibble)) as usize & 15];
-                        for (a, e) in acc.iter_mut().zip(entry) {
-                            *a ^= e;
+    }
+
+    /// Sketches a loaded block into its region of a slab: `out` holds
+    /// `block`'s points' sketches, `sketch_limbs()` limbs each.
+    ///
+    /// # Panics
+    /// Panics if the block's dimension does not match the matrix or `out`
+    /// is not exactly the block's sketches.
+    pub(crate) fn sketch_block_into(&self, block: &SlicedBlock, out: &mut [u64]) {
+        assert_eq!(block.dim, self.dim, "point/matrix dimension mismatch");
+        let w = self.sketch_limbs();
+        assert_eq!(
+            out.len(),
+            block.len * w,
+            "output must hold the block's sketches"
+        );
+        let mut group = [[0u64; LANES]; LIMB];
+        for (limb, rows) in self.rows.chunks(LIMB).enumerate() {
+            for (word, row) in group.iter_mut().zip(rows) {
+                // A local accumulator stays in registers.
+                let mut acc = [0u64; LANES];
+                for (&bits, cols) in row.limbs().iter().zip(block.cols.chunks_exact(LIMB)) {
+                    let mut bits = bits;
+                    while bits != 0 {
+                        let col = &cols[bits.trailing_zeros() as usize];
+                        for (a, c) in acc.iter_mut().zip(col) {
+                            *a ^= c;
                         }
+                        bits &= bits - 1;
                     }
                 }
-                dst.copy_from_slice(&acc[..dst.len()]);
+                *word = acc;
+            }
+            group[rows.len()..].fill([0; LANES]);
+            // Word `p`, lane `g` now holds this group's 64 sketch bits of
+            // point `g·64 + p`.
+            transpose(&mut group);
+            for (k, sketch) in out.chunks_exact_mut(w).enumerate() {
+                sketch[limb] = group[k % LIMB][k / LIMB];
             }
         }
     }
@@ -252,11 +255,87 @@ impl SketchMatrix {
 /// Bits per limb, as a `usize` for indexing.
 const LIMB: usize = LIMB_BITS as usize;
 
-/// Output limbs [`SketchMatrix::sketch_all_into`] accumulates per pass over the
-/// tables. At d = 512, 360 rows and n = 32768 on a 2-vCPU x86-64 host,
-/// width 2 ran about twice as fast as width 1 and within noise of widths
-/// 3, 4 and 8, and of an accumulator sized to the exact row count.
-const BLOCK: usize = 2;
+/// 64-point groups a [`SlicedBlock`] holds side by side. Every word of the
+/// kernel is `[u64; LANES]`, which the compiler keeps in vector registers.
+const LANES: usize = 8;
+
+/// Points the batch kernel ([`SketchMatrix::sketch_all_into`]) transposes
+/// and sketches at a time: one 64-point group per lane.
+pub const BLOCK_POINTS: usize = LIMB * LANES;
+
+/// Up to [`BLOCK_POINTS`] points, bit-sliced: `cols[c]` holds coordinate
+/// `c` of every point, point `g·64 + p` at bit `p` of lane `g`. Columns
+/// past the last point, and past `d` up to a whole limb, are zero.
+pub(crate) struct SlicedBlock {
+    dim: u32,
+    len: usize,
+    cols: Vec<[u64; LANES]>,
+}
+
+impl SlicedBlock {
+    /// An empty block for points of dimension `dim`
+    /// (`⌈dim/64⌉·64·LANES` limbs: 32 KiB at d = 512).
+    pub(crate) fn new(dim: u32) -> Self {
+        let width = dim.div_ceil(LIMB_BITS) as usize * LIMB;
+        SlicedBlock {
+            dim,
+            len: 0,
+            cols: vec![[0; LANES]; width],
+        }
+    }
+
+    /// Replaces the block's points with `points`, transposing each
+    /// 64-point, 64-coordinate tile.
+    ///
+    /// # Panics
+    /// Panics if there are more than [`BLOCK_POINTS`] points or one has
+    /// another dimension.
+    pub(crate) fn load(&mut self, points: &[Point]) {
+        assert!(
+            points.len() <= BLOCK_POINTS,
+            "a block holds {BLOCK_POINTS} points"
+        );
+        for x in points {
+            assert_eq!(x.dim(), self.dim, "point/matrix dimension mismatch");
+        }
+        self.len = points.len();
+        for (limb, tile) in self.cols.chunks_exact_mut(LIMB).enumerate() {
+            let tile: &mut [[u64; LANES]; LIMB] = tile.try_into().expect("whole limbs");
+            for (p, word) in tile.iter_mut().enumerate() {
+                *word = std::array::from_fn(|g| {
+                    points.get(g * LIMB + p).map_or(0, |x| x.limbs()[limb])
+                });
+            }
+            transpose(tile);
+        }
+    }
+}
+
+/// Transposes `LANES` 64×64 bit matrices at once: afterwards bit `i` of
+/// `a[j][g]` is what bit `j` of `a[i][g]` was. Six rounds of block swaps,
+/// from 32×32 blocks down to single bits.
+fn transpose(a: &mut [[u64; LANES]; LIMB]) {
+    swap_blocks::<32>(a, 0x0000_0000_FFFF_FFFF);
+    swap_blocks::<16>(a, 0x0000_FFFF_0000_FFFF);
+    swap_blocks::<8>(a, 0x00FF_00FF_00FF_00FF);
+    swap_blocks::<4>(a, 0x0F0F_0F0F_0F0F_0F0F);
+    swap_blocks::<2>(a, 0x3333_3333_3333_3333);
+    swap_blocks::<1>(a, 0x5555_5555_5555_5555);
+}
+
+/// One transpose round: in every `2J × 2J` tile, swaps the high `J` bits
+/// of the first `J` words with the low `J` bits of the next `J`.
+#[inline(always)]
+fn swap_blocks<const J: usize>(a: &mut [[u64; LANES]; LIMB], mask: u64) {
+    for base in (0..LIMB).step_by(2 * J) {
+        for k in base..base + J {
+            let (lo, hi) = (a[k], a[k + J]);
+            let t: [u64; LANES] = std::array::from_fn(|g| ((lo[g] >> J) ^ hi[g]) & mask);
+            a[k] = std::array::from_fn(|g| lo[g] ^ (t[g] << J));
+            a[k + J] = std::array::from_fn(|g| hi[g] ^ t[g]);
+        }
+    }
+}
 
 /// Samples one `Bernoulli(p)` row by geometric skip-sampling: the gap to the
 /// next set coordinate is `⌊ln U / ln(1−p)⌋`, costing O(weight) instead of
@@ -383,6 +462,25 @@ mod tests {
         }
         // 96-bit sketches of 200 random points collide with prob ≈ 0.
         assert!(seen.len() >= 199, "unexpected address collisions");
+    }
+
+    #[test]
+    fn transpose_swaps_bit_and_word_indices() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let a: [[u64; LANES]; LIMB] = std::array::from_fn(|_| std::array::from_fn(|_| rng.gen()));
+        let mut t = a;
+        transpose(&mut t);
+        for (i, j, g) in
+            (0..LIMB).flat_map(|i| (0..LIMB).flat_map(move |j| (0..LANES).map(move |g| (i, j, g))))
+        {
+            assert_eq!(
+                t[j][g] >> i & 1,
+                a[i][g] >> j & 1,
+                "bit ({i}, {j}) of lane {g}"
+            );
+        }
+        transpose(&mut t);
+        assert_eq!(t, a, "a transpose is its own inverse");
     }
 
     #[test]

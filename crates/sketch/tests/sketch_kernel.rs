@@ -1,8 +1,10 @@
 //! The batch kernel `SketchMatrix::sketch_all_into` is bit-identical to
-//! the per-point row path `SketchMatrix::sketch`, across partial 4-bit
-//! tail chunks, partial input and output limbs, and every density regime.
+//! the per-point row path `SketchMatrix::sketch`, across partial input and
+//! output limbs, partial 64-point groups and point blocks, column indices
+//! past 16 bits, and every density regime.
 
 use anns_hamming::Point;
+use anns_sketch::matrix::BLOCK_POINTS;
 use anns_sketch::SketchMatrix;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -11,6 +13,19 @@ use rand::SeedableRng;
 const DIMS: [u32; 10] = [1, 3, 63, 64, 65, 127, 129, 256, 512, 1000];
 const ROWS: [u32; 6] = [1, 63, 64, 65, 180, 360];
 const DENSITIES: [f64; 4] = [0.0, 1.0 / 2048.0, 0.25, 1.0];
+/// Batch sizes around the kernel's 64-point groups and point blocks,
+/// ending with three blocks and a partial one.
+const BATCHES: [usize; 9] = [
+    0,
+    1,
+    63,
+    64,
+    65,
+    BLOCK_POINTS - 1,
+    BLOCK_POINTS,
+    BLOCK_POINTS + 1,
+    3 * BLOCK_POINTS + 17,
+];
 
 /// `n` points: the all-ones point, then uniform ones.
 fn points(n: usize, d: u32, rng: &mut StdRng) -> Vec<Point> {
@@ -49,6 +64,26 @@ fn every_grid_shape_matches_the_row_path() {
                 assert_kernel_matches_rows(d, rows, p, 4, k as u64);
             }
         }
+    }
+}
+
+#[test]
+fn every_batch_size_around_the_block_matches_the_row_path() {
+    for &n in &BATCHES {
+        for (d, rows) in [(65, 65), (512, 360)] {
+            for p in [1.0 / 2048.0, 0.25] {
+                assert_kernel_matches_rows(d, rows, p, n, n as u64);
+            }
+        }
+    }
+}
+
+#[test]
+fn columns_past_sixteen_bits_are_not_truncated() {
+    // 4,464 columns at index 65,536 or more: a column index narrowed to
+    // 16 bits would alias them onto the first ones.
+    for p in [1.0 / 2048.0, 0.25] {
+        assert_kernel_matches_rows(70_000, 65, p, 65, 3);
     }
 }
 
