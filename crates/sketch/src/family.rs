@@ -362,8 +362,10 @@ impl DbSketches {
     /// the points one block at a time.
     ///
     /// Work runs on `min(threads, available parallelism)` scoped threads,
-    /// in two passes. First each worker allocates an even, contiguous share
-    /// of the `2·(top+1)` slabs. Then the workers claim point blocks in
+    /// in two passes. First each worker allocates a contiguous run of
+    /// `ceil(2·(top+1) / workers)` slabs, `M` slabs before `N` slabs (at
+    /// two workers, all `M` slabs on one and all `N` slabs on the other).
+    /// Then the workers claim point blocks in
     /// order: a worker transposes its block once into its own small buffer
     /// and runs every matrix over it while it is hot, writing that block's
     /// range of every slab. No transient scales with `n`, and the output
@@ -375,15 +377,17 @@ impl DbSketches {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let workers = threads.min(cores).max(1);
         let mut slabs: Vec<Vec<u64>> = vec![Vec::new(); mats.len()];
-        // The workers, not the calling thread, allocate the slabs, and in
-        // even shares. Allocated on the calling thread, the freed sketches
-        // of a dropped index stayed resident in its allocator arena, where
-        // the threads that later decode mapped bundles never reuse them
-        // (swap-mixed rss_mb rose 16% in the serving benchmark). Shares,
-        // not claims: with no sketching between claims, one worker could
-        // take nearly all the slabs and another just one, and glibc keeps
-        // a thread arena's freed top while it is under the trim threshold
-        // (unique-large rss_mb rose ~1 MiB in 3 of 5 pairs).
+        // The workers, not the calling thread, allocate the slabs, in
+        // contiguous runs of equal count (not of equal bytes: an M slab is
+        // twice an N slab). Allocated on the calling thread, the freed
+        // sketches of a dropped index stayed resident in its allocator
+        // arena, where the threads that later decode mapped bundles never
+        // reuse them (swap-mixed rss_mb rose 16% in the serving benchmark).
+        // Fixed runs, not claims: with no sketching between claims, one
+        // worker could take nearly all the slabs and another just one, and
+        // glibc keeps a thread arena's freed top while it is under the trim
+        // threshold (unique-large rss_mb rose ~1 MiB in 3 of 5 pairs). At
+        // two workers each run is 19 slabs, far above that threshold.
         let share = mats.len().div_ceil(workers);
         std::thread::scope(|scope| {
             for (mats, slabs) in mats.chunks(share).zip(slabs.chunks_mut(share)) {
