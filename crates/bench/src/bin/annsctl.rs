@@ -1,16 +1,16 @@
 //! `annsctl` — a small operator CLI over the library.
 //!
 //! ```text
-//! annsctl build       --n 4096 --d 512 --gamma 2.0 --seed 7 --out index.json
-//! annsctl query       --index index.json --k 3 [--flips 8] [--count 16]
-//! annsctl lambda      --index index.json --lambda 8
-//! annsctl stats       --index index.json
-//! annsctl save        --out bundle.anns [--scheme all] [--n 1024 --d 256 | --index index.json]
+//! annsctl build       --n 4096 --d 512 --gamma 2.0 --seed 7 --out index.anns
+//! annsctl query       --store index.anns --k 3 [--flips 8] [--count 16]
+//! annsctl lambda      --store index.anns --lambda 8
+//! annsctl stats       --store index.anns
+//! annsctl save        --out bundle.anns [--scheme all] [--n 1024 --d 256]
 //! annsctl load        --store bundle.anns [--store-backend heap|mmap] [--verify-queries 4]
 //! annsctl inspect     --store bundle.anns
 //! annsctl mount       --mounts a=x.anns,b=y.anns [--store-backend heap|mmap] [--verify-queries 4]
 //! annsctl swap        --mounts a=x.anns,b=y.anns --swap a=x2.anns [--requests 256]
-//! annsctl serve       [--from-store bundle.anns | --mounts a=x.anns,… | --index index.json] [--store-backend heap|mmap]
+//! annsctl serve       [--from-store bundle.anns | --mounts a=x.anns,…] [--store-backend heap|mmap]
 //! annsctl serve       --online 1 [--rate 4000] [--window 16] [--max-wait-us 500] [--queue-cap 256]
 //! annsctl serve       --trace-out trace.jsonl [--trace-cap 4096] […]
 //! annsctl server      --listen 127.0.0.1:0 [--addr-file addr.txt] [--tenants hot:0:8,…] [--max-conns 256] [--out report.json]
@@ -18,7 +18,7 @@
 //! annsctl trace       inspect --trace trace.jsonl [--limit 12] [--server-report report.json]
 //! annsctl attack      [--scenario quick] [--rounds 240] [--seed 42] [--band 0.05] [--out report.json]
 //! annsctl bench-attack [--seed 42] --out BENCH_attack_quick.json
-//! annsctl bench-serve [--from-store bundle.anns | --index index.json] [--shards 4] --out BENCH_serve.json
+//! annsctl bench-serve [--from-store bundle.anns] [--shards 4] --out BENCH_serve.json
 //! annsctl bench-kernels [--dims 64,256,512] [--n 16384] --out BENCH_kernels.json
 //! annsctl bench-obs   [--events 2000000] [--capacity 4096] --out BENCH_obs.json
 //! annsctl bench-server --addr 127.0.0.1:PORT [--hot-requests 40] [--requests 12] --out BENCH_server.json
@@ -33,14 +33,17 @@
 //! annsctl lb          --log2n 1.3e24 --log2d 1.1e12 --gamma 4 --k 3
 //! ```
 //!
-//! Exists so the index can be exercised without writing Rust: `build`
-//! snapshots an index over a seeded uniform database to JSON, `query` /
-//! `lambda` load it and run the paper's schemes, `stats` prints the space
-//! model, `save` / `load` / `inspect` manage versioned **binary store
-//! bundles** (`anns-store`: checksummed sections holding deduplicated
-//! index payloads plus every registered scheme), `mount` assembles a
-//! multi-bundle registry (one namespace per bundle, cross-bundle index
-//! deduplication) and prints each mount's provenance manifest, `swap`
+//! Exists so the index can be exercised without writing Rust. Every
+//! command that reads or writes an index uses one format, the versioned
+//! **binary store bundle** (`anns-store`: checksummed sections holding
+//! deduplicated index payloads plus every registered scheme). `build`
+//! indexes a seeded uniform database into a one-shard bundle (`save`
+//! with `--scheme alg1`), `query` / `lambda` load its index and run the
+//! paper's schemes, `stats` prints the space model and the index's bytes,
+//! `save` / `load` / `inspect` write, load and check bundles of any
+//! scheme mix, `mount` assembles a multi-bundle registry (one
+//! namespace per bundle, cross-bundle index deduplication) and prints
+//! each mount's provenance manifest, `swap`
 //! demonstrates the zero-downtime path — it serves a workload *while*
 //! hot-swapping one namespace and exits nonzero unless every query
 //! completed and the old mount fully retired, `serve` drives the
@@ -130,6 +133,14 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
         let key = args[i]
             .strip_prefix("--")
             .unwrap_or_else(|| die(&format!("expected --flag, got {}", args[i])));
+        // Unknown flags are otherwise ignored, and serving a fresh random
+        // index in place of the one named would be a silently wrong answer.
+        if key == "index" {
+            die(
+                "--index is retired: an index is a bundle; read one with --store \
+                 (query, lambda, stats) or --from-store (serve, bench-serve)",
+            );
+        }
         let value = args
             .get(i + 1)
             .unwrap_or_else(|| die(&format!("--{key} needs a value")));
@@ -228,12 +239,15 @@ fn required(flags: &HashMap<String, String>, key: &str) -> String {
         .unwrap_or_else(|| die(&format!("--{key} is required")))
 }
 
-fn load_index(path: &str) -> AnnIndex {
-    let json =
-        std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-    let snapshot =
-        serde_json::from_str(&json).unwrap_or_else(|e| die(&format!("bad snapshot: {e}")));
-    AnnIndex::from_snapshot(snapshot)
+/// The first pooled index of the bundle named by `--{key}`, decoded on
+/// the heap backend: the index `build` or `save` wrote.
+fn store_index(flags: &HashMap<String, String>, key: &str) -> Arc<AnnIndex> {
+    let path = required(flags, key);
+    load_bundle_with(&path, StoreBackend::Heap)
+        .indexes
+        .first()
+        .cloned()
+        .unwrap_or_else(|| die(&format!("{path} holds no AnnIndex-backed shard")))
 }
 
 /// Parses `--n`/`--d` for a fresh seeded-uniform index, refusing shapes
@@ -249,28 +263,8 @@ fn index_shape(flags: &HashMap<String, String>, n_default: usize, d_default: u32
     (n, d)
 }
 
-fn cmd_build(flags: HashMap<String, String>) {
-    let (n, d) = index_shape(&flags, 1024, 256);
-    let gamma: f64 = flag(&flags, "gamma", 2.0);
-    let seed: u64 = flag(&flags, "seed", 7);
-    let out = required(&flags, "out");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let ds = gen::uniform(n, d, &mut rng);
-    let index = AnnIndex::build(
-        ds,
-        SketchParams::practical(gamma, seed),
-        BuildOptions::default(),
-    );
-    let json = serde_json::to_string(&index.snapshot()).expect("serialize snapshot");
-    std::fs::write(&out, json).unwrap_or_else(|e| die(&format!("cannot write {out}: {e}")));
-    println!(
-        "built: n = {n}, d = {d}, γ = {gamma}, {} scales, snapshot → {out}",
-        index.family().top() + 1
-    );
-}
-
 fn cmd_query(flags: HashMap<String, String>) {
-    let index = load_index(&required(&flags, "index"));
+    let index = store_index(&flags, "store");
     let k: u32 = flag(&flags, "k", 3);
     let flips: u32 = flag(&flags, "flips", 8);
     let count: usize = flag(&flags, "count", 8);
@@ -299,7 +293,7 @@ fn cmd_query(flags: HashMap<String, String>) {
 }
 
 fn cmd_lambda(flags: HashMap<String, String>) {
-    let index = load_index(&required(&flags, "index"));
+    let index = store_index(&flags, "store");
     let lambda: f64 = flag(&flags, "lambda", 8.0);
     let seed: u64 = flag(&flags, "seed", 99);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -310,7 +304,7 @@ fn cmd_lambda(flags: HashMap<String, String>) {
 }
 
 fn cmd_stats(flags: HashMap<String, String>) {
-    let index = load_index(&required(&flags, "index"));
+    let index = store_index(&flags, "store");
     let model = index.table().space_model();
     println!("n          : {}", index.dataset().len());
     println!("d          : {}", index.dataset().dim());
@@ -327,16 +321,8 @@ fn cmd_stats(flags: HashMap<String, String>) {
     }
 }
 
-/// Loads `--index`, or builds a fresh seeded-uniform instance from
-/// `--n/--d/--gamma/--seed` when no snapshot is given.
-fn load_or_build_index(
-    flags: &HashMap<String, String>,
-    n_default: usize,
-    d_default: u32,
-) -> Arc<AnnIndex> {
-    if let Some(path) = flags.get("index") {
-        return anns_engine::load_index_snapshot(path).unwrap_or_else(|e| die(&e));
-    }
+/// Builds a fresh seeded-uniform index from `--n/--d/--gamma/--seed`.
+fn build_index(flags: &HashMap<String, String>, n_default: usize, d_default: u32) -> Arc<AnnIndex> {
     let (n, d) = index_shape(flags, n_default, d_default);
     let gamma: f64 = flag(flags, "gamma", 2.0);
     let seed: u64 = flag(flags, "seed", 7);
@@ -353,8 +339,12 @@ fn load_or_build_index(
 /// `alg1|alg2|lambda|lsh|linear|all`) over a shared index. Shared by
 /// `serve` (cold start) and `save`, so a saved bundle serves exactly what
 /// a cold-started registry would.
-fn build_registry(flags: &HashMap<String, String>, index: &Arc<AnnIndex>) -> Registry {
-    let scheme: String = flag(flags, "scheme", "all".to_string());
+fn build_registry(
+    flags: &HashMap<String, String>,
+    index: &Arc<AnnIndex>,
+    default_scheme: &str,
+) -> Registry {
+    let scheme: String = flag(flags, "scheme", default_scheme.to_string());
     let k: u32 = flag(flags, "k", 3);
     let lambda: f64 = flag(flags, "lambda", 8.0);
     let lsh_r: f64 = flag(flags, "lsh-r", 6.0);
@@ -420,8 +410,7 @@ fn build_registry(flags: &HashMap<String, String>, index: &Arc<AnnIndex>) -> Reg
 
 /// The serving surface behind `serve`/`bench-serve`: a multi-bundle
 /// mounted registry (`--mounts ns=path,…`), a single-bundle warm start
-/// (`--from-store`), or a cold-built registry over a fresh/JSON-snapshot
-/// index.
+/// (`--from-store`), or a cold-built registry over a fresh index.
 fn registry_and_index(flags: &HashMap<String, String>) -> (Registry, Arc<AnnIndex>) {
     let backend = store_backend_flag(flags);
     if let Some(spec) = flags.get("mounts") {
@@ -463,8 +452,8 @@ fn registry_and_index(flags: &HashMap<String, String>) -> (Registry, Arc<AnnInde
         }
         (bundle.registry, index)
     } else {
-        let index = load_or_build_index(flags, 1024, 256);
-        (build_registry(flags, &index), index)
+        let index = build_index(flags, 1024, 256);
+        (build_registry(flags, &index, "all"), index)
     }
 }
 
@@ -1567,13 +1556,7 @@ fn cmd_bench_serve(flags: HashMap<String, String>) {
     let index = if let Some(path) = flags.get("from-store") {
         // Warm start: the whole point of the store — bench (and CI) reuse
         // one build instead of paying preprocessing per run.
-        let bundle = Registry::load_bundle(path)
-            .unwrap_or_else(|e| die(&format!("cannot load store {path}: {e}")));
-        let index = bundle
-            .indexes
-            .first()
-            .cloned()
-            .unwrap_or_else(|| die(&format!("{path} holds no AnnIndex-backed shard")));
+        let index = store_index(&flags, "from-store");
         eprintln!(
             "warm start: index n = {}, d = {} from {path}",
             index.dataset().len(),
@@ -1581,7 +1564,7 @@ fn cmd_bench_serve(flags: HashMap<String, String>) {
         );
         index
     } else {
-        load_or_build_index(
+        build_index(
             &flags,
             if quick { 256 } else { 8192 },
             if quick { 256 } else { 512 },
@@ -2564,10 +2547,13 @@ fn cmd_bench_server(flags: HashMap<String, String>) {
     println!("report → {out}");
 }
 
-fn cmd_save(flags: HashMap<String, String>) {
+/// Builds a fresh index, registers `--scheme` over it (default
+/// `default_scheme`) and writes the registry as one bundle: `save`, and
+/// `build` with one Algorithm 1 shard.
+fn cmd_save(flags: HashMap<String, String>, default_scheme: &str) {
     let out = required(&flags, "out");
-    let index = load_or_build_index(&flags, 1024, 256);
-    let registry = build_registry(&flags, &index);
+    let index = build_index(&flags, 1024, 256);
+    let registry = build_registry(&flags, &index, default_scheme);
     if registry.is_empty() {
         die("nothing to save: no schemes registered");
     }
@@ -3764,11 +3750,11 @@ fn main() {
     }
     let flags = parse_flags(&args[1..]);
     match cmd.as_str() {
-        "build" => cmd_build(flags),
+        "build" => cmd_save(flags, "alg1"),
         "query" => cmd_query(flags),
         "lambda" => cmd_lambda(flags),
         "stats" => cmd_stats(flags),
-        "save" => cmd_save(flags),
+        "save" => cmd_save(flags, "all"),
         "load" => cmd_load(flags),
         "inspect" => cmd_inspect(flags),
         "mount" => cmd_mount(flags),

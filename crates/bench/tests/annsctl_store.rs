@@ -1,6 +1,7 @@
 //! End-to-end exercise of the `annsctl` persistence surface: `save` →
 //! `inspect` → `load` → `serve --from-store` → `bench-serve --from-store`
-//! → `bench-gate`, driving the real binary the way CI does. This is the
+//! → `bench-gate`, and `build` → `query` / `lambda` / `stats`, driving the
+//! real binary the way CI does. This is the
 //! acceptance check that a stored instance warm-starts the serving stack
 //! and that the perf gate passes against an artifact produced by the
 //! same build.
@@ -357,15 +358,49 @@ fn online_serve_smoke_exits_clean_with_zero_shed() {
     assert!(stderr.contains("overloaded"), "{stderr}");
 }
 
+/// `build` → `query` → `lambda` → `stats`: the index commands share the
+/// one-shard bundle `build` writes.
+#[test]
+fn build_query_lambda_stats_round_trip() {
+    let dir = tmp_dir("roundtrip");
+    let index = dir.file("idx.anns");
+    let index_s = index.to_str().unwrap();
+    let out = run_ok(annsctl().args(["build", "--n", "128", "--d", "128", "--out", index_s]));
+    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+    assert!(stdout.contains("1 shard(s)"), "{stdout}");
+    assert!(stdout.contains("alg1-k3"), "{stdout}");
+
+    let out = run_ok(annsctl().args(["query", "--store", index_s, "--k", "3", "--count", "4"]));
+    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+    // A header and one row per query; each query is planted 8 flips from
+    // a database point, so every answer is γ-ok.
+    let rows: Vec<&str> = stdout.lines().skip(1).collect();
+    assert_eq!(rows.len(), 4, "{stdout}");
+    assert!(rows.iter().all(|r| r.ends_with("true")), "{stdout}");
+
+    let out = run_ok(annsctl().args(["lambda", "--store", index_s, "--lambda", "6"]));
+    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+    assert!(
+        stdout.contains("λ = 6") && stdout.contains("(1 probe)"),
+        "{stdout}"
+    );
+
+    let out = run_ok(annsctl().args(["stats", "--store", index_s]));
+    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+    for needle in ["n          : 128", "d          : 128", "scales     : "] {
+        assert!(stdout.contains(needle), "missing {needle:?} in\n{stdout}");
+    }
+}
+
 #[test]
 fn stats_names_the_bytes_an_index_holds() {
     let dir = tmp_dir("stats");
-    let index = dir.file("idx.json");
+    let index = dir.file("idx.anns");
     let index_s = index.to_str().unwrap();
     run_ok(annsctl().args(["build", "--n", "64", "--d", "128", "--out", index_s]));
-    let out = run_ok(annsctl().args(["stats", "--index", index_s]));
+    let out = run_ok(annsctl().args(["stats", "--store", index_s]));
     let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-    // 64 rows: next_pow2(128) membership slots of 8 bytes; a built index
+    // 64 rows: next_pow2(128) membership slots of 8 bytes; a heap load
     // borrows no slab.
     for needle in [
         "memory     : ",
@@ -379,7 +414,7 @@ fn stats_names_the_bytes_an_index_holds() {
 #[test]
 fn build_refuses_a_shape_without_a_sketch_family() {
     let dir = tmp_dir("shape");
-    let index = dir.file("idx.json");
+    let index = dir.file("idx.anns");
     let index_s = index.to_str().unwrap();
     for (n, d) in [("64", "1"), ("1", "64")] {
         let out = annsctl()
@@ -391,6 +426,65 @@ fn build_refuses_a_shape_without_a_sketch_family() {
         assert!(stderr.contains("must be at least 2"), "{stderr}");
         assert!(stderr.contains("usage: annsctl"), "{stderr}");
         assert!(!stderr.contains("panicked"), "{stderr}");
-        assert!(!index.exists(), "no snapshot for a refused shape");
+        assert!(!index.exists(), "no bundle for a refused shape");
     }
+}
+
+/// A missing file, a file that is not a bundle, and a truncated bundle:
+/// every command that reads an index exits nonzero with a typed message.
+#[test]
+fn index_commands_refuse_bad_files_without_panicking() {
+    let dir = tmp_dir("badfiles");
+    let good = dir.file("good.anns");
+    run_ok(annsctl().args([
+        "build",
+        "--n",
+        "64",
+        "--d",
+        "64",
+        "--out",
+        good.to_str().unwrap(),
+    ]));
+    let bytes = std::fs::read(&good).unwrap();
+    let garbage = dir.file("garbage.anns");
+    std::fs::write(&garbage, b"{\"dataset\": \"not a bundle\"}").unwrap();
+    let truncated = dir.file("truncated.anns");
+    std::fs::write(&truncated, &bytes[..bytes.len() / 2]).unwrap();
+    let missing = dir.file("missing.anns");
+    for file in [&missing, &garbage, &truncated] {
+        let path = file.to_str().unwrap();
+        for subcmd in ["query", "lambda", "stats"] {
+            let out = annsctl()
+                .args([subcmd, "--store", path])
+                .output()
+                .expect("spawn annsctl");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success(), "{subcmd} {path} must fail");
+            assert!(stderr.contains("cannot load store"), "{subcmd}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{subcmd}: {stderr}");
+        }
+    }
+}
+
+/// `--index` named a JSON snapshot, a format that no longer exists.
+/// Ignoring it like an unknown flag would serve or save a fresh random
+/// index instead, so it is refused with a pointer to the bundle flags.
+#[test]
+fn retired_index_flag_fails_loudly() {
+    let dir = tmp_dir("retired");
+    let out_path = dir.file("out.anns");
+    let out_s = out_path.to_str().unwrap();
+    for args in [
+        vec!["query", "--index", "idx.json"],
+        vec!["serve", "--index", "idx.json", "--requests", "8"],
+        vec!["save", "--index", "idx.json", "--out", out_s],
+    ] {
+        let out = annsctl().args(&args).output().expect("spawn annsctl");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("--store"), "{args:?}: {stderr}");
+        assert!(stderr.contains("--from-store"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    assert!(!out_path.exists(), "a refused save writes nothing");
 }

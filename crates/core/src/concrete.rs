@@ -42,7 +42,7 @@ use crate::outcome::{encode_aux_cell, encode_t_cell, QueryOutcome};
 /// lower-violation direction of a Lemma 8 failure (`C_i` losing members)
 /// for robustness experiments; degenerate-case and auxiliary cells are
 /// untouched.
-#[derive(Clone, Copy, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ErasureModel {
     /// Per-cell erasure probability.
     pub probability: f64,
@@ -273,14 +273,6 @@ fn word_bits_for_dim(d: u32) -> u64 {
     8 * (13 + u64::from(d.div_ceil(64)) * 8)
 }
 
-/// Serializable index state (see [`AnnIndex::snapshot`]).
-#[derive(serde::Serialize, serde::Deserialize)]
-pub struct IndexSnapshot {
-    dataset: Dataset,
-    family: SketchFamily,
-    db: DbSketches,
-}
-
 /// The bytes an index holds, by owner, computed from lengths (see
 /// [`AnnIndex::memory`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -359,31 +351,12 @@ impl AnnIndex {
         }
     }
 
-    /// Serializes the index state: database, sketch family (the public
-    /// coins) and database sketches. Reloading skips re-sketching.
-    pub fn snapshot(&self) -> IndexSnapshot {
-        IndexSnapshot {
-            dataset: self.inner.dataset.clone(),
-            family: self.inner.family.clone(),
-            db: self.inner.db.clone(),
-        }
-    }
-
-    /// Restores an index from a snapshot (rebuilds only the membership
-    /// index; sketches are taken as stored).
-    ///
-    /// # Panics
-    /// Panics if the parts are inconsistent (see [`AnnIndex::from_parts`]).
-    pub fn from_snapshot(snapshot: IndexSnapshot) -> Self {
-        Self::from_parts(snapshot.dataset, snapshot.family, snapshot.db, None)
-            .unwrap_or_else(|e| panic!("inconsistent snapshot: {e}"))
-    }
-
-    /// Reassembles an index from its stored parts — the binary-store
-    /// decode path (`anns_core::store`). Unlike [`AnnIndex::from_snapshot`]
-    /// this carries the erasure model too, so a reloaded fault-injection
-    /// instance probes identically to the freshly built one. The db
-    /// sketches must match the family's shape ([`DbSketches::check_family`])
+    /// Reassembles an index from its stored parts — the store decode path
+    /// (`anns_core::store`), which is the index's one on-disk form. It
+    /// carries the erasure model too, so a reloaded fault-injection
+    /// instance probes identically to the freshly built one. Only the
+    /// membership index is rebuilt; the sketches are taken as stored, so
+    /// they must match the family's shape ([`DbSketches::check_family`])
     /// and cover every database point.
     pub fn from_parts(
         dataset: Dataset,
@@ -554,6 +527,7 @@ impl AnnsInstance for AnnIndex {
 mod tests {
     use super::*;
     use anns_hamming::gen;
+    use anns_store::Codec;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -809,10 +783,9 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_roundtrip_preserves_query_behaviour() {
+    fn codec_roundtrip_preserves_query_behaviour() {
         let (index, query, needle) = planted_index(20, 64, 128, 6);
-        let json = serde_json::to_string(&index.snapshot()).expect("serialize");
-        let restored = AnnIndex::from_snapshot(serde_json::from_str(&json).expect("deserialize"));
+        let restored = AnnIndex::from_bytes(&index.to_bytes()).expect("decode");
         for k in 1..=3u32 {
             let (o1, l1) = index.query(&query, k);
             let (o2, l2) = restored.query(&query, k);

@@ -15,7 +15,6 @@
 //! the decision version collapses to `O(1)` probes (§1, §4 prelude).
 
 use anns_cellprobe::{drive, CellProbeScheme, OneRound, RoundExecutor, RoundMachine, Table, Word};
-use serde::{Deserialize, Serialize};
 
 use crate::instance::AnnsInstance;
 use crate::outcome::decode_t_cell;
@@ -38,7 +37,7 @@ pub fn lambda_scale(lambda: f64, alpha: f64, top: u32) -> u32 {
 }
 
 /// Answer of the λ-ANNS scheme.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum LambdaAnswer {
     /// A database point within `γλ` of the query (index, bits if carried).
     Neighbor {

@@ -83,7 +83,7 @@ pub mod synthetic;
 pub use alg1::{alg1, choose_tau_alg1, Alg1Machine, Alg1Scheme};
 pub use alg2::{alg2, alg2_s, choose_tau_alg2, Alg2Config, Alg2Machine, Alg2Scheme};
 pub use boosted::{BoostedIndex, BoostedLedger};
-pub use concrete::{AnnIndex, BuildOptions, ErasureModel, IndexMemory, IndexSnapshot};
+pub use concrete::{AnnIndex, BuildOptions, ErasureModel, IndexMemory};
 pub use instance::{AnnsInstance, AuxGroupSpec};
 pub use lambda::{lambda_ann, lambda_machine, lambda_scale, LambdaScheme};
 pub use outcome::{OutcomeKind, QueryOutcome};

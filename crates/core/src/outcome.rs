@@ -17,17 +17,16 @@
 
 use anns_cellprobe::Word;
 use anns_hamming::Point;
-use serde::{Deserialize, Serialize};
 
 /// What a query returned.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct QueryOutcome {
     /// The classified result.
     pub kind: OutcomeKind,
 }
 
 /// Result classification for the ANNS schemes.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum OutcomeKind {
     /// Degenerate case 1: the query itself is a database point (`B_0 ≠ ∅`).
     Exact {

@@ -140,7 +140,7 @@ pub use mount::{
     current_rss_anon_bytes, current_rss_bytes, current_rss_file_bytes, MountError, MountManifest,
     MountTable, StoreBackend, SwapReceipt,
 };
-pub use registry::{load_index_snapshot, BundleMeta, LoadedBundle, Registry, ShardId, ShardInfo};
+pub use registry::{BundleMeta, LoadedBundle, Registry, ShardId, ShardInfo};
 pub use scheduler::DispatchTrace;
 pub use stats::{
     percentile, EngineStats, Histogram, LatencySummary, OnlineStats, ServeReport, TenantUsage,

@@ -310,14 +310,6 @@ impl Registry {
     }
 }
 
-/// Loads an [`AnnIndex`] snapshot from a JSON file (the format written by
-/// `annsctl build` / [`AnnIndex::snapshot`]).
-pub fn load_index_snapshot(path: &str) -> Result<Arc<AnnIndex>, String> {
-    let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let snapshot = serde_json::from_str(&json).map_err(|e| format!("bad snapshot {path}: {e}"))?;
-    Ok(Arc::new(AnnIndex::from_snapshot(snapshot)))
-}
-
 /// One shard's directory entry in a bundle's `META` section.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardInfo {
@@ -1070,11 +1062,6 @@ mod tests {
         let mut reg = Registry::new();
         reg.register_alg1("x", Arc::clone(&index), 2);
         reg.register_alg1("x", index, 3);
-    }
-
-    #[test]
-    fn snapshot_loading_reports_errors() {
-        assert!(load_index_snapshot("/nonexistent/index.json").is_err());
     }
 
     #[test]

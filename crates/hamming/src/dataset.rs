@@ -12,7 +12,7 @@
 
 use std::sync::OnceLock;
 
-use serde::{obj_get, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::ceil_log_alpha;
 use crate::kernel::PackedBlock;
@@ -59,39 +59,13 @@ impl BallProfile {
 /// Carries a lazily built limb-major [`PackedBlock`] view so the batch
 /// kernels (exact NN, kNN, histograms, ball profiles) pay the transpose
 /// once per database instead of once per query. The cache is derived
-/// state: it is skipped by serialization (hand-written impls below — the
-/// vendored serde shim has no `#[serde(skip)]`) and rebuilt on demand,
+/// state: the store codec never encodes it, and it is rebuilt on demand,
 /// which is sound because points are immutable after construction.
 #[derive(Clone, Debug)]
 pub struct Dataset {
     dim: u32,
     points: Vec<Point>,
     packed: OnceLock<PackedBlock>,
-}
-
-/// Serializes as the plain `{dim, points}` object the former derived impl
-/// produced — committed JSON artifacts stay readable; the packed cache is
-/// never written.
-impl Serialize for Dataset {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("dim".to_string(), self.dim.to_value()),
-            ("points".to_string(), self.points.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Dataset {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let Value::Object(fields) = v else {
-            return Err(serde::Error::custom("expected object for Dataset"));
-        };
-        Ok(Dataset {
-            dim: u32::from_value(obj_get(fields, "dim")?)?,
-            points: Vec::<Point>::from_value(obj_get(fields, "points")?)?,
-            packed: OnceLock::new(),
-        })
-    }
 }
 
 impl Dataset {

@@ -7,13 +7,12 @@
 use std::fmt;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Number of bits per storage limb.
 pub const LIMB_BITS: u32 = 64;
 
 /// A point of the Hamming cube `{0,1}^d`, bit-packed into `u64` limbs.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Point {
     dim: u32,
     limbs: Box<[u64]>,
@@ -361,14 +360,5 @@ mod tests {
         let a = Point::zeros(10);
         let b = Point::zeros(11);
         let _ = a.distance(&b);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let p = Point::random(130, &mut rng);
-        let enc = serde_json::to_string(&p).unwrap();
-        let back: Point = serde_json::from_str(&enc).unwrap();
-        assert_eq!(back, p);
     }
 }

@@ -8,6 +8,7 @@
 
 use anns_hamming::kernel::{count_rows_within, first_row_within, rows_within};
 use anns_hamming::{gen, k_nearest, Dataset, DistanceHistogram, PackedBlock, Point};
+use anns_store::Codec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -154,15 +155,14 @@ proptest! {
         prop_assert_eq!(&hist.counts, &expect);
     }
 
-    /// `Dataset` survives a serde round-trip and rebuilds an identical
-    /// packed view lazily (the cache itself is never serialized).
+    /// `Dataset` survives a store-codec round trip and rebuilds an
+    /// identical packed view lazily (the cache itself is never encoded).
     #[test]
-    fn dataset_serde_roundtrip(seed in any::<u64>(), n in 1usize..40, d in 1u32..256) {
+    fn dataset_codec_roundtrip(seed in any::<u64>(), n in 1usize..40, d in 1u32..256) {
         let mut rng = StdRng::seed_from_u64(seed);
         let ds = gen::uniform(n, d, &mut rng);
         let query = Point::random(d, &mut rng);
-        let json = serde_json::to_string(&ds).unwrap();
-        let back: Dataset = serde_json::from_str(&json).unwrap();
+        let back = Dataset::from_bytes(&ds.to_bytes()).unwrap();
         prop_assert_eq!(back.points(), ds.points());
         prop_assert_eq!(back.packed().distances(&query), ds.packed().distances(&query));
     }

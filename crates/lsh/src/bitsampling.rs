@@ -19,7 +19,6 @@ use std::collections::HashMap;
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use anns_cellprobe::{
     drive, execute_with, Address, CellProbeScheme, ExecOptions, OneRound, ProbeLedger,
@@ -28,7 +27,7 @@ use anns_cellprobe::{
 use anns_hamming::{Dataset, PackedBlock, Point};
 
 /// LSH configuration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LshParams {
     /// Bits sampled per hash function (`K ≤ 64`).
     pub k_bits: u32,

@@ -16,7 +16,6 @@
 //! limited-adaptivity tradeoff curve for experiment E8.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use anns_cellprobe::{
     execute_with, Address, CellProbeScheme, ExecOptions, ProbeLedger, RoundExecutor, SpaceModel,
@@ -27,7 +26,7 @@ use anns_hamming::{ceil_log_alpha, Dataset, Point};
 use crate::bitsampling::{LshIndex, LshParams};
 
 /// Configuration of the radius ladder.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct MultiRadiusParams {
     /// Radius growth factor per rung (`α`; the paper's `√γ` is natural).
     pub alpha: f64,

@@ -18,7 +18,6 @@ use std::sync::Mutex;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use anns_hamming::point::LIMB_BITS;
 use anns_hamming::{ceil_log_alpha, kernel, Dataset, Point};
@@ -28,7 +27,7 @@ use crate::delta::{threshold_fraction, ThresholdMode};
 use crate::matrix::{Sketch, SketchMatrix, SlicedBlock, BLOCK_POINTS};
 
 /// Parameters of the sketch family (the constants of Definition 7).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SketchParams {
     /// Approximation ratio `γ > 1` (paper assumes `γ < 4` wlog; `α = √γ`).
     pub gamma: f64,
@@ -83,7 +82,7 @@ impl SketchParams {
 }
 
 /// The sampled public randomness: matrices and thresholds for every scale.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SketchFamily {
     params: SketchParams,
     dim: u32,
@@ -298,7 +297,7 @@ impl SketchFamily {
 /// once for the kind; tail bits past it are zero in every sketch. A slab
 /// is owned after a build or a copying decode, and borrowed in place from
 /// the bundle after a mapped mount.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub(crate) struct SketchSlabs {
     pub(crate) rows: u32,
     pub(crate) scales: Vec<Limbs>,
@@ -347,9 +346,9 @@ impl SketchSlabs {
 /// 2.8 MB, where mapping in the whole 47.6 MB entry grew it by 47.5 MB
 /// (x86-64, glibc). The `C_i` /
 /// `D_{i,j}` oracles scan a scale's slab contiguously with the
-/// `anns_hamming::kernel` row scans. Serializable, so indices can be
-/// snapshotted and reloaded without re-sketching.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// `anns_hamming::kernel` row scans. The store codec writes them, so a
+/// bundle reloads an index without re-sketching.
+#[derive(Clone, Debug)]
 pub struct DbSketches {
     points: usize,
     m: SketchSlabs,
@@ -463,10 +462,9 @@ impl DbSketches {
 
     /// Errors unless these sketches were made by `family`'s shape: exactly
     /// `top+1` scales per kind, `m_rows()` / `n_rows()` bits per sketch,
-    /// and full slabs (a deserialized JSON snapshot has had no decoder
-    /// check them). Decoded and deserialized indexes pass through this
-    /// before serving, so a mismatched bundle is rejected at load rather
-    /// than panicking at its first query.
+    /// and full slabs. Decoded indexes pass through this before serving,
+    /// so a mismatched bundle is rejected at load rather than panicking at
+    /// its first query.
     pub fn check_family(&self, family: &SketchFamily) -> Result<(), String> {
         let scales = family.top() as usize + 1;
         if self.m.scales.len() != scales || self.n.scales.len() != scales {

@@ -19,7 +19,6 @@
 //! at d = 512 a scale-0 row has 128 set bits, a scale-18 row under one.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use anns_hamming::point::LIMB_BITS;
 use anns_hamming::Point;
@@ -29,7 +28,7 @@ use anns_hamming::Point;
 /// Sketches serve two roles: (1) operands of the threshold test, via
 /// [`Sketch::distance`]; (2) *cell addresses* in the paper's tables
 /// (`T_i[M_i x]`), via [`Sketch::address_bytes`].
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Sketch(Point);
 
 impl Sketch {
@@ -83,7 +82,7 @@ impl Sketch {
 }
 
 /// A `rows × d` random GF(2) matrix with iid `Bernoulli(p)` entries.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SketchMatrix {
     dim: u32,
     density: f64,

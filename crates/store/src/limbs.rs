@@ -219,18 +219,6 @@ impl fmt::Debug for Limbs {
     }
 }
 
-impl serde::Serialize for Limbs {
-    fn to_value(&self) -> serde::Value {
-        (**self).to_value()
-    }
-}
-
-impl serde::Deserialize for Limbs {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Vec::from_value(v).map(Limbs::from)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,13 +286,9 @@ mod tests {
         assert!(!outside.is_borrowed());
         assert_eq!(outside, borrowed);
 
-        // Clones share the borrow; serialization sees only the limbs.
+        // Clones share the borrow.
         let clone = borrowed.clone();
         assert_eq!(clone.as_ptr(), borrowed.as_ptr());
-        assert_eq!(
-            serde::Serialize::to_value(&borrowed),
-            serde::Serialize::to_value(&unowned)
-        );
     }
 
     #[test]

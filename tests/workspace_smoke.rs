@@ -6,6 +6,7 @@
 use anns::core::{AnnIndex, BuildOptions};
 use anns::hamming::gen;
 use anns::sketch::SketchParams;
+use anns::store::Codec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -83,10 +84,10 @@ fn quickstart_path_works_on_planted_instance() {
     );
 }
 
-/// Snapshot JSON round-trip through the vendored serde/serde_json shims:
-/// a restored index answers identically.
+/// Store-codec round trip, the index's one on-disk form: a decoded index
+/// answers identically, probe for probe.
 #[test]
-fn snapshot_round_trip_preserves_answers() {
+fn codec_round_trip_preserves_answers() {
     let mut rng = StdRng::seed_from_u64(11);
     let planted = gen::planted(128, 128, 5, &mut rng);
     let index = AnnIndex::build(
@@ -94,9 +95,9 @@ fn snapshot_round_trip_preserves_answers() {
         SketchParams::practical(2.0, 11),
         BuildOptions::default(),
     );
-    let json = serde_json::to_string(&index.snapshot()).expect("serialize snapshot");
-    let restored = AnnIndex::from_snapshot(serde_json::from_str(&json).expect("parse snapshot"));
-    let (a, _) = index.query(&planted.query, 3);
-    let (b, _) = restored.query(&planted.query, 3);
+    let restored = AnnIndex::from_bytes(&index.to_bytes()).expect("decode index");
+    let (a, la) = index.query(&planted.query, 3);
+    let (b, lb) = restored.query(&planted.query, 3);
     assert_eq!(a, b, "restored index must answer identically");
+    assert_eq!(la, lb, "restored index must probe identically");
 }
