@@ -7,12 +7,12 @@
 //! and `annsctl bench-attack` checks exactly that before committing an
 //! artifact the CI attack gate compares against.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::scenario::ScenarioConfig;
 
 /// One (scheme, strategy) arm's measured outcome.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct ArmReport {
     /// Registry shard name the arm attacked (e.g. `"lsh-sub"`).
     pub shard: String,
@@ -65,7 +65,7 @@ impl ArmReport {
 }
 
 /// A full suite run: every (scheme, strategy) arm under one scenario.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct RobustnessReport {
     /// The scenario that produced this report.
     pub scenario: ScenarioConfig,
@@ -94,7 +94,7 @@ impl RobustnessReport {
 
 /// The committed `bench-attack` artifact the CI attack gate diffs
 /// against: a suite run plus its replay verification and wall-clock.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct BenchAttackReport {
     /// The scenario that produced this report.
     pub scenario: ScenarioConfig,

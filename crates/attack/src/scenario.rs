@@ -28,7 +28,7 @@ use anns_lsh::{LshIndex, LshParams, ServeLsh};
 use anns_sketch::SketchParams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::harness::{AttackHarness, Judge};
 use crate::report::RobustnessReport;
@@ -38,7 +38,7 @@ use crate::strategy::{AttackStrategy, BitFlipHillClimb, NonAdaptiveControl, Repe
 /// Everything that determines an attack run, and therefore everything
 /// the gate refuses to compare across: two reports are comparable only
 /// if their configs are equal.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct ScenarioConfig {
     /// Scenario name (`"tiny"`, `"quick"`, `"full"`).
     pub name: String,

@@ -4,9 +4,9 @@
 //!
 //! The CI `microbench-gate` job runs this in quick mode alongside
 //! `annsctl bench-kernels`, whose JSON output is what `annsctl bench-gate
-//! --kernels-current … --kernels-reference BENCH_kernels_quick.json`
-//! actually compares; the criterion numbers are the human-readable side
-//! of the same measurement.
+//! --current … --reference BENCH_kernels_quick.json` actually compares;
+//! the criterion numbers are the human-readable side of the same
+//! measurement.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

@@ -23,12 +23,7 @@
 //! annsctl bench-obs   [--events 2000000] [--capacity 4096] --out BENCH_obs.json
 //! annsctl bench-server --addr 127.0.0.1:PORT [--hot-requests 40] [--requests 12] --out BENCH_server.json
 //! annsctl bench-store [--small-n 1024 --large-n 8192 --d 256] --out BENCH_store.json
-//! annsctl bench-gate  --current BENCH_new.json --reference BENCH_serve.json [--tol-coalescing 0.1]
-//! annsctl bench-gate  --kernels-current BENCH_k.json --kernels-reference BENCH_kernels_quick.json
-//! annsctl bench-gate  --obs-current BENCH_o.json --obs-reference BENCH_obs_quick.json
-//! annsctl bench-gate  --server-current BENCH_s.json --server-reference BENCH_server_quick.json
-//! annsctl bench-gate  --attack-current BENCH_a.json --attack-reference BENCH_attack_quick.json
-//! annsctl bench-gate  --store-current BENCH_st.json --store-reference BENCH_store_quick.json
+//! annsctl bench-gate  --current BENCH_new.json --reference BENCH_serve_quick.json
 //! annsctl lpm         --sigma 4 --m 8 --n 64 --k 2 --queries 32
 //! annsctl lb          --log2n 1.3e24 --log2d 1.1e12 --gamma 4 --k 3
 //! ```
@@ -71,7 +66,7 @@
 //! verdict — `bench-server` drives a three-tenant workload (one hot,
 //! two compliant) against a running server and records per-tenant
 //! outcome counters plus socket-to-ticket / socket-to-answer latency
-//! splits,
+//! splits, and exits 1 if a compliant tenant was refused,
 //! `bench-obs` times the recorder fast path (`NullRecorder` vs ring)
 //! and writes `BENCH_obs.json`, `bench-serve` races coalesced engine serving
 //! against per-query `run_batch` (optionally across `--shards N` mounted
@@ -86,9 +81,12 @@
 //! `bench-attack` runs that suite twice, verifies the two traces are
 //! byte-identical, and writes the committed `BENCH_attack_quick.json`
 //! artifact the CI attack gate diffs against,
-//! `bench-gate` compares such reports (serve and/or kernel) against
-//! committed references with tolerance bands (the CI perf-regression,
-//! microbench and attack gates), `lpm` runs the trie scheme end to end,
+//! `bench-gate` compares any one such artifact against its committed
+//! reference through the flat `metrics` list every `bench-*` command
+//! writes beside its payload (`anns_bench::gate`: exact rows must be
+//! equal, ratio and wall rows stay inside the reference row's own band;
+//! each producer checks its single-run invariants itself and exits
+//! nonzero after writing), `lpm` runs the trie scheme end to end,
 //! and `lb` invokes the round-elimination calculator.
 //!
 //! The operator-facing walkthrough of these commands lives in
@@ -99,6 +97,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use anns_attack::{run_suite, BenchAttackReport, RobustnessReport, ScenarioConfig};
+use anns_bench::gate::{self, Better, Metric};
 use anns_bench::server_bench::{
     rtt_pct_us, BenchServerConfig, BenchServerReport, TenantBenchRow, TenantWorkloadSpec,
 };
@@ -156,6 +155,25 @@ fn die(msg: &str) -> ! {
         "usage: annsctl <build|query|lambda|stats|save|load|inspect|mount|swap|serve|server|client|trace|attack|bench-attack|bench-serve|bench-kernels|bench-obs|bench-server|bench-store|bench-gate|lpm|lb> [--flag value]…"
     );
     std::process::exit(2);
+}
+
+/// Writes a `bench-*` artifact: the payload with its gate rows beside it.
+fn write_artifact(out: &str, payload: &impl serde::Serialize, metrics: Vec<Metric>) {
+    let json = serde_json::to_string_pretty(&gate::with_metrics(payload, metrics))
+        .expect("artifact serializes");
+    std::fs::write(out, json).unwrap_or_else(|e| die(&format!("cannot write {out}: {e}")));
+    println!("report → {out}");
+}
+
+/// Exits 1 when a producer's single-run invariants failed, after its
+/// artifact is written so the failing run can be inspected.
+fn exit_on_failures(command: &str, failures: &[String]) {
+    for failure in failures {
+        eprintln!("{command}: FAIL — {failure}");
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
+    }
 }
 
 /// Parses `--mounts ns=path[,ns=path…]` into `(namespace, path)` pairs.
@@ -661,7 +679,7 @@ fn cmd_swap(flags: HashMap<String, String>) {
 
 /// An online (admission-queue) serving run, JSON-emitted by
 /// `serve --online` and embedded in the `bench-serve` report.
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 struct OnlineReport {
     /// Window width (`max_generation`).
     window: usize,
@@ -1484,26 +1502,25 @@ fn cmd_trace(args: &[String]) {
 
 /// `bench-serve` output: config, the per-query `run_batch` baseline, one
 /// engine run per generation width, a deterministic admission-queue run,
-/// and the round-integrity audit. Deserializable so `bench-gate` can
-/// reload committed artifacts.
-#[derive(serde::Serialize, serde::Deserialize)]
+/// and the round-integrity audit.
+#[derive(serde::Serialize)]
 struct BenchServeReport {
     config: BenchServeConfig,
     baseline: ServeReport,
     engine: Vec<EngineRun>,
     /// The widest engine run repeated with a ring recorder installed:
     /// results must stay identical, the event count is a pure function
-    /// of the workload (gated exactly), and the wall-clock overhead
-    /// versus the untraced run at the same width is gated loosely.
+    /// of the workload (an exact row), and the wall-clock overhead
+    /// versus the untraced run at the same width is a loose wall row.
     traced: TracedRun,
     /// The same request stream through the admission queue on a *virtual*
     /// clock, pre-enqueued so every window fill-seals at the widest batch
-    /// width: its coalescing is deterministic and gated tightly.
+    /// width: its coalescing is deterministic and banded tightly.
     online: OnlineReport,
     audit: AuditReport,
 }
 
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 struct TracedRun {
     batch: usize,
     /// Traced wall clock / untraced wall clock at the same batch width.
@@ -1516,7 +1533,7 @@ struct TracedRun {
     report: ServeReport,
 }
 
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 struct BenchServeConfig {
     n: usize,
     d: u32,
@@ -1529,14 +1546,14 @@ struct BenchServeConfig {
     quick: bool,
 }
 
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 struct EngineRun {
     batch: usize,
     speedup_vs_baseline: f64,
     report: ServeReport,
 }
 
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 struct AuditReport {
     queries: usize,
     /// Engine round count per query equals the solo round count.
@@ -1937,8 +1954,7 @@ fn cmd_bench_serve(flags: HashMap<String, String>) {
             transcripts_identical,
         },
     };
-    let json = serde_json::to_string(&report).expect("serialize bench-serve report");
-    std::fs::write(&out, &json).unwrap_or_else(|e| die(&format!("cannot write {out}: {e}")));
+    write_artifact(&out, &report, serve_metrics(&report));
     println!(
         "baseline {:.0} qps; {}",
         report.baseline.qps,
@@ -1974,23 +1990,91 @@ fn cmd_bench_serve(flags: HashMap<String, String>) {
         "audit over {} queries: rounds identical = {}, transcripts identical = {}",
         report.audit.queries, report.audit.rounds_identical, report.audit.transcripts_identical
     );
-    println!("report → {out}");
     if !(report.audit.rounds_identical && report.audit.transcripts_identical) {
         die("round-integrity audit failed");
     }
+    let violations: u64 = report.baseline.budget_violations
+        + report.online.report.budget_violations
+        + report
+            .engine
+            .iter()
+            .map(|e| e.report.budget_violations)
+            .sum::<u64>();
+    let mut failures = Vec::new();
+    if violations > 0 {
+        failures.push(format!("{violations} budget violation(s)"));
+    }
+    if report.traced.trace_dropped > 0 {
+        failures.push(format!(
+            "the traced run dropped {} event(s); the bench ring must hold the whole run",
+            report.traced.trace_dropped
+        ));
+    }
+    exit_on_failures("bench-serve", &failures);
+}
+
+/// `bench-serve`'s gate rows. Coalescing and the trace's event count are
+/// pure functions of the workload; the speedup and the traced overhead
+/// are wall-clock ratios on shared runners, so their bands only catch
+/// collapses.
+fn serve_metrics(report: &BenchServeReport) -> Vec<Metric> {
+    let mut rows = Vec::new();
+    for run in &report.engine {
+        let b = run.batch;
+        rows.push(Metric::ratio(
+            format!("serve.engine.b{b}.coalescing_ratio"),
+            run.report.coalescing_ratio,
+            Better::Lower,
+            0.10,
+        ));
+        rows.push(Metric::wall(
+            format!("serve.engine.b{b}.speedup_vs_baseline"),
+            run.speedup_vs_baseline,
+            Better::Higher,
+            0.90,
+        ));
+    }
+    let traced = &report.traced;
+    let b = traced.batch;
+    rows.push(Metric::exact(
+        format!("serve.traced.b{b}.trace_events"),
+        traced.trace_events as f64,
+    ));
+    rows.push(Metric::ratio(
+        format!("serve.traced.b{b}.coalescing_ratio"),
+        traced.report.coalescing_ratio,
+        Better::Lower,
+        0.10,
+    ));
+    // An overhead under 1.0 is noise (the traced run beat the untraced
+    // one); the floor keeps the band meaning "tracing may cost at most 2×
+    // a run".
+    rows.push(Metric::wall(
+        format!("serve.traced.b{b}.overhead_vs_untraced"),
+        traced.overhead_vs_untraced.max(1.0),
+        Better::Lower,
+        1.0,
+    ));
+    let w = report.online.window;
+    rows.push(Metric::ratio(
+        format!("serve.online.w{w}.coalescing_ratio"),
+        report.online.report.coalescing_ratio,
+        Better::Lower,
+        0.10,
+    ));
+    rows
 }
 
 /// `bench-kernels` output: one row per dimension comparing the scalar
 /// per-`Point` distance loop against the limb-major `PackedBlock`
-/// kernels. Deserializable so `bench-gate` can reload the committed
-/// `BENCH_kernels_quick.json` reference.
-#[derive(serde::Serialize, serde::Deserialize)]
+/// kernels.
+#[derive(serde::Serialize)]
 struct BenchKernelsReport {
     config: BenchKernelsConfig,
     rows: Vec<KernelRow>,
 }
 
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 struct BenchKernelsConfig {
     n: usize,
     queries: usize,
@@ -2000,7 +2084,7 @@ struct BenchKernelsConfig {
     dims: Vec<u32>,
 }
 
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 struct KernelRow {
     d: u32,
     /// Best-of-reps ns per distance, scalar `Point::distance` loop.
@@ -2124,15 +2208,42 @@ fn cmd_bench_kernels(flags: HashMap<String, String>) {
         },
         rows,
     };
-    let json = serde_json::to_string(&report).expect("serialize bench-kernels report");
-    std::fs::write(&out, &json).unwrap_or_else(|e| die(&format!("cannot write {out}: {e}")));
-    println!("report → {out}");
+    // Speedups are ratios of two timings in one process, so machine
+    // variance mostly cancels and their band is tight; absolute
+    // ns/distance varies with the runner's silicon, so its band only
+    // catches collapses.
+    let metrics = report
+        .rows
+        .iter()
+        .flat_map(|row| {
+            let d = row.d;
+            [
+                Metric::ratio(
+                    format!("kernels.d{d}.many_vs_many_speedup"),
+                    row.many_vs_many_speedup,
+                    Better::Higher,
+                    0.35,
+                ),
+                Metric::ratio(
+                    format!("kernels.d{d}.one_vs_many_speedup"),
+                    row.one_vs_many_speedup,
+                    Better::Higher,
+                    0.35,
+                ),
+                Metric::wall(
+                    format!("kernels.d{d}.many_vs_many_ns"),
+                    row.many_vs_many_ns,
+                    Better::Lower,
+                    4.0,
+                ),
+            ]
+        })
+        .collect();
+    write_artifact(&out, &report, metrics);
 }
 
 /// `bench-obs` output: the recorder fast-path microbenchmark.
-/// Deserializable so `bench-gate` can reload the committed
-/// `BENCH_obs_quick.json` reference.
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 struct BenchObsReport {
     config: BenchObsConfig,
     /// Best-of-reps ns per emission site with the `NullRecorder`: one
@@ -2143,13 +2254,13 @@ struct BenchObsReport {
     /// (clock stamp + mutex + drop-oldest at capacity).
     ring_ns_per_event: f64,
     /// Ring counters after the run — a pure function of the config
-    /// (`reps × events` recorded, all but `capacity` dropped), so the
-    /// gate compares them exactly.
+    /// (`reps × events` recorded, all but `capacity` dropped), so they
+    /// are exact rows.
     ring_events: u64,
     ring_dropped: u64,
 }
 
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 struct BenchObsConfig {
     events: u64,
     reps: usize,
@@ -2206,33 +2317,38 @@ fn cmd_bench_obs(flags: HashMap<String, String>) {
         ring_events: counters.events,
         ring_dropped: counters.dropped,
     };
-    let json = serde_json::to_string(&report).expect("serialize bench-obs report");
-    std::fs::write(&out, &json).unwrap_or_else(|e| die(&format!("cannot write {out}: {e}")));
     println!(
         "null {null_ns:.2} ns/event, ring {ring_ns:.2} ns/event ({} recorded, {} dropped)",
         counters.events, counters.dropped
     );
-    println!("report → {out}");
+    // ns/event is absolute wall clock on shared runners: a loose band
+    // that only catches collapses.
+    let metrics = vec![
+        Metric::exact("obs.ring_events", report.ring_events as f64),
+        Metric::exact("obs.ring_dropped", report.ring_dropped as f64),
+        Metric::wall("obs.null_ns_per_event", null_ns, Better::Lower, 4.0),
+        Metric::wall("obs.ring_ns_per_event", ring_ns, Better::Lower, 4.0),
+    ];
+    write_artifact(&out, &report, metrics);
 }
 
 /// `bench-store` output: mount-cost accounting for both store backends
 /// over two seeded bundles, one small and one several times larger. The
 /// byte columns are pure functions of (seed, n, d, schemes) — the store
-/// format is deterministic — so `bench-gate` diffs them *exactly*
-/// against the committed artifact: any drift in `file_bytes` is a
-/// format change, and any drift in `mmap_eager_bytes` is a change to
-/// what the mapped mount reads up front. The O(manifest) claim itself
-/// is gated structurally: the large bundle's eager bytes must stay
-/// within a small factor of the small bundle's even as the files
-/// diverge. Timings and RSS ride along as loose collapse detectors.
-#[derive(serde::Serialize, serde::Deserialize)]
+/// format is deterministic — so they are exact rows: any drift in
+/// `file_bytes` is a format change, and any drift in `mmap_eager_bytes`
+/// is a change to what the mapped mount reads up front. The O(manifest)
+/// claim itself is checked on each run: the large bundle's eager bytes
+/// must stay within a small factor of the small bundle's even as the
+/// files diverge. Timings and RSS ride along ungated.
+#[derive(serde::Serialize)]
 struct BenchStoreReport {
     config: BenchStoreConfig,
     small: StoreMountRow,
     large: StoreMountRow,
 }
 
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 struct BenchStoreConfig {
     small_n: usize,
     large_n: usize,
@@ -2241,7 +2357,7 @@ struct BenchStoreConfig {
     quick: bool,
 }
 
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 struct StoreMountRow {
     /// Total section payload bytes in the bundle (deterministic).
     file_bytes: u64,
@@ -2256,7 +2372,8 @@ struct StoreMountRow {
     /// registry dropped: heap the save left resident (informational,
     /// not gated).
     rss_anon_after_save_bytes: u64,
-    /// Wall-clock mount times (machine dependent; loosely gated).
+    /// Wall-clock mount times (machine dependent; the mapped mount must
+    /// cost at most 4× the heap mount).
     heap_mount_ms: f64,
     mmap_mount_ms: f64,
     /// Process RSS after each load, and after the mapped load with
@@ -2359,10 +2476,52 @@ fn cmd_bench_store(flags: HashMap<String, String>) {
         small,
         large,
     };
-    let json = serde_json::to_string(&report).expect("serialize bench-store report");
-    std::fs::write(&out, &json).unwrap_or_else(|e| die(&format!("cannot write {out}: {e}")));
     let _ = std::fs::remove_dir_all(&dir);
-    println!("report → {out}");
+    let mut metrics = Vec::new();
+    let mut failures = Vec::new();
+    for (tag, row) in [("small", &report.small), ("large", &report.large)] {
+        metrics.push(Metric::exact(
+            format!("store.{tag}.file_bytes"),
+            row.file_bytes as f64,
+        ));
+        metrics.push(Metric::exact(
+            format!("store.{tag}.mmap_eager_bytes"),
+            row.mmap_eager_bytes as f64,
+        ));
+        // Heap reads the whole file, by definition of the backend.
+        if row.heap_eager_bytes != row.file_bytes {
+            failures.push(format!(
+                "{tag}: the heap load read {} of {} bytes eagerly",
+                row.heap_eager_bytes, row.file_bytes
+            ));
+        }
+    }
+    // The O(manifest) claim: growing the dataset ~8x must not grow the
+    // eagerly read bytes beyond the shard-directory factor, and the large
+    // mount's eager read must stay well under its file.
+    let (small, large) = (&report.small, &report.large);
+    if large.mmap_eager_bytes > 2 * small.mmap_eager_bytes {
+        failures.push(format!(
+            "the large mapped mount read {} bytes eagerly, over 2× the small one's {}",
+            large.mmap_eager_bytes, small.mmap_eager_bytes
+        ));
+    }
+    if large.mmap_eager_bytes as f64 > large.file_bytes as f64 / 4.0 {
+        failures.push(format!(
+            "the large mapped mount read {} of {} bytes eagerly, over a quarter",
+            large.mmap_eager_bytes, large.file_bytes
+        ));
+    }
+    // A mapped mount that regressed to heap-shaped work shows up as mount
+    // time tracking the full decode.
+    if large.mmap_mount_ms > large.heap_mount_ms * 4.0 {
+        failures.push(format!(
+            "the large mapped mount took {:.3} ms, over 4× the heap mount's {:.3} ms",
+            large.mmap_mount_ms, large.heap_mount_ms
+        ));
+    }
+    write_artifact(&out, &report, metrics);
+    exit_on_failures("bench-store", &failures);
 }
 
 /// `bench-server`: the multi-tenant workload against a *running*
@@ -2373,7 +2532,8 @@ fn cmd_bench_store(flags: HashMap<String, String>) {
 /// (the server's `--tenants` policy for it should be `hot:0:8`-shaped
 /// so its admitted count is `burst`, exactly, timing-free), while
 /// "tenant-a"/"tenant-b" offer within their burst — any refusal they
-/// see is a fairness bug, and `bench-gate` hard-fails on it.
+/// see is a fairness bug, and the command exits 1 on it after writing
+/// its artifact.
 fn cmd_bench_server(flags: HashMap<String, String>) {
     let quick = quick_mode();
     let addr = client_addr(&flags);
@@ -2489,14 +2649,6 @@ fn cmd_bench_server(flags: HashMap<String, String>) {
     for run in &mut runs {
         run.ticket_ns.sort_unstable();
         run.answer_ns.sort_unstable();
-        // Structural invariant of the loop above, kept as a real check:
-        // every offer lands in exactly one outcome bucket.
-        assert_eq!(
-            run.served + run.throttled + run.overloaded + run.closed + run.failed,
-            run.offered,
-            "{}: outcomes must partition offered load",
-            run.name
-        );
         let row = TenantBenchRow {
             tenant: run.name.to_string(),
             offered: run.offered,
@@ -2542,9 +2694,8 @@ fn cmd_bench_server(flags: HashMap<String, String>) {
         },
         tenants: rows,
     };
-    let json = serde_json::to_string(&report).expect("serialize bench-server report");
-    std::fs::write(&out, &json).unwrap_or_else(|e| die(&format!("cannot write {out}: {e}")));
-    println!("report → {out}");
+    write_artifact(&out, &report, report.metrics());
+    exit_on_failures("bench-server", &report.violations());
 }
 
 /// Builds a fresh index, registers `--scheme` over it (default
@@ -2846,851 +2997,53 @@ fn cmd_bench_attack(flags: HashMap<String, String>) {
         replay_verified,
         wall_ns,
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out, json).unwrap_or_else(|e| die(&format!("cannot write {out}: {e}")));
-    println!("report written to {out}");
-    if !replay_verified {
-        eprintln!("bench-attack: FAIL — identical configs produced different traces");
-        std::process::exit(1);
+    // Failure counts and fingerprints are pure functions of (scenario,
+    // seed): any drift means the serving stack, a scheme or an attacker
+    // changed behavior. Suite wall clock is machine dependent.
+    let mut metrics = Vec::new();
+    for arm in &report.arms {
+        let arm_key = format!("attack.{}.{}", arm.shard, arm.strategy);
+        metrics.push(Metric::exact(
+            format!("{arm_key}.failures"),
+            arm.failures as f64,
+        ));
+        metrics.push(Metric::exact(
+            format!("{arm_key}.fingerprint"),
+            f64::from(arm.fingerprint),
+        ));
     }
-}
-
-/// One gated metric comparison in the `bench-gate` diff summary. `key` is
-/// the engine batch width for serve metrics, the dimension `d` for kernel
-/// metrics; `lower` says which direction of `bound` is passing.
-struct GateRow {
-    key: usize,
-    metric: &'static str,
-    reference: f64,
-    current: f64,
-    bound: f64,
-    lower: bool,
-    ok: bool,
+    metrics.push(Metric::wall(
+        "attack.suite_wall_ns",
+        wall_ns as f64,
+        Better::Lower,
+        3.0,
+    ));
+    write_artifact(&out, &report, metrics);
+    let mut failures = Vec::new();
+    if !replay_verified {
+        failures.push("identical configs produced different traces".to_string());
+    }
+    for arm in report.arms.iter().filter(|a| a.replay_mismatches > 0) {
+        failures.push(format!(
+            "{}/{} answered {} replayed query(ies) differently",
+            arm.shard, arm.strategy, arm.replay_mismatches
+        ));
+    }
+    exit_on_failures("bench-attack", &failures);
 }
 
 fn cmd_bench_gate(flags: HashMap<String, String>) {
-    let current_path = flags.get("current").cloned();
-    let reference_path = flags.get("reference").cloned();
-    let kernels_current_path = flags.get("kernels-current").cloned();
-    let kernels_reference_path = flags.get("kernels-reference").cloned();
-    let obs_current_path = flags.get("obs-current").cloned();
-    let obs_reference_path = flags.get("obs-reference").cloned();
-    let server_current_path = flags.get("server-current").cloned();
-    let server_reference_path = flags.get("server-reference").cloned();
-    let attack_current_path = flags.get("attack-current").cloned();
-    let attack_reference_path = flags.get("attack-reference").cloned();
-    let store_current_path = flags.get("store-current").cloned();
-    let store_reference_path = flags.get("store-reference").cloned();
-    if current_path.is_some() != reference_path.is_some() {
-        die("--current and --reference must be given together");
+    if let Some(other) = flags.keys().find(|k| *k != "current" && *k != "reference") {
+        die(&format!(
+            "bench-gate takes only --current and --reference, not --{other}: bands live in the reference's metric rows"
+        ));
     }
-    if kernels_current_path.is_some() != kernels_reference_path.is_some() {
-        die("--kernels-current and --kernels-reference must be given together");
-    }
-    if obs_current_path.is_some() != obs_reference_path.is_some() {
-        die("--obs-current and --obs-reference must be given together");
-    }
-    if server_current_path.is_some() != server_reference_path.is_some() {
-        die("--server-current and --server-reference must be given together");
-    }
-    if attack_current_path.is_some() != attack_reference_path.is_some() {
-        die("--attack-current and --attack-reference must be given together");
-    }
-    if store_current_path.is_some() != store_reference_path.is_some() {
-        die("--store-current and --store-reference must be given together");
-    }
-    if current_path.is_none()
-        && kernels_current_path.is_none()
-        && obs_current_path.is_none()
-        && server_current_path.is_none()
-        && attack_current_path.is_none()
-        && store_current_path.is_none()
-    {
-        die("nothing to gate: pass --current/--reference, --kernels-current/--kernels-reference, --obs-current/--obs-reference, --server-current/--server-reference, --attack-current/--attack-reference and/or --store-current/--store-reference");
-    }
-    // Coalescing is deterministic in the workload, so its band is tight;
-    // speedup is wall-clock on shared CI runners, so its band only
-    // catches collapses (regression to well under the reference ratio).
-    let tol_coalescing: f64 = flag(&flags, "tol-coalescing", 0.10);
-    let tol_speedup: f64 = flag(&flags, "tol-speedup", 0.90);
-    // Kernel-vs-scalar speedup is a ratio of two timings on the *same*
-    // machine in the same process, so hardware variance mostly cancels:
-    // its band is the tight one. Absolute ns/distance varies with the
-    // runner's silicon, so its band is loose and only catches collapses.
-    let tol_kernel_ratio: f64 = flag(&flags, "tol-kernel-ratio", 0.35);
-    let tol_kernel_wall: f64 = flag(&flags, "tol-kernel-wall", 4.0);
-    // Traced-run overhead is a same-process wall-clock ratio (traced /
-    // untraced at one batch width) on a shared runner: loose band.
-    let tol_trace_overhead: f64 = flag(&flags, "tol-trace-overhead", 1.0);
-    // Recorder ns/event is absolute wall clock: loose collapse detector,
-    // like the kernel wall band.
-    let tol_obs_wall: f64 = flag(&flags, "tol-obs-wall", 4.0);
-    // Server outcome counters are deterministic in the workload and the
-    // server's tenant policies (exact when the hot tenant's refill rate
-    // is 0), so the hot throttle counter gets a tight band; the
-    // client-observed latency splits are wall clock over loopback on
-    // shared runners, so they get the loose collapse-detector band.
-    let tol_server_counter: f64 = flag(&flags, "tol-server-counter", 0.10);
-    let tol_server_wall: f64 = flag(&flags, "tol-server-wall", 4.0);
-    // Attack failure counts are deterministic in (scenario, seed) —
-    // gated by exact equality, no tolerance flag. Suite wall-clock is
-    // machine dependent: loose collapse-detector band like the others.
-    let tol_attack_wall: f64 = flag(&flags, "tol-attack-wall", 4.0);
-    // Store byte columns are deterministic — gated by exact equality.
-    // The O(manifest) assertion allows the large bundle's eager bytes
-    // this factor over the small bundle's (both are manifest-sized, but
-    // the shard directory grows by a few entries). Mount wall clock is
-    // machine dependent: loose collapse-detector band.
-    let tol_store_eager_ratio: f64 = flag(&flags, "tol-store-eager-ratio", 2.0);
-    let tol_store_wall: f64 = flag(&flags, "tol-store-wall", 4.0);
-
-    let mut rows: Vec<GateRow> = Vec::new();
-    let mut failed = false;
-
-    if let (Some(current_path), Some(reference_path)) = (&current_path, &reference_path) {
-        serve_gate_rows(
-            current_path,
-            reference_path,
-            tol_coalescing,
-            tol_speedup,
-            tol_trace_overhead,
-            &mut rows,
-            &mut failed,
-        );
-    }
-    if let (Some(kernels_current), Some(kernels_reference)) =
-        (&kernels_current_path, &kernels_reference_path)
-    {
-        kernel_gate_rows(
-            kernels_current,
-            kernels_reference,
-            tol_kernel_ratio,
-            tol_kernel_wall,
-            &mut rows,
-            &mut failed,
-        );
-    }
-    if let (Some(obs_current), Some(obs_reference)) = (&obs_current_path, &obs_reference_path) {
-        obs_gate_rows(
-            obs_current,
-            obs_reference,
-            tol_obs_wall,
-            &mut rows,
-            &mut failed,
-        );
-    }
-    if let (Some(server_current), Some(server_reference)) =
-        (&server_current_path, &server_reference_path)
-    {
-        server_gate_rows(
-            server_current,
-            server_reference,
-            tol_server_counter,
-            tol_server_wall,
-            &mut rows,
-            &mut failed,
-        );
-    }
-    if let (Some(attack_current), Some(attack_reference)) =
-        (&attack_current_path, &attack_reference_path)
-    {
-        attack_gate_rows(
-            attack_current,
-            attack_reference,
-            tol_attack_wall,
-            &mut rows,
-            &mut failed,
-        );
-    }
-    if let (Some(store_current), Some(store_reference)) =
-        (&store_current_path, &store_reference_path)
-    {
-        store_gate_rows(
-            store_current,
-            store_reference,
-            tol_store_eager_ratio,
-            tol_store_wall,
-            &mut rows,
-            &mut failed,
-        );
-    }
-
-    // The diff summary, markdown so CI step output renders it.
-    println!("| key | metric | reference | current | allowed | verdict |");
-    println!("|-----|--------|-----------|---------|---------|---------|");
-    for row in &rows {
-        failed |= !row.ok;
-        println!(
-            "| {} | {} | {:.4} | {:.4} | {} {:.4} | {} |",
-            row.key,
-            row.metric,
-            row.reference,
-            row.current,
-            if row.lower { "≤" } else { "≥" },
-            row.bound,
-            if row.ok { "ok" } else { "REGRESSION" }
-        );
-    }
-    if failed {
-        println!(
-            "bench-gate: REGRESSION (tolerances: coalescing {tol_coalescing}, speedup {tol_speedup}, kernel-ratio {tol_kernel_ratio}, kernel-wall {tol_kernel_wall}, trace-overhead {tol_trace_overhead}, obs-wall {tol_obs_wall}, server-counter {tol_server_counter}, server-wall {tol_server_wall}, attack-wall {tol_attack_wall}, store-eager-ratio {tol_store_eager_ratio}, store-wall {tol_store_wall}; attack failure counts and store bytes exact)"
-        );
+    let read = |key: &str| gate::read_artifact(&required(&flags, key)).unwrap_or_else(|e| die(&e));
+    let checks = gate::compare(&read("current"), &read("reference")).unwrap_or_else(|e| die(&e));
+    print!("{}", gate::render(&checks));
+    if checks.iter().any(|c| !c.ok) {
         std::process::exit(1);
     }
-    println!("bench-gate: pass ({} comparisons)", rows.len());
-}
-
-/// Serve-report comparisons (`bench-serve` artifacts) for `bench-gate`.
-fn serve_gate_rows(
-    current_path: &str,
-    reference_path: &str,
-    tol_coalescing: f64,
-    tol_speedup: f64,
-    tol_trace_overhead: f64,
-    rows: &mut Vec<GateRow>,
-    failed: &mut bool,
-) {
-    let read = |path: &str| -> BenchServeReport {
-        let json = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-        serde_json::from_str(&json).unwrap_or_else(|e| die(&format!("bad report {path}: {e}")))
-    };
-    let current = read(current_path);
-    let reference = read(reference_path);
-
-    // Reports are only comparable when they measured the same workload —
-    // including `threads`, which the baseline wall clock (and therefore
-    // every speedup figure) depends on.
-    let (c, r) = (&current.config, &reference.config);
-    if (
-        c.n, c.d, c.k, c.requests, c.distinct, c.flips, c.threads, c.seed, c.quick,
-    ) != (
-        r.n, r.d, r.k, r.requests, r.distinct, r.flips, r.threads, r.seed, r.quick,
-    ) {
-        eprintln!(
-            "bench-gate: configs differ (current n={} d={} requests={} quick={}, reference n={} d={} requests={} quick={})",
-            c.n, c.d, c.requests, c.quick, r.n, r.d, r.requests, r.quick
-        );
-        die("refusing to compare reports from different workloads");
-    }
-
-    if !(current.audit.rounds_identical && current.audit.transcripts_identical) {
-        println!("FAIL: round-integrity audit failed in {current_path}");
-        *failed = true;
-    }
-    let violations: u64 = current.baseline.budget_violations
-        + current.online.report.budget_violations
-        + current
-            .engine
-            .iter()
-            .map(|e| e.report.budget_violations)
-            .sum::<u64>();
-    if violations > 0 {
-        println!("FAIL: {violations} budget violations in {current_path}");
-        *failed = true;
-    }
-    // The online run is saturated with capacity = request count: any shed
-    // arrival or failed query is a queue bug, not load.
-    if current.online.shed > 0 || current.online.failed > 0 {
-        println!(
-            "FAIL: online run shed {} / failed {} in {current_path}",
-            current.online.shed, current.online.failed
-        );
-        *failed = true;
-    }
-    for reference_run in &reference.engine {
-        let Some(current_run) = current
-            .engine
-            .iter()
-            .find(|e| e.batch == reference_run.batch)
-        else {
-            println!(
-                "FAIL: reference batch {} missing from {current_path}",
-                reference_run.batch
-            );
-            *failed = true;
-            continue;
-        };
-        // Coalescing ratio: executed/submitted, lower is better.
-        let bound = reference_run.report.coalescing_ratio * (1.0 + tol_coalescing) + 1e-9;
-        rows.push(GateRow {
-            key: reference_run.batch,
-            metric: "coalescing_ratio",
-            reference: reference_run.report.coalescing_ratio,
-            current: current_run.report.coalescing_ratio,
-            bound,
-            lower: true,
-            ok: current_run.report.coalescing_ratio <= bound,
-        });
-        // Speedup vs baseline: higher is better.
-        let bound = reference_run.speedup_vs_baseline * (1.0 - tol_speedup);
-        rows.push(GateRow {
-            key: reference_run.batch,
-            metric: "speedup_vs_baseline",
-            reference: reference_run.speedup_vs_baseline,
-            current: current_run.speedup_vs_baseline,
-            bound,
-            lower: false,
-            ok: current_run.speedup_vs_baseline >= bound,
-        });
-    }
-    // Traced run: serving equivalence is asserted inside bench-serve
-    // itself; here the gate holds tracing to its own contract — the
-    // event count is a pure function of the workload (exact), nothing
-    // may fall out of the ring, coalescing is unchanged (tight band),
-    // and the recorder's wall-clock cost stays bounded (loose band).
-    if current.traced.batch != reference.traced.batch {
-        println!(
-            "FAIL: traced batch differs (current {}, reference {})",
-            current.traced.batch, reference.traced.batch
-        );
-        *failed = true;
-    } else {
-        if current.traced.trace_events != reference.traced.trace_events {
-            println!(
-                "FAIL: traced event count drifted (current {}, reference {}) — \
-                 an emission site changed without regenerating the reference",
-                current.traced.trace_events, reference.traced.trace_events
-            );
-            *failed = true;
-        }
-        if current.traced.trace_dropped != 0 {
-            println!(
-                "FAIL: traced run dropped {} event(s); the bench ring must hold the whole run",
-                current.traced.trace_dropped
-            );
-            *failed = true;
-        }
-        let bound = reference.traced.report.coalescing_ratio * (1.0 + tol_coalescing) + 1e-9;
-        rows.push(GateRow {
-            key: reference.traced.batch,
-            metric: "traced_coalescing_ratio",
-            reference: reference.traced.report.coalescing_ratio,
-            current: current.traced.report.coalescing_ratio,
-            bound,
-            lower: true,
-            ok: current.traced.report.coalescing_ratio <= bound,
-        });
-        // A reference ratio under 1.0 is wall-clock noise (the traced
-        // run happened to beat the untraced one); clamping keeps the
-        // bound meaning "tracing may cost at most (1+tol)× a run".
-        let bound = reference.traced.overhead_vs_untraced.max(1.0) * (1.0 + tol_trace_overhead);
-        rows.push(GateRow {
-            key: reference.traced.batch,
-            metric: "traced_overhead",
-            reference: reference.traced.overhead_vs_untraced,
-            current: current.traced.overhead_vs_untraced,
-            bound,
-            lower: true,
-            ok: current.traced.overhead_vs_untraced <= bound,
-        });
-    }
-    // Online admission: the saturated virtual-clock run is deterministic
-    // in the workload, so its coalescing gets the same tight band.
-    if current.online.window != reference.online.window {
-        println!(
-            "FAIL: online window differs (current {}, reference {})",
-            current.online.window, reference.online.window
-        );
-        *failed = true;
-    } else {
-        let bound = reference.online.report.coalescing_ratio * (1.0 + tol_coalescing) + 1e-9;
-        rows.push(GateRow {
-            key: reference.online.window,
-            metric: "online_coalescing_ratio",
-            reference: reference.online.report.coalescing_ratio,
-            current: current.online.report.coalescing_ratio,
-            bound,
-            lower: true,
-            ok: current.online.report.coalescing_ratio <= bound,
-        });
-    }
-}
-
-/// Kernel-report comparisons (`bench-kernels` artifacts) for `bench-gate`:
-/// the microbench gate. Speedup ratios get the tight band, absolute
-/// ns/distance the loose one.
-fn kernel_gate_rows(
-    current_path: &str,
-    reference_path: &str,
-    tol_ratio: f64,
-    tol_wall: f64,
-    rows: &mut Vec<GateRow>,
-    failed: &mut bool,
-) {
-    let read = |path: &str| -> BenchKernelsReport {
-        let json = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-        serde_json::from_str(&json).unwrap_or_else(|e| die(&format!("bad report {path}: {e}")))
-    };
-    let current = read(current_path);
-    let reference = read(reference_path);
-    let (c, r) = (&current.config, &reference.config);
-    if (c.n, c.queries, c.reps, c.seed, c.quick, &c.dims)
-        != (r.n, r.queries, r.reps, r.seed, r.quick, &r.dims)
-    {
-        eprintln!(
-            "bench-gate: kernel configs differ (current n={} queries={} reps={} quick={} dims={:?}, reference n={} queries={} reps={} quick={} dims={:?})",
-            c.n, c.queries, c.reps, c.quick, c.dims, r.n, r.queries, r.reps, r.quick, r.dims
-        );
-        die("refusing to compare kernel reports from different workloads");
-    }
-    for reference_row in &reference.rows {
-        let Some(current_row) = current.rows.iter().find(|x| x.d == reference_row.d) else {
-            println!(
-                "FAIL: reference dimension {} missing from {current_path}",
-                reference_row.d
-            );
-            *failed = true;
-            continue;
-        };
-        // Kernel-vs-scalar speedups: same-process ratios, tight band.
-        let bound = reference_row.many_vs_many_speedup * (1.0 - tol_ratio);
-        rows.push(GateRow {
-            key: reference_row.d as usize,
-            metric: "kernel_many_vs_many_speedup",
-            reference: reference_row.many_vs_many_speedup,
-            current: current_row.many_vs_many_speedup,
-            bound,
-            lower: false,
-            ok: current_row.many_vs_many_speedup >= bound,
-        });
-        let bound = reference_row.one_vs_many_speedup * (1.0 - tol_ratio);
-        rows.push(GateRow {
-            key: reference_row.d as usize,
-            metric: "kernel_one_vs_many_speedup",
-            reference: reference_row.one_vs_many_speedup,
-            current: current_row.one_vs_many_speedup,
-            bound,
-            lower: false,
-            ok: current_row.one_vs_many_speedup >= bound,
-        });
-        // Absolute wall clock per distance: loose band, collapse detector.
-        let bound = reference_row.many_vs_many_ns * (1.0 + tol_wall);
-        rows.push(GateRow {
-            key: reference_row.d as usize,
-            metric: "kernel_many_vs_many_ns",
-            reference: reference_row.many_vs_many_ns,
-            current: current_row.many_vs_many_ns,
-            bound,
-            lower: true,
-            ok: current_row.many_vs_many_ns <= bound,
-        });
-    }
-}
-
-/// Recorder-overhead comparisons (`bench-obs` artifacts) for
-/// `bench-gate`. The ring counters are a pure function of the config
-/// and compare exactly; the ns/event figures are absolute wall clock
-/// on shared runners, so they get the loose collapse-detector band.
-fn obs_gate_rows(
-    current_path: &str,
-    reference_path: &str,
-    tol_wall: f64,
-    rows: &mut Vec<GateRow>,
-    failed: &mut bool,
-) {
-    let read = |path: &str| -> BenchObsReport {
-        let json = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-        serde_json::from_str(&json).unwrap_or_else(|e| die(&format!("bad report {path}: {e}")))
-    };
-    let current = read(current_path);
-    let reference = read(reference_path);
-    let (c, r) = (&current.config, &reference.config);
-    if (c.events, c.reps, c.capacity, c.quick) != (r.events, r.reps, r.capacity, r.quick) {
-        eprintln!(
-            "bench-gate: obs configs differ (current events={} reps={} capacity={} quick={}, reference events={} reps={} capacity={} quick={})",
-            c.events, c.reps, c.capacity, c.quick, r.events, r.reps, r.capacity, r.quick
-        );
-        die("refusing to compare obs reports from different workloads");
-    }
-    if current.ring_events != reference.ring_events {
-        println!(
-            "FAIL: obs ring recorded {} event(s), reference {} — same config must record the same count",
-            current.ring_events, reference.ring_events
-        );
-        *failed = true;
-    }
-    if current.ring_dropped != reference.ring_dropped {
-        println!(
-            "FAIL: obs ring dropped {} event(s), reference {} — drop-oldest accounting drifted",
-            current.ring_dropped, reference.ring_dropped
-        );
-        *failed = true;
-    }
-    let bound = reference.null_ns_per_event * (1.0 + tol_wall);
-    rows.push(GateRow {
-        key: current.config.capacity,
-        metric: "obs_null_ns_per_event",
-        reference: reference.null_ns_per_event,
-        current: current.null_ns_per_event,
-        bound,
-        lower: true,
-        ok: current.null_ns_per_event <= bound,
-    });
-    let bound = reference.ring_ns_per_event * (1.0 + tol_wall);
-    rows.push(GateRow {
-        key: current.config.capacity,
-        metric: "obs_ring_ns_per_event",
-        reference: reference.ring_ns_per_event,
-        current: current.ring_ns_per_event,
-        bound,
-        lower: true,
-        ok: current.ring_ns_per_event <= bound,
-    });
-}
-
-/// Server-tier comparisons (`bench-server` artifacts) for `bench-gate`:
-/// the network-tier gate. The hard rules come first — any refusal of a
-/// compliant tenant, any queue shed or closed-queue error for *anyone*,
-/// or an outcome partition that doesn't sum to the offered load is an
-/// unconditional failure, not a band. The hot tenant's throttle counter
-/// is the fairness signal and gets the tight band (exact when its
-/// policy's refill rate is 0); latencies get the loose wall band.
-fn server_gate_rows(
-    current_path: &str,
-    reference_path: &str,
-    tol_counter: f64,
-    tol_wall: f64,
-    rows: &mut Vec<GateRow>,
-    failed: &mut bool,
-) {
-    let read = |path: &str| -> BenchServerReport {
-        let json = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-        serde_json::from_str(&json).unwrap_or_else(|e| die(&format!("bad report {path}: {e}")))
-    };
-    let current = read(current_path);
-    let reference = read(reference_path);
-    if current.config != reference.config {
-        eprintln!(
-            "bench-gate: server configs differ (current {} tenant(s) seed={} quick={}, reference {} tenant(s) seed={} quick={})",
-            current.config.tenants.len(),
-            current.config.seed,
-            current.config.quick,
-            reference.config.tenants.len(),
-            reference.config.seed,
-            reference.config.quick
-        );
-        die("refusing to compare server reports from different workloads");
-    }
-    for (key, spec) in reference.config.tenants.iter().enumerate() {
-        let Some(current_row) = current.tenants.iter().find(|t| t.tenant == spec.name) else {
-            println!("FAIL: tenant {} missing from {current_path}", spec.name);
-            *failed = true;
-            continue;
-        };
-        let Some(reference_row) = reference.tenants.iter().find(|t| t.tenant == spec.name) else {
-            println!("FAIL: tenant {} missing from {reference_path}", spec.name);
-            *failed = true;
-            continue;
-        };
-        let total = current_row.served
-            + current_row.throttled
-            + current_row.overloaded
-            + current_row.closed
-            + current_row.failed;
-        if total != spec.offered {
-            println!(
-                "FAIL: {} outcomes sum to {total}, offered {} in {current_path}",
-                spec.name, spec.offered
-            );
-            *failed = true;
-        }
-        // A healthy server refuses excess with `Throttled` only: queue
-        // sheds or closed-queue errors mean the capacity plan is wrong.
-        if current_row.overloaded + current_row.closed + current_row.failed > 0 {
-            println!(
-                "FAIL: {} saw {} overloaded / {} closed / {} failed in {current_path}",
-                spec.name, current_row.overloaded, current_row.closed, current_row.failed
-            );
-            *failed = true;
-        }
-        if spec.hot {
-            let bound = reference_row.throttled as f64 * (1.0 - tol_counter);
-            rows.push(GateRow {
-                key,
-                metric: "server_hot_throttled_min",
-                reference: reference_row.throttled as f64,
-                current: current_row.throttled as f64,
-                bound,
-                lower: false,
-                ok: current_row.throttled as f64 >= bound,
-            });
-            let bound = reference_row.throttled as f64 * (1.0 + tol_counter) + 1e-9;
-            rows.push(GateRow {
-                key,
-                metric: "server_hot_throttled_max",
-                reference: reference_row.throttled as f64,
-                current: current_row.throttled as f64,
-                bound,
-                lower: true,
-                ok: (current_row.throttled as f64) <= bound,
-            });
-        } else {
-            // The satellite contract: ANY refusal of a compliant tenant
-            // fails the gate outright.
-            if current_row.throttled > 0 {
-                println!(
-                    "FAIL: compliant tenant {} was throttled {} time(s) in {current_path}",
-                    spec.name, current_row.throttled
-                );
-                *failed = true;
-            }
-            if current_row.served != spec.offered {
-                println!(
-                    "FAIL: compliant tenant {} served {}/{} in {current_path}",
-                    spec.name, current_row.served, spec.offered
-                );
-                *failed = true;
-            }
-        }
-        let bound = reference_row.ticket_p50_us * (1.0 + tol_wall);
-        rows.push(GateRow {
-            key,
-            metric: "server_ticket_p50_us",
-            reference: reference_row.ticket_p50_us,
-            current: current_row.ticket_p50_us,
-            bound,
-            lower: true,
-            ok: current_row.ticket_p50_us <= bound,
-        });
-        let bound = reference_row.answer_p50_us * (1.0 + tol_wall);
-        rows.push(GateRow {
-            key,
-            metric: "server_answer_p50_us",
-            reference: reference_row.answer_p50_us,
-            current: current_row.answer_p50_us,
-            bound,
-            lower: true,
-            ok: current_row.answer_p50_us <= bound,
-        });
-    }
-}
-
-/// Attack-report comparisons (`bench-attack` artifacts) for
-/// `bench-gate`. Failure counts are a pure function of (scenario, seed),
-/// so both sides of every count band are the reference value itself —
-/// any drift means the serving stack, a scheme, or an attacker changed
-/// behavior without the reference being regenerated. Only the suite
-/// wall-clock gets a tolerance.
-fn attack_gate_rows(
-    current_path: &str,
-    reference_path: &str,
-    tol_wall: f64,
-    rows: &mut Vec<GateRow>,
-    failed: &mut bool,
-) {
-    let read = |path: &str| -> BenchAttackReport {
-        let json = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-        serde_json::from_str(&json).unwrap_or_else(|e| die(&format!("bad report {path}: {e}")))
-    };
-    let current = read(current_path);
-    let reference = read(reference_path);
-    if current.scenario != reference.scenario {
-        eprintln!(
-            "bench-gate: attack scenarios differ (current {} n={} rounds={} seed={}, reference {} n={} rounds={} seed={})",
-            current.scenario.name,
-            current.scenario.n,
-            current.scenario.rounds,
-            current.scenario.seed,
-            reference.scenario.name,
-            reference.scenario.n,
-            reference.scenario.rounds,
-            reference.scenario.seed
-        );
-        die("refusing to compare attack reports from different scenarios");
-    }
-    if !current.replay_verified {
-        println!("FAIL: {current_path} was not replay-verified (two runs diverged)");
-        *failed = true;
-    }
-    for (key, reference_arm) in reference.arms.iter().enumerate() {
-        let Some(current_arm) = current
-            .arms
-            .iter()
-            .find(|a| a.shard == reference_arm.shard && a.strategy == reference_arm.strategy)
-        else {
-            println!(
-                "FAIL: arm {}/{} missing from {current_path}",
-                reference_arm.shard, reference_arm.strategy
-            );
-            *failed = true;
-            continue;
-        };
-        let exact = current_arm.failures == reference_arm.failures;
-        if !exact {
-            println!(
-                "FAIL: {}/{} failure count drifted (current {}, reference {}) — \
-                 deterministic counts only move when code changes behavior; regenerate the reference deliberately",
-                reference_arm.shard,
-                reference_arm.strategy,
-                current_arm.failures,
-                reference_arm.failures
-            );
-        }
-        rows.push(GateRow {
-            key,
-            metric: "attack_failures_exact",
-            reference: reference_arm.failures as f64,
-            current: current_arm.failures as f64,
-            bound: reference_arm.failures as f64,
-            lower: true,
-            ok: exact,
-        });
-        if current_arm.replay_mismatches > 0 {
-            println!(
-                "FAIL: {}/{} answered {} replayed query(ies) differently in {current_path}",
-                reference_arm.shard, reference_arm.strategy, current_arm.replay_mismatches
-            );
-            *failed = true;
-        }
-        if current_arm.fingerprint != reference_arm.fingerprint {
-            println!(
-                "FAIL: {}/{} trace fingerprint drifted (current {:#010x}, reference {:#010x})",
-                reference_arm.shard,
-                reference_arm.strategy,
-                current_arm.fingerprint,
-                reference_arm.fingerprint
-            );
-            *failed = true;
-        }
-    }
-    let bound = reference.wall_ns as f64 * tol_wall;
-    rows.push(GateRow {
-        key: 0,
-        metric: "attack_suite_wall_ns",
-        reference: reference.wall_ns as f64,
-        current: current.wall_ns as f64,
-        bound,
-        lower: true,
-        ok: (current.wall_ns as f64) <= bound,
-    });
-}
-
-/// Store mount-cost comparisons (`bench-store` artifacts) for
-/// `bench-gate`. The byte columns are deterministic in the config, so
-/// they are diffed exactly; the O(manifest) property is asserted
-/// structurally on the *current* report (large eager ≈ small eager,
-/// both well under their files); only wall clock gets a tolerance band.
-fn store_gate_rows(
-    current_path: &str,
-    reference_path: &str,
-    tol_eager_ratio: f64,
-    tol_wall: f64,
-    rows: &mut Vec<GateRow>,
-    failed: &mut bool,
-) {
-    let read = |path: &str| -> BenchStoreReport {
-        let json = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-        serde_json::from_str(&json).unwrap_or_else(|e| die(&format!("bad report {path}: {e}")))
-    };
-    let current = read(current_path);
-    let reference = read(reference_path);
-    let (c, r) = (&current.config, &reference.config);
-    if (c.small_n, c.large_n, c.d, c.seed, c.quick) != (r.small_n, r.large_n, r.d, r.seed, r.quick)
-    {
-        eprintln!(
-            "bench-gate: store configs differ (current n={}/{} d={} seed={} quick={}, \
-             reference n={}/{} d={} seed={} quick={})",
-            c.small_n, c.large_n, c.d, c.seed, c.quick, r.small_n, r.large_n, r.d, r.seed, r.quick
-        );
-        die("refusing to compare store reports from different configs");
-    }
-    let mut exact = |key: usize, metric: &'static str, cur: u64, refv: u64| {
-        let ok = cur == refv;
-        if !ok {
-            println!(
-                "FAIL: {metric} drifted (current {cur}, reference {refv}) — store bytes are \
-                 deterministic; a drift is a format change and needs a regenerated reference"
-            );
-        }
-        rows.push(GateRow {
-            key,
-            metric,
-            reference: refv as f64,
-            current: cur as f64,
-            bound: refv as f64,
-            lower: true,
-            ok,
-        });
-        *failed |= !ok;
-    };
-    exact(
-        0,
-        "store_small_file_bytes",
-        current.small.file_bytes,
-        reference.small.file_bytes,
-    );
-    exact(
-        1,
-        "store_large_file_bytes",
-        current.large.file_bytes,
-        reference.large.file_bytes,
-    );
-    exact(
-        0,
-        "store_small_mmap_eager_bytes",
-        current.small.mmap_eager_bytes,
-        reference.small.mmap_eager_bytes,
-    );
-    exact(
-        1,
-        "store_large_mmap_eager_bytes",
-        current.large.mmap_eager_bytes,
-        reference.large.mmap_eager_bytes,
-    );
-    // Heap reads the whole file, by definition of the backend.
-    exact(
-        0,
-        "store_small_heap_eager_bytes",
-        current.small.heap_eager_bytes,
-        current.small.file_bytes,
-    );
-    exact(
-        1,
-        "store_large_heap_eager_bytes",
-        current.large.heap_eager_bytes,
-        current.large.file_bytes,
-    );
-    // The O(manifest) assertions: growing the dataset ~8x must not grow
-    // the eagerly-read bytes beyond the shard-directory factor, and the
-    // large mount's eager read must stay well under its file.
-    let eager_bound = current.small.mmap_eager_bytes as f64 * tol_eager_ratio;
-    rows.push(GateRow {
-        key: 1,
-        metric: "store_eager_is_o_manifest",
-        reference: current.small.mmap_eager_bytes as f64,
-        current: current.large.mmap_eager_bytes as f64,
-        bound: eager_bound,
-        lower: true,
-        ok: (current.large.mmap_eager_bytes as f64) <= eager_bound,
-    });
-    let fraction_bound = current.large.file_bytes as f64 / 4.0;
-    rows.push(GateRow {
-        key: 1,
-        metric: "store_eager_fraction_of_file",
-        reference: current.large.file_bytes as f64,
-        current: current.large.mmap_eager_bytes as f64,
-        bound: fraction_bound,
-        lower: true,
-        ok: (current.large.mmap_eager_bytes as f64) <= fraction_bound,
-    });
-    // Wall clock: a mapped mount that regressed to heap-shaped work
-    // shows up as mount time tracking the full decode.
-    let wall_bound = current.large.heap_mount_ms * tol_wall;
-    rows.push(GateRow {
-        key: 1,
-        metric: "store_mmap_mount_ms",
-        reference: current.large.heap_mount_ms,
-        current: current.large.mmap_mount_ms,
-        bound: wall_bound,
-        lower: true,
-        ok: current.large.mmap_mount_ms <= wall_bound,
-    });
 }
 
 fn cmd_lpm(flags: HashMap<String, String>) {

@@ -4,8 +4,9 @@
 //! `DESIGN.md` §4) and prints it as a markdown table with the theory
 //! prediction next to the measurement; `EXPERIMENTS.md` records the
 //! outputs. This crate holds the shared glue: markdown rendering, small
-//! statistics, worst-case aggregation over query grids, and the
-//! environment-variable quick mode.
+//! statistics, worst-case aggregation over query grids, the
+//! environment-variable quick mode, and the one comparator behind
+//! `annsctl bench-gate` ([`gate`]).
 //!
 //! # Example
 //!
@@ -21,6 +22,7 @@
 
 use anns_cellprobe::ProbeLedger;
 
+pub mod gate;
 pub mod server_bench;
 
 /// The shared hot-set workload generator, re-exported from

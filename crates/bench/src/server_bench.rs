@@ -1,23 +1,24 @@
 //! The `annsctl bench-server` artifact: the multi-tenant loopback
 //! workload's client-observed outcome counters and latency splits, one
-//! row per tenant. Shared between the binary that writes it, the
-//! `bench-gate --server-*` comparison that reloads the committed
-//! `BENCH_server_quick.json` reference, and the end-to-end tests that
-//! doctor artifacts to prove the gate trips.
+//! row per tenant. Shared between the binary that writes it and the
+//! end-to-end tests that read it back.
 //!
 //! The counters are designed to be *deterministic* under the CI tenant
 //! policies: a hot tenant whose bucket never refills (`hot:0:B`) is
 //! admitted exactly `B` times and throttled `offered − B` times,
 //! timing-free; compliant tenants offering within their burst see zero
-//! refusals. Only the latency columns are runner-speed-dependent.
+//! refusals. So every tenant's served and throttled counts are exact
+//! gate rows ([`BenchServerReport::metrics`]), and only the latency
+//! columns are runner-speed-dependent.
 
 use serde::{Deserialize, Serialize};
+
+use crate::gate::{Better, Metric};
 
 /// `bench-server` output: workload config plus one row per tenant.
 #[derive(Clone, Serialize, Deserialize)]
 pub struct BenchServerReport {
-    /// The workload that produced the rows; [`PartialEq`] so the gate
-    /// can refuse to compare artifacts from different workloads.
+    /// The workload that produced the rows.
     pub config: BenchServerConfig,
     /// Per-tenant outcomes, in submission order.
     pub tenants: Vec<TenantBenchRow>,
@@ -27,6 +28,76 @@ impl BenchServerReport {
     /// The row for `tenant`, if the run included it.
     pub fn tenant(&self, name: &str) -> Option<&TenantBenchRow> {
         self.tenants.iter().find(|t| t.tenant == name)
+    }
+
+    /// The gate rows: each tenant's served and throttled counts (exact)
+    /// and its socket-to-ticket and socket-to-answer medians (wall clock
+    /// over loopback on shared runners, so a loose band).
+    pub fn metrics(&self) -> Vec<Metric> {
+        self.tenants
+            .iter()
+            .flat_map(|row| {
+                let t = &row.tenant;
+                [
+                    Metric::exact(format!("server.{t}.served"), row.served as f64),
+                    Metric::exact(format!("server.{t}.throttled"), row.throttled as f64),
+                    Metric::wall(
+                        format!("server.{t}.ticket_p50_us"),
+                        row.ticket_p50_us,
+                        Better::Lower,
+                        4.0,
+                    ),
+                    Metric::wall(
+                        format!("server.{t}.answer_p50_us"),
+                        row.answer_p50_us,
+                        Better::Lower,
+                        4.0,
+                    ),
+                ]
+            })
+            .collect()
+    }
+
+    /// The run's broken invariants, one message each, naming the tenant:
+    /// outcomes must partition the offered load; a healthy server refuses
+    /// excess with `Throttled` only (a queue shed or closed-queue error
+    /// means the capacity plan is wrong); and a compliant tenant is never
+    /// refused and is served in full.
+    pub fn violations(&self) -> Vec<String> {
+        let mut failures = Vec::new();
+        for spec in &self.config.tenants {
+            let name = &spec.name;
+            let Some(row) = self.tenant(name) else {
+                failures.push(format!("tenant {name} has no row"));
+                continue;
+            };
+            let total = row.served + row.throttled + row.overloaded + row.closed + row.failed;
+            if total != spec.offered {
+                failures.push(format!(
+                    "tenant {name}: outcomes sum to {total}, offered {}",
+                    spec.offered
+                ));
+            }
+            if row.overloaded + row.closed + row.failed > 0 {
+                failures.push(format!(
+                    "tenant {name} saw {} overloaded / {} closed / {} failed",
+                    row.overloaded, row.closed, row.failed
+                ));
+            }
+            if !spec.hot && row.throttled > 0 {
+                failures.push(format!(
+                    "compliant tenant {name} was throttled {} time(s)",
+                    row.throttled
+                ));
+            }
+            if !spec.hot && row.served != spec.offered {
+                failures.push(format!(
+                    "compliant tenant {name} was served {}/{}",
+                    row.served, spec.offered
+                ));
+            }
+        }
+        failures
     }
 }
 
@@ -47,8 +118,7 @@ pub struct TenantWorkloadSpec {
     /// Queries this tenant offers over the run.
     pub offered: u64,
     /// Whether this tenant intentionally offers beyond its token
-    /// budget. The gate bands the hot tenant's throttle counter; for
-    /// any other tenant a single refusal is a hard failure.
+    /// budget. For any other tenant a single refusal is a failed run.
     pub hot: bool,
 }
 
@@ -137,5 +207,76 @@ mod tests {
         let mut other = report.config.clone();
         other.seed = 7;
         assert!(other != report.config, "seed is part of the workload");
+    }
+
+    fn row(tenant: &str, served: u64, throttled: u64) -> TenantBenchRow {
+        TenantBenchRow {
+            tenant: tenant.into(),
+            offered: served + throttled,
+            served,
+            throttled,
+            overloaded: 0,
+            closed: 0,
+            failed: 0,
+            ticket_p50_us: 10.0,
+            ticket_p99_us: 20.0,
+            ticket_max_us: 30.0,
+            answer_p50_us: 100.0,
+            answer_p99_us: 200.0,
+            answer_max_us: 300.0,
+        }
+    }
+
+    fn report(rows: Vec<TenantBenchRow>) -> BenchServerReport {
+        let spec = |name: &str, hot: bool| TenantWorkloadSpec {
+            name: name.into(),
+            offered: if hot { 40 } else { 12 },
+            hot,
+        };
+        BenchServerReport {
+            config: BenchServerConfig {
+                tenants: vec![spec("hot", true), spec("tenant-a", false)],
+                seed: 99,
+                quick: true,
+            },
+            tenants: rows,
+        }
+    }
+
+    #[test]
+    fn a_healthy_run_has_no_violations_and_exact_counts() {
+        let healthy = report(vec![row("hot", 8, 32), row("tenant-a", 12, 0)]);
+        assert!(healthy.violations().is_empty());
+        let metrics = healthy.metrics();
+        let exact = |key: &str| {
+            let m = metrics.iter().find(|m| m.key == key).unwrap();
+            assert_eq!(m.class, crate::gate::Class::Exact, "{key}");
+            m.value
+        };
+        assert_eq!(exact("server.hot.throttled"), 32.0);
+        assert_eq!(exact("server.tenant-a.served"), 12.0);
+        assert_eq!(metrics.len(), 8, "four rows per tenant");
+    }
+
+    #[test]
+    fn violations_name_the_tenant() {
+        let starved = report(vec![row("hot", 8, 32), row("tenant-a", 4, 8)]);
+        assert_eq!(
+            starved.violations(),
+            [
+                "compliant tenant tenant-a was throttled 8 time(s)",
+                "compliant tenant tenant-a was served 4/12",
+            ]
+        );
+        let lost = report(vec![row("hot", 8, 31)]);
+        let violations = lost.violations();
+        assert_eq!(violations[0], "tenant hot: outcomes sum to 39, offered 40");
+        assert_eq!(violations[1], "tenant tenant-a has no row");
+        let mut shed = report(vec![row("hot", 7, 32), row("tenant-a", 12, 0)]);
+        shed.tenants[0].overloaded = 1;
+        assert_eq!(
+            shed.violations(),
+            ["tenant hot saw 1 overloaded / 0 closed / 0 failed"]
+        );
     }
 }

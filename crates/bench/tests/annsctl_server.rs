@@ -2,8 +2,9 @@
 //! `server` as a real child process on an ephemeral loopback port,
 //! `client` against it (happy path, throttle, unknown shard, shutdown
 //! — each with its distinct exit code), `bench-server` recording the
-//! multi-tenant workload, `bench-gate --server-*` passing against its
-//! own artifact and failing against a doctored one, and
+//! multi-tenant workload (and exiting nonzero when the server refuses a
+//! compliant tenant), `bench-gate` passing against its own artifact and
+//! failing against a doctored one, and
 //! `trace inspect --server-report` reconciling per-tenant trace events
 //! with the drain report's accounting. This drives the binaries the
 //! way the CI `server-gate` job does.
@@ -15,6 +16,9 @@ use std::time::{Duration, Instant};
 use anns_bench::server_bench::BenchServerReport;
 use anns_engine::testkit::TempDir;
 use anns_server::ServerReport;
+use common::doctor_metrics;
+
+mod common;
 
 fn annsctl() -> Command {
     Command::new(env!("CARGO_BIN_EXE_annsctl"))
@@ -320,46 +324,100 @@ fn bench_server_and_gate_pipeline() {
     assert_eq!(tenant("tenant-b").served, 12, "{json}");
 
     // The artifact gates cleanly against itself…
-    let out = run_ok(annsctl().args([
-        "bench-gate",
-        "--server-current",
-        bench_s,
-        "--server-reference",
-        bench_s,
-    ]));
+    let out = run_ok(annsctl().args(["bench-gate", "--current", bench_s, "--reference", bench_s]));
     let stdout = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(
-        stdout.contains("server_hot_throttled_min"),
+        stdout.contains("server.hot.throttled | exact |"),
         "gate rows:\n{stdout}"
     );
-    assert!(!stdout.contains("FAIL"), "self-gate must pass:\n{stdout}");
+    assert!(
+        stdout.contains("bench-gate: pass"),
+        "self-gate must pass:\n{stdout}"
+    );
 
-    // …and a doctored current where a compliant tenant was refused
-    // once fails the gate outright, exit 1 — the satellite contract.
-    let mut doctored = artifact.clone();
-    let row = doctored
-        .tenants
-        .iter_mut()
-        .find(|t| t.tenant == "tenant-a")
-        .unwrap();
-    row.throttled = 1;
-    row.served = 11;
+    // …and a doctored current where a compliant tenant was refused once
+    // fails the gate, exit 1, naming the row.
     let doctored_path = dir.file("doctored.json");
-    std::fs::write(&doctored_path, serde_json::to_string(&doctored).unwrap()).unwrap();
+    doctor_metrics(
+        &bench,
+        &doctored_path,
+        |key| key == "server.tenant-a.throttled",
+        1.0,
+    );
     let out = annsctl()
         .args([
             "bench-gate",
-            "--server-current",
+            "--current",
             doctored_path.to_str().unwrap(),
-            "--server-reference",
+            "--reference",
             bench_s,
         ])
         .output()
         .expect("spawn bench-gate");
     assert_eq!(out.status.code(), Some(1), "regression must gate");
     let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-    assert!(
-        stdout.contains("FAIL: compliant tenant tenant-a was throttled"),
-        "named failure:\n{stdout}"
+    let row = stdout
+        .lines()
+        .find(|line| line.contains("server.tenant-a.throttled"))
+        .unwrap_or_else(|| panic!("named row:\n{stdout}"));
+    assert!(row.contains("REGRESSION"), "{stdout}");
+}
+
+#[test]
+fn bench_server_exits_nonzero_when_a_compliant_tenant_is_refused() {
+    let dir = tmp_dir("starved");
+    let addr_file = dir.file("addr.txt");
+    let bench = dir.file("BENCH_server.json");
+
+    // tenant-a offers 12 against a bucket of 4 that never refills: the
+    // server must throttle a compliant tenant 8 times.
+    let (child, addr) = spawn_server(
+        &[
+            "server",
+            "--listen",
+            "127.0.0.1:0",
+            "--addr-file",
+            addr_file.to_str().unwrap(),
+            "--n",
+            "128",
+            "--d",
+            "64",
+            "--scheme",
+            "alg1",
+            "--tenants",
+            "hot:0:8,tenant-a:0:4,tenant-b:1000:64",
+            "--queue-cap",
+            "256",
+        ],
+        &addr_file,
     );
+    let out = annsctl()
+        .args([
+            "bench-server",
+            "--addr",
+            &addr,
+            "--out",
+            bench.to_str().unwrap(),
+        ])
+        .env("ANNS_QUICK", "1")
+        .output()
+        .expect("spawn bench-server");
+    run_ok(annsctl().args(["client", "--addr", &addr, "--shutdown", "1"]));
+    join_server(child);
+
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("compliant tenant tenant-a was throttled 8 time(s)"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        !stderr.contains("tenant tenant-b"),
+        "tenant-b was served in full: {stderr}"
+    );
+    // The artifact is written before the verdict, so the run can be read.
+    let json = std::fs::read_to_string(&bench).expect("artifact written");
+    let artifact: BenchServerReport = serde_json::from_str(&json).expect("artifact parses");
+    assert_eq!(artifact.tenant("tenant-a").unwrap().served, 4, "{json}");
 }

@@ -303,8 +303,8 @@ pub fn percentile(sorted: &[u64], p: f64) -> u64 {
 }
 
 /// One serving run, summarized for JSON emission (`annsctl serve` /
-/// `annsctl bench-serve` / CI perf artifacts). Deserializable so the
-/// `annsctl bench-gate` regression gate can reload committed artifacts.
+/// `annsctl bench-serve` / CI perf artifacts). Deserializable so a
+/// written report can be read back.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct ServeReport {
     /// What was served (shard name or comparison label).
