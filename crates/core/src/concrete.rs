@@ -22,6 +22,14 @@
 //! tabulate. A probe reveals exactly the cell's content and nothing else,
 //! so probe/round accounting and correctness are unaffected; only
 //! preprocessing cost moves from table-fill time to probe time.
+//!
+//! [`AnnIndex::build`] samples the `M_i` and computes the `M_i` database
+//! sketches, which the main tables read, and not the `N_j` or their
+//! sketches, which only Algorithm 2 reads. Those follow once, at their
+//! first need: an Algorithm 2 address or auxiliary-cell read, `ready()`
+//! on an Algorithm 2 shard, its registration with an engine, encoding
+//! the index, or [`AnnIndex::db_sketches`]. A decoded index holds both
+//! halves, as stored.
 
 use std::sync::Arc;
 
@@ -74,12 +82,24 @@ impl Default for BuildOptions {
 struct Inner {
     dataset: Dataset,
     family: SketchFamily,
+    /// The database sketches: the `N` half is sketched at its first
+    /// need ([`Inner::db_n`]) on a built index.
     db: DbSketches,
+    /// Worker threads for sketching that `N` half.
+    threads: usize,
     /// Row numbers by point: exact membership (degenerate case 1) and the
     /// `N1(B)` oracle (degenerate case 2: d single-limb rehashes per probe).
     rows: RowIndex,
     /// Optional deterministic fault injection on `T_i` cells.
     erasures: Option<ErasureModel>,
+}
+
+impl Inner {
+    /// The database sketches with their `N` half, sketched now if this is
+    /// its first need.
+    fn db_n(&self) -> &DbSketches {
+        self.db.ensure_n(&self.family, &self.dataset, self.threads)
+    }
 }
 
 /// The lazy table oracle over the index's shared state.
@@ -194,13 +214,14 @@ impl Table for ConcreteTables {
             t if t >= table_ids::AUX_BASE => {
                 let u = t - table_ids::AUX_BASE;
                 let key = decode_aux_key(&addr.key, inner.family.m_rows(), inner.family.n_rows());
-                let c_members = inner.db.c_members(&inner.family, u, &key.m_sketch);
+                let db = inner.db_n();
+                let c_members = db.c_members(&inner.family, u, &key.m_sketch);
                 let threshold = c_members.len() as f64
                     * (inner.dataset.len() as f64).powf(-1.0 / inner.family.params().s);
                 for (pos, (&scale, n_sketch)) in
                     key.indices.iter().zip(key.n_sketches.iter()).enumerate()
                 {
-                    let n_row = inner.db.n_scale(scale);
+                    let n_row = db.n_scale(scale);
                     let d_count = c_members
                         .iter()
                         .filter(|&&z| inner.family.n_passes(scale, n_sketch, n_row(z)))
@@ -279,10 +300,13 @@ fn word_bits_for_dim(d: u32) -> u64 {
 pub struct IndexMemory {
     /// The database points, and their packed kernel view once built.
     pub dataset: usize,
-    /// The sketch family: matrices and thresholds.
+    /// The sketch family: matrices and thresholds. On a built index the
+    /// `N_j` count only once sampled (module docs).
     pub family: usize,
     /// Database-sketch slabs on the heap: built, decoded by copy, or
-    /// copied from a mapped slab whose tail check failed.
+    /// copied from a mapped slab whose tail check failed. On a built
+    /// index the `N` slabs count only once sketched (module docs), so an
+    /// index serving Algorithm 1 alone holds the `M` slabs only.
     pub slabs_owned: usize,
     /// Database-sketch slabs read in place from a mapped bundle:
     /// file-backed page cache, not heap. Not part of [`IndexMemory::owned`].
@@ -317,7 +341,8 @@ pub struct AnnIndex {
 
 impl AnnIndex {
     /// Preprocesses a database: samples the sketch family (public coins)
-    /// and sketches every point.
+    /// and sketches every point under the `M_i`. The `N_j` sketches
+    /// follow at their first need (module docs).
     ///
     /// # Panics
     /// Panics if the database has fewer than 2 points or dimensions, or
@@ -325,23 +350,24 @@ impl AnnIndex {
     /// needs them ([`SketchFamily::generate`]).
     pub fn build(dataset: Dataset, params: SketchParams, opts: BuildOptions) -> Self {
         let family = SketchFamily::generate(dataset.dim(), dataset.len(), &params);
-        let db = DbSketches::build(&family, &dataset, opts.threads);
-        Self::assemble(dataset, family, db, opts.erasures)
+        let db = DbSketches::build_m(&family, &dataset, opts.threads);
+        Self::assemble(dataset, family, db, opts)
     }
 
     fn assemble(
         dataset: Dataset,
         family: SketchFamily,
         db: DbSketches,
-        erasures: Option<ErasureModel>,
+        opts: BuildOptions,
     ) -> Self {
         let rows = RowIndex::build(&dataset);
         let inner = Arc::new(Inner {
             dataset,
             family,
             db,
+            threads: opts.threads,
             rows,
-            erasures,
+            erasures: opts.erasures,
         });
         AnnIndex {
             tables: ConcreteTables {
@@ -379,12 +405,17 @@ impl AnnIndex {
             ));
         }
         db.check_family(&family)?;
-        Ok(Self::assemble(dataset, family, db, erasures))
+        let opts = BuildOptions {
+            erasures,
+            ..BuildOptions::default()
+        };
+        Ok(Self::assemble(dataset, family, db, opts))
     }
 
-    /// The database-side sketches (the store encode path).
+    /// The database-side sketches, both halves (the store encode path):
+    /// sketches the `N` half first if this is its first need.
     pub fn db_sketches(&self) -> &DbSketches {
-        &self.inner.db
+        self.inner.db_n()
     }
 
     /// The fault-injection model the index was built with, if any.
@@ -721,14 +752,22 @@ mod tests {
         assert_eq!(mem.dataset, n * (point + limbs));
         let family = index.family();
         let scales = family.top() as usize + 1;
-        let rows = scales * (family.m_rows() + family.n_rows()) as usize;
         let matrix = std::mem::size_of::<anns_sketch::SketchMatrix>();
+        let matrices = |rows: u32| scales * (rows as usize * (point + limbs) + matrix);
+        let thresholds = 2 * scales * 4;
+        // A build samples the `M_i` and sketches the `M` slabs; the `N_j`
+        // and the `N` slabs count once a first need has made them.
+        assert_eq!(mem.family, matrices(family.m_rows()) + thresholds);
+        let m_width = family.m_rows().div_ceil(64) as usize;
+        assert_eq!(mem.slabs_owned, scales * n * m_width * 8);
+        index.db_sketches();
+        let forced = index.memory();
         assert_eq!(
-            mem.family,
-            rows * (point + limbs) + 2 * scales * (matrix + 4)
+            forced.family,
+            matrices(family.m_rows()) + matrices(family.n_rows()) + thresholds
         );
-        let widths = (family.m_rows().div_ceil(64) + family.n_rows().div_ceil(64)) as usize;
-        assert_eq!(mem.slabs_owned, scales * n * widths * 8);
+        let widths = m_width + family.n_rows().div_ceil(64) as usize;
+        assert_eq!(forced.slabs_owned, scales * n * widths * 8);
         assert_eq!(mem.slabs_borrowed, 0, "a built index borrows nothing");
         assert_eq!(mem.membership, 256 * 8, "next_pow2(2n) slots of 8 bytes");
         // The packed kernel view counts once a query has built it.

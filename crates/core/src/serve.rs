@@ -91,9 +91,10 @@ pub trait ServableScheme: Send + Sync {
     fn label(&self) -> String;
 
     /// Forces any deferred loading this scheme carries (mmap-backed
-    /// shards verify and decode their payload at first touch), returning
-    /// the latched fault if the backing bytes are damaged. Eagerly
-    /// loaded schemes are always ready. Engines call this before
+    /// shards verify and decode their payload at first touch; Algorithm 2
+    /// over a built index sketches its `N` half), returning the latched
+    /// fault if the backing bytes are damaged. Eagerly loaded schemes are
+    /// always ready. Engines call this before
     /// routing a query so corruption surfaces as a typed serve error
     /// rather than a panic mid-probe.
     fn ready(&self) -> Result<(), anns_store::PayloadFault> {
@@ -256,6 +257,13 @@ pub struct ServeAlg2 {
 impl ServableScheme for ServeAlg2 {
     fn label(&self) -> String {
         format!("alg2[k={}]", self.config.k)
+    }
+
+    /// Sketches the index's `N` half if it is not yet held: the
+    /// auxiliary cells read it, and a generation should not stall on it.
+    fn ready(&self) -> Result<(), anns_store::PayloadFault> {
+        self.index.db_sketches();
+        Ok(())
     }
 
     fn table(&self) -> &dyn Table {

@@ -252,6 +252,10 @@ impl ServableScheme for SubsampledRepetition {
         )
     }
 
+    fn ready(&self) -> Result<(), anns_store::PayloadFault> {
+        self.inners.iter().try_for_each(|inner| inner.ready())
+    }
+
     fn table(&self) -> &dyn Table {
         &self.router
     }

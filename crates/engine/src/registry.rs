@@ -124,13 +124,16 @@ impl Registry {
         )
     }
 
-    /// Registers Algorithm 2 over a built index.
+    /// Registers Algorithm 2 over a built index, sketching the index's
+    /// `N` half now if it is not yet held (Algorithm 2's auxiliary cells
+    /// read it).
     pub fn register_alg2(
         &mut self,
         name: impl Into<String>,
         index: Arc<AnnIndex>,
         config: Alg2Config,
     ) -> ShardId {
+        index.db_sketches();
         self.register(name, Box::new(ServeAlg2 { index, config }))
     }
 

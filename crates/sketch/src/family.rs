@@ -6,15 +6,17 @@
 //! per scale. In the public-coin presentation (paper §2, substitution S3 of
 //! `DESIGN.md`) this family *is* the shared randomness `r`: both the
 //! cell-probing algorithm and the table oracle hold it, reconstructed
-//! deterministically from a seed.
+//! deterministically from a seed. The `N_j`, which only Algorithm 2
+//! reads, are sampled at their first need from where the seeded stream
+//! stood after the last `M_i`, so they are the same either way.
 //!
 //! [`DbSketches`] holds the table side's precomputation: the sketches of
 //! every database point under every matrix, as one flat limb slab per
-//! matrix. Lazy table oracles answer a probed address by scanning these
-//! slabs — the `C_i` / `D_{i,j}` membership oracles at the bottom of this
-//! file.
+//! matrix, with the `N` half sketchable at its first need. Lazy table
+//! oracles answer a probed address by scanning these slabs — the `C_i` /
+//! `D_{i,j}` membership oracles at the bottom of this file.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,7 +26,7 @@ use anns_hamming::{ceil_log_alpha, kernel, Dataset, Point};
 use anns_store::Limbs;
 
 use crate::delta::{threshold_fraction, ThresholdMode};
-use crate::matrix::{Sketch, SketchMatrix, SlicedBlock, BLOCK_POINTS};
+use crate::matrix::{SetColumns, Sketch, SketchMatrix, SlicedBlock, BLOCK_POINTS};
 
 /// Parameters of the sketch family (the constants of Definition 7).
 #[derive(Clone, Copy, Debug)]
@@ -89,7 +91,12 @@ pub struct SketchFamily {
     n: usize,
     top: u32,
     m_mats: Vec<SketchMatrix>,
-    n_mats: Vec<SketchMatrix>,
+    /// Set by a decode; on a generated family, by the first
+    /// [`SketchFamily::n_matrices`], from `n_stream`.
+    n_mats: OnceLock<Vec<SketchMatrix>>,
+    /// The seeded stream as the last `M_i` left it (generated families).
+    n_stream: Option<StdRng>,
+    n_rows: u32,
     m_thresholds: Vec<u32>,
     n_thresholds: Vec<u32>,
 }
@@ -108,33 +115,27 @@ impl SketchFamily {
         let m_rows = ((params.c1 * log2n).ceil() as u32).max(8);
         let n_rows = (((params.c2 / params.s) * log2n).ceil() as u32).max(4);
         let mut rng = StdRng::seed_from_u64(params.seed);
-        let mut m_mats = Vec::with_capacity(top as usize + 1);
-        let mut n_mats = Vec::with_capacity(top as usize + 1);
-        let mut m_thresholds = Vec::with_capacity(top as usize + 1);
-        let mut n_thresholds = Vec::with_capacity(top as usize + 1);
-        for i in 0..=top {
-            let beta = alpha.powi(i as i32);
-            let p = 1.0 / (4.0 * beta);
-            m_mats.push(SketchMatrix::sample(m_rows, d, p, &mut rng));
-            let theta = threshold_fraction(beta, alpha, params.threshold_mode);
-            m_thresholds.push((theta * m_rows as f64).floor() as u32);
-        }
-        for j in 0..=top {
-            let beta = alpha.powi(j as i32);
-            let p = 1.0 / (4.0 * beta);
-            n_mats.push(SketchMatrix::sample(n_rows, d, p, &mut rng));
-            let theta = threshold_fraction(beta, alpha, params.threshold_mode);
-            n_thresholds.push((theta * n_rows as f64).floor() as u32);
-        }
+        let m_mats = sample_scales(m_rows, d, alpha, top, &mut rng);
+        let thresholds = |rows: u32| -> Vec<u32> {
+            (0..=top)
+                .map(|i| {
+                    let theta =
+                        threshold_fraction(alpha.powi(i as i32), alpha, params.threshold_mode);
+                    (theta * rows as f64).floor() as u32
+                })
+                .collect()
+        };
         SketchFamily {
             params: *params,
             dim: d,
             n,
             top,
             m_mats,
-            n_mats,
-            m_thresholds,
-            n_thresholds,
+            n_mats: OnceLock::new(),
+            n_stream: Some(rng),
+            n_rows,
+            m_thresholds: thresholds(m_rows),
+            n_thresholds: thresholds(n_rows),
         }
     }
 
@@ -188,7 +189,9 @@ impl SketchFamily {
             n,
             top,
             m_mats,
-            n_mats,
+            n_rows: n_mats[0].rows(),
+            n_mats: OnceLock::from(n_mats),
+            n_stream: None,
             m_thresholds,
             n_thresholds,
         })
@@ -199,9 +202,16 @@ impl SketchFamily {
         &self.m_mats
     }
 
-    /// The coarse matrices `N_0 … N_top`.
+    /// The coarse matrices `N_0 … N_top`, sampled now if this is their
+    /// first need: at most once, however many callers race here.
     pub fn n_matrices(&self) -> &[SketchMatrix] {
-        &self.n_mats
+        self.n_mats.get_or_init(|| {
+            let mut rng = self
+                .n_stream
+                .clone()
+                .expect("a generated family keeps its stream");
+            sample_scales(self.n_rows, self.dim, self.alpha(), self.top, &mut rng)
+        })
     }
 
     /// All accurate acceptance thresholds, scale order.
@@ -214,9 +224,13 @@ impl SketchFamily {
         &self.n_thresholds
     }
 
-    /// Heap bytes of the matrices and thresholds, from their lengths.
+    /// Heap bytes of the matrices and thresholds, from their lengths. The
+    /// `N_j` count once sampled.
     pub fn heap_bytes(&self) -> usize {
-        let mats = self.m_mats.iter().chain(&self.n_mats);
+        let mats = self
+            .m_mats
+            .iter()
+            .chain(self.n_mats.get().into_iter().flatten());
         let thresholds = self.m_thresholds.len() + self.n_thresholds.len();
         mats.map(|m| std::mem::size_of::<SketchMatrix>() + m.heap_bytes())
             .sum::<usize>()
@@ -255,7 +269,7 @@ impl SketchFamily {
 
     /// Rows per coarse matrix (`(c₂/s)·log₂ n`).
     pub fn n_rows(&self) -> u32 {
-        self.n_mats[0].rows()
+        self.n_rows
     }
 
     /// Accurate sketch `M_i x`.
@@ -265,7 +279,7 @@ impl SketchFamily {
 
     /// Coarse sketch `N_j x`.
     pub fn sketch_n(&self, j: u32, x: &Point) -> Sketch {
-        self.n_mats[j as usize].sketch(x)
+        self.n_matrices()[j as usize].sketch(x)
     }
 
     /// Integer acceptance threshold of the accurate test at scale `i`.
@@ -289,6 +303,14 @@ impl SketchFamily {
     pub fn n_passes(&self, j: u32, a: &Sketch, b: &[u64]) -> bool {
         a.distance_limbs(b) <= self.n_thresholds[j as usize]
     }
+}
+
+/// Samples one kind's matrices, `rows × d` at each scale `i ≤ top` with
+/// density `1/(4α^i)`, in scale order from `rng`.
+fn sample_scales(rows: u32, d: u32, alpha: f64, top: u32, rng: &mut StdRng) -> Vec<SketchMatrix> {
+    (0..=top)
+        .map(|i| SketchMatrix::sample(rows, d, 1.0 / (4.0 * alpha.powi(i as i32)), rng))
+        .collect()
 }
 
 /// All database sketches of one kind (every `M_i`, or every `N_j`) as flat
@@ -334,17 +356,20 @@ impl SketchSlabs {
 /// holding `(top+1) · n · (⌈m_rows/64⌉ + ⌈n_rows/64⌉) · 8` bytes in all:
 /// 42.75 MiB at the serving benchmark's unique-large shape (n = 32768,
 /// d = 512, 19 scales, 360 + 180 rows), of which the 14.25 MiB of `N`
-/// slabs are never read by Algorithm 1. A build or a copying decode puts
-/// them on the heap in `2·(top+1)` allocations. A mapped mount borrows
-/// them in place from the bundle (store format v3 writes each scale as
-/// one raw 8-aligned slab), so they cost file-backed page cache, shared
-/// and reclaimable, instead of anonymous memory, and only once scanned:
-/// a borrowed slab checks its tail bits on its first scan, and the
-/// entry's CRC is read through the file. Forcing a mapped unique-large
-/// index ready grows anonymous RSS by 2.7 MiB (its dataset and family),
-/// where decoding heap copies grew it by 45.5 MiB, and total RSS by
-/// 2.8 MB, where mapping in the whole 47.6 MB entry grew it by 47.5 MB
-/// (x86-64, glibc). The `C_i` /
+/// slabs feed only Algorithm 2's auxiliary tables. So the `N` half may be
+/// deferred: [`DbSketches::build_m`] sketches the `M` slabs alone, and
+/// [`DbSketches::ensure_n`] sketches the `N` slabs at their first need, at
+/// most once; [`DbSketches::build`] and a decode hold both. Built or
+/// decoded by copy, each kind's slabs are `top+1` heap allocations. A
+/// mapped mount borrows them in place from the bundle (store format v3
+/// writes each scale as one raw 8-aligned slab), so they cost
+/// file-backed page cache, shared and reclaimable, instead of anonymous
+/// memory, and only once scanned: a borrowed slab checks its tail bits
+/// on its first scan, and the entry's CRC is read through the file.
+/// Forcing a mapped unique-large index ready grows anonymous RSS by
+/// 2.7 MiB (its dataset and family), where decoding heap copies grew it
+/// by 45.5 MiB, and total RSS by 2.8 MB, where mapping in the whole
+/// 47.6 MB entry grew it by 47.5 MB (x86-64, glibc). The `C_i` /
 /// `D_{i,j}` oracles scan a scale's slab contiguously with the
 /// `anns_hamming::kernel` row scans. The store codec writes them, so a
 /// bundle reloads an index without re-sketching.
@@ -352,93 +377,47 @@ impl SketchSlabs {
 pub struct DbSketches {
     points: usize,
     m: SketchSlabs,
-    n: SketchSlabs,
+    /// Set by a decode, or by the first [`DbSketches::ensure_n`].
+    n: OnceLock<SketchSlabs>,
 }
 
 impl DbSketches {
-    /// Sketches every database point under every matrix with the
-    /// bit-sliced kernel behind [`SketchMatrix::sketch_all_into`], walking
-    /// the points one block at a time.
-    ///
-    /// Work runs on `min(threads, available parallelism)` scoped threads,
-    /// in two passes. First each worker allocates a contiguous run of
-    /// `ceil(2·(top+1) / workers)` slabs, `M` slabs before `N` slabs (at
-    /// two workers, all `M` slabs on one and all `N` slabs on the other).
-    /// Then the workers claim point blocks in
-    /// order: a worker transposes its block once into its own small buffer
-    /// and runs every matrix over it while it is hot, writing that block's
-    /// range of every slab. No transient scales with `n`, and the output
-    /// does not depend on `threads`.
+    /// Sketches every database point under every matrix: the `M` half,
+    /// then the `N` half.
     pub fn build(family: &SketchFamily, dataset: &Dataset, threads: usize) -> Self {
-        assert_eq!(dataset.dim(), family.dim(), "dataset/family dimension");
-        let points = dataset.points();
-        let mats: Vec<&SketchMatrix> = family.m_mats.iter().chain(&family.n_mats).collect();
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let workers = threads.min(cores).max(1);
-        let mut slabs: Vec<Vec<u64>> = vec![Vec::new(); mats.len()];
-        // The workers, not the calling thread, allocate the slabs, in
-        // contiguous runs of equal count (not of equal bytes: an M slab is
-        // twice an N slab). Allocated on the calling thread, the freed
-        // sketches of a dropped index stayed resident in its allocator
-        // arena, where the threads that later decode mapped bundles never
-        // reuse them (swap-mixed rss_mb rose 16% in the serving benchmark).
-        // Fixed runs, not claims: with no sketching between claims, one
-        // worker could take nearly all the slabs and another just one, and
-        // glibc keeps a thread arena's freed top while it is under the trim
-        // threshold (unique-large rss_mb rose ~1 MiB in 3 of 5 pairs). At
-        // two workers each run is 19 slabs, far above that threshold.
-        let share = mats.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (mats, slabs) in mats.chunks(share).zip(slabs.chunks_mut(share)) {
-                scope.spawn(move || {
-                    for (mat, slab) in mats.iter().zip(slabs) {
-                        *slab = vec![0u64; points.len() * mat.sketch_limbs()];
-                    }
-                });
-            }
-        });
-        let chunks = slabs
-            .iter_mut()
-            .zip(&mats)
-            .map(|(slab, mat)| slab.chunks_mut(BLOCK_POINTS * mat.sketch_limbs()))
-            .collect::<Vec<_>>();
-        let blocks = Mutex::new((points.chunks(BLOCK_POINTS), chunks));
-        let work = || {
-            let mut block = SlicedBlock::new(family.dim());
-            loop {
-                let (xs, outs) = {
-                    let mut jobs = blocks.lock().expect("a sketch worker panicked");
-                    let (xs, chunks) = &mut *jobs;
-                    let Some(xs) = xs.next() else { break };
-                    let outs = chunks
-                        .iter_mut()
-                        .map(|c| c.next().expect("a chunk per block"));
-                    (xs, outs.collect::<Vec<_>>())
-                };
-                block.load(xs);
-                for (mat, out) in mats.iter().zip(outs) {
-                    mat.sketch_block_into(&block, out);
-                }
-            }
-        };
-        std::thread::scope(|scope| {
-            for _ in 0..workers.min(points.len().div_ceil(BLOCK_POINTS)) {
-                scope.spawn(work);
-            }
-        });
-        let mut slabs: Vec<Limbs> = slabs.into_iter().map(Limbs::from).collect();
-        let n = slabs.split_off(family.m_mats.len());
+        let db = Self::build_m(family, dataset, threads);
+        db.ensure_n(family, dataset, threads);
+        db
+    }
+
+    /// Sketches every database point under the `M` matrices only: all
+    /// that Algorithm 1, the λ scheme and the degenerate cases read. The
+    /// `N` half follows from [`DbSketches::ensure_n`].
+    pub fn build_m(family: &SketchFamily, dataset: &Dataset, threads: usize) -> Self {
+        let mats: Vec<&SketchMatrix> = family.m_mats.iter().collect();
         DbSketches {
-            points: points.len(),
+            points: dataset.len(),
             m: SketchSlabs {
                 rows: family.m_rows(),
-                scales: slabs,
+                scales: sketch_slabs(&mats, dataset, threads),
             },
-            n: SketchSlabs {
-                rows: family.n_rows(),
-                scales: n,
-            },
+            n: OnceLock::new(),
         }
+    }
+
+    /// Sketches the `N` half under `family`'s coarse matrices unless it
+    /// is already held: at most once, however many callers race here.
+    /// `family` and `dataset` must be the ones the `M` half was built
+    /// from.
+    pub fn ensure_n(&self, family: &SketchFamily, dataset: &Dataset, threads: usize) -> &Self {
+        self.n.get_or_init(|| {
+            let mats: Vec<&SketchMatrix> = family.n_matrices().iter().collect();
+            SketchSlabs {
+                rows: family.n_rows(),
+                scales: sketch_slabs(&mats, dataset, threads),
+            }
+        });
+        self
     }
 
     /// Reassembles database sketches from decoded slabs (the store decode
@@ -457,33 +436,34 @@ impl DbSketches {
                 n.scales.len()
             ));
         }
-        Ok(DbSketches { points, m, n })
+        Ok(DbSketches {
+            points,
+            m,
+            n: OnceLock::from(n),
+        })
     }
 
     /// Errors unless these sketches were made by `family`'s shape: exactly
-    /// `top+1` scales per kind, `m_rows()` / `n_rows()` bits per sketch,
-    /// and full slabs. Decoded indexes pass through this before serving,
-    /// so a mismatched bundle is rejected at load rather than panicking at
-    /// its first query.
+    /// `top+1` scales per kind held, `m_rows()` / `n_rows()` bits per
+    /// sketch, and full slabs. Decoded indexes pass through this before
+    /// serving, so a mismatched bundle is rejected at load rather than
+    /// panicking at its first query.
     pub fn check_family(&self, family: &SketchFamily) -> Result<(), String> {
         let scales = family.top() as usize + 1;
-        if self.m.scales.len() != scales || self.n.scales.len() != scales {
-            return Err(format!(
-                "db sketches cover {}/{} scales, family has {scales}",
-                self.m.scales.len(),
-                self.n.scales.len()
-            ));
-        }
-        if self.m.rows != family.m_rows() || self.n.rows != family.n_rows() {
-            return Err(format!(
-                "db sketch widths {}/{} bits != family rows {}/{}",
-                self.m.rows,
-                self.n.rows,
-                family.m_rows(),
-                family.n_rows()
-            ));
-        }
-        for kind in [&self.m, &self.n] {
+        let n = self.n.get().map(|n| (n, family.n_rows()));
+        for (kind, rows) in std::iter::once((&self.m, family.m_rows())).chain(n) {
+            if kind.scales.len() != scales {
+                return Err(format!(
+                    "db sketches cover {} scales, family has {scales}",
+                    kind.scales.len()
+                ));
+            }
+            if kind.rows != rows {
+                return Err(format!(
+                    "db sketch width {} bits != family rows {rows}",
+                    kind.rows
+                ));
+            }
             let want = self.points * kind.width();
             if let Some(bad) = kind.scales.iter().find(|s| s.len() != want) {
                 return Err(format!(
@@ -497,23 +477,25 @@ impl DbSketches {
         Ok(())
     }
 
-    /// Whether every slab is borrowed in place from a mapped bundle
+    /// The slabs held: the `M` half's, then the `N` half's once sketched.
+    fn slabs(&self) -> impl Iterator<Item = &Limbs> {
+        let n = self.n.get().into_iter().flat_map(|n| &n.scales);
+        self.m.scales.iter().chain(n)
+    }
+
+    /// Whether every slab held is borrowed in place from a mapped bundle
     /// rather than owned. Runs the slabs' deferred tail checks, so it
     /// reads them: a slab with a dirty tail reads as copied.
     pub fn is_borrowed(&self) -> bool {
-        self.m
-            .scales
-            .iter()
-            .chain(&self.n.scales)
-            .all(|s| s.is_borrowed())
+        self.slabs().all(|s| s.is_borrowed())
     }
 
-    /// Slab bytes as `(owned, borrowed)`: held on the heap, and read in
-    /// place from a mapped bundle. Reads no slab: a borrowed slab whose
-    /// tail check has not run yet counts as borrowed.
+    /// Bytes of the slabs held, as `(owned, borrowed)`: on the heap, and
+    /// read in place from a mapped bundle. An `N` half not yet sketched
+    /// counts nothing. Reads no slab: a borrowed slab whose tail check
+    /// has not run yet counts as borrowed.
     pub fn slab_bytes(&self) -> (usize, usize) {
-        let slabs = self.m.scales.iter().chain(&self.n.scales);
-        slabs.fold((0, 0), |(owned, borrowed), slab| {
+        self.slabs().fold((0, 0), |(owned, borrowed), slab| {
             let held = slab.owned_len();
             (owned + 8 * held, borrowed + 8 * (slab.len() - held))
         })
@@ -525,8 +507,14 @@ impl DbSketches {
     }
 
     /// The coarse slabs.
+    ///
+    /// # Panics
+    /// If they have not been sketched: only a [`DbSketches::build_m`]
+    /// result lacks them, until [`DbSketches::ensure_n`].
     pub(crate) fn n_slabs(&self) -> &SketchSlabs {
-        &self.n
+        self.n
+            .get()
+            .expect("the N sketches are read before DbSketches::ensure_n")
     }
 
     /// Limbs of the `M_i`-sketch of database point `z`.
@@ -535,14 +523,20 @@ impl DbSketches {
     }
 
     /// Limbs of the `N_j`-sketch of database point `z`.
+    ///
+    /// # Panics
+    /// If the `N` half has not been sketched ([`DbSketches::ensure_n`]).
     pub fn n_limbs(&self, j: u32, z: usize) -> &[u64] {
-        self.n.rows(j)(z)
+        self.n_slabs().rows(j)(z)
     }
 
     /// [`DbSketches::n_limbs`] at scale `j`, as a function of the point:
     /// for loops over many points, which then look the slab up once.
+    ///
+    /// # Panics
+    /// If the `N` half has not been sketched ([`DbSketches::ensure_n`]).
     pub fn n_scale<'a>(&'a self, j: u32) -> impl Fn(usize) -> &'a [u64] + 'a {
-        self.n.rows(j)
+        self.n_slabs().rows(j)
     }
 
     /// Database size.
@@ -587,6 +581,9 @@ impl DbSketches {
     }
 
     /// Members of `D_{i,j}`, ascending.
+    ///
+    /// # Panics
+    /// If the `N` half has not been sketched ([`DbSketches::ensure_n`]).
     pub fn d_members(
         &self,
         family: &SketchFamily,
@@ -600,6 +597,96 @@ impl DbSketches {
         members.retain(|&z| family.n_passes(j, addr_n, n_row(z)));
         members
     }
+}
+
+/// Sketches every point of `dataset` under each of `mats`, one slab per
+/// matrix, with the bit-sliced kernel behind
+/// [`SketchMatrix::sketch_all_into`], walking the points one block at a
+/// time.
+///
+/// Work runs on `min(threads, available parallelism)` scoped threads, in
+/// two passes. First each worker allocates a contiguous run of
+/// `ceil(mats.len() / workers)` slabs. Then each worker lists every
+/// matrix's set columns once and claims point blocks in order: it
+/// transposes each block it claims once into its own small buffer and
+/// runs every matrix over it while it is hot, writing that block's range
+/// of every slab. No transient scales with `n`, and the output does not
+/// depend on `threads`.
+fn sketch_slabs(mats: &[&SketchMatrix], dataset: &Dataset, threads: usize) -> Vec<Limbs> {
+    assert!(
+        mats.iter().all(|mat| mat.dim() == dataset.dim()),
+        "dataset/family dimension"
+    );
+    let points = dataset.points();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let workers = threads.min(cores).max(1);
+    // The workers, not the calling thread, allocate the slabs, in
+    // contiguous runs of equal count. Allocated on the calling thread,
+    // the freed sketches of a dropped index stayed resident in its
+    // allocator arena, where the threads that later decode mapped bundles
+    // never reuse them (swap-mixed rss_mb rose 16% in the serving
+    // benchmark). Fixed runs, not claims: with no sketching between
+    // claims, one worker could take nearly all the slabs and another just
+    // one, and glibc keeps a thread arena's freed top while it is under
+    // the trim threshold (unique-large rss_mb rose ~1 MiB in 3 of 5
+    // pairs). At two workers a kind sketched alone splits into runs of 10
+    // and 9 of its 19 scales: 15 and 13.5 MiB of `M` slabs at
+    // unique-large's shape (n = 32768, 6 limbs a sketch), 7.5 and 6.75 MiB
+    // of `N` slabs there, and 3.1 and 2.8 MiB of `M` slabs at hot-online's
+    // (n = 8192, 5 limbs). Every run is many slabs, not a lone one.
+    let share = mats.len().div_ceil(workers);
+    let mut slabs: Vec<Vec<u64>> = vec![Vec::new(); mats.len()];
+    std::thread::scope(|scope| {
+        for (mats, slabs) in mats.chunks(share).zip(slabs.chunks_mut(share)) {
+            scope.spawn(move || {
+                for (mat, slab) in mats.iter().zip(slabs) {
+                    *slab = vec![0u64; points.len() * mat.sketch_limbs()];
+                }
+            });
+        }
+    });
+    let row_ranges: Vec<_> = mats
+        .iter()
+        .scan(0, |first, mat| {
+            let rows = *first..*first + mat.rows() as usize;
+            *first = rows.end;
+            Some(rows)
+        })
+        .collect();
+    let chunks = slabs
+        .iter_mut()
+        .zip(mats)
+        .map(|(slab, mat)| slab.chunks_mut(BLOCK_POINTS * mat.sketch_limbs()))
+        .collect::<Vec<_>>();
+    let blocks = Mutex::new((points.chunks(BLOCK_POINTS), chunks));
+    let work = || {
+        // Each worker lists the set columns itself, in one allocation: a
+        // list per matrix (38 allocations a worker) raised swap-mixed
+        // rss_mb 6% in the serving benchmark.
+        let sets = SetColumns::of(mats);
+        let mut block = SlicedBlock::new(dataset.dim());
+        loop {
+            let (xs, outs) = {
+                let mut jobs = blocks.lock().expect("a sketch worker panicked");
+                let (xs, chunks) = &mut *jobs;
+                let Some(xs) = xs.next() else { break };
+                let outs = chunks
+                    .iter_mut()
+                    .map(|c| c.next().expect("a chunk per block"));
+                (xs, outs.collect::<Vec<_>>())
+            };
+            block.load(xs);
+            for (rows, out) in row_ranges.iter().zip(outs) {
+                sets.sketch_block_into(rows.clone(), &block, out);
+            }
+        }
+    };
+    std::thread::scope(|scope| {
+        for _ in 0..workers.min(points.len().div_ceil(BLOCK_POINTS)) {
+            scope.spawn(work);
+        }
+    });
+    slabs.into_iter().map(Limbs::from).collect()
 }
 
 #[cfg(test)]
@@ -632,6 +719,24 @@ mod tests {
             assert_eq!(f1.sketch_n(i, &x), f2.sketch_n(i, &x));
             assert_eq!(f1.m_threshold(i), f2.m_threshold(i));
         }
+    }
+
+    #[test]
+    fn coarse_matrices_continue_the_stream_at_their_first_need() {
+        let params = SketchParams::practical(GAMMA, 42);
+        let family = SketchFamily::generate(128, 100, &params);
+        let bytes = family.heap_bytes();
+        assert!(family.n_mats.get().is_none(), "N_j sampled early");
+        // Every `M_i`, then every `N_j`, from one stream.
+        let mut rng = StdRng::seed_from_u64(42);
+        for mats in [family.m_matrices(), family.n_matrices()] {
+            for mat in mats {
+                let want = SketchMatrix::sample(mat.rows(), 128, mat.density(), &mut rng);
+                assert_eq!(mat.row_points(), want.row_points());
+            }
+        }
+        assert_eq!(family.n_matrices().len(), family.top() as usize + 1);
+        assert!(family.heap_bytes() > bytes, "the N_j count once sampled");
     }
 
     #[test]
@@ -737,13 +842,14 @@ mod tests {
                 assert_eq!(seq.n_limbs(i, z), family.sketch_n(i, ds.point(z)).limbs());
             }
         }
-        fn slabs(db: &DbSketches) -> impl Iterator<Item = &Limbs> {
-            db.m.scales.iter().chain(&db.n.scales)
-        }
         // 64 exceeds both the core count and the blocks.
         for threads in [1, 2, 3, 8, 64] {
-            let par = DbSketches::build(&family, &ds, threads);
-            for (k, (a, b)) in slabs(&seq).zip(slabs(&par)).enumerate() {
+            // `M`, then `N` on demand, as a built index makes them.
+            let par = DbSketches::build_m(&family, &ds, threads);
+            assert!(par.n.get().is_none(), "t={threads}: N sketched early");
+            par.ensure_n(&family, &ds, threads);
+            assert_eq!(par.slabs().count(), seq.slabs().count());
+            for (k, (a, b)) in seq.slabs().zip(par.slabs()).enumerate() {
                 assert!(a[..] == b[..], "t={threads}: slab {k}");
             }
         }
@@ -751,15 +857,17 @@ mod tests {
 
     #[test]
     fn check_family_rejects_other_shapes() {
-        let (family, _, db) = family_and_ds(14, 20, 96);
+        let (family, ds, db) = family_and_ds(14, 20, 96);
         assert!(db.check_family(&family).is_ok());
+        let m_only = DbSketches::build_m(&family, &ds, 1);
+        assert!(m_only.check_family(&family).is_ok(), "N not sketched yet");
         let mut short = db.clone();
         short.m.scales[1] = Limbs::from(short.m.scales[1][1..].to_vec());
         let mut narrow = db.clone();
-        narrow.n.rows -= 1;
+        narrow.n.get_mut().expect("built whole").rows -= 1;
         let mut fewer = db.clone();
         fewer.m.scales.pop();
-        fewer.n.scales.pop();
+        fewer.n.get_mut().expect("built whole").scales.pop();
         for bad in [short, narrow, fewer] {
             assert!(bad.check_family(&family).is_err());
         }

@@ -12,11 +12,14 @@
 //! bit-slices the points: a block of [`BLOCK_POINTS`] points is transposed
 //! with 64×64 bit transposes so each input column is one word across the
 //! block, a sketch row of the whole block is the XOR of the words at the
-//! row's set columns, and each 64-row group is transposed back into the
-//! slab's row-major layout. Row generation uses geometric skip-sampling.
+//! row's set columns (listed once per call, not found again per block),
+//! and each 64-row group is transposed back into the slab's row-major
+//! layout. Row generation uses geometric skip-sampling.
 //! Both therefore cost time proportional to the number of set bits rather
 //! than to `d`, and `p = 1/(4α^i)` decays geometrically in the scale `i`:
 //! at d = 512 a scale-0 row has 128 set bits, a scale-18 row under one.
+
+use std::ops::Range;
 
 use rand::Rng;
 
@@ -184,10 +187,11 @@ impl SketchMatrix {
     /// into a transposed block, where each input column is one word holding
     /// that coordinate of every point in the block; sketch row `r` of the
     /// whole block is then the XOR of the words at row `r`'s set columns,
-    /// so a row costs its weight (128 words at d = 512 and scale 0, under
-    /// one at the top scale) rather than a pass over `d`. Each 64-row group
-    /// is transposed back into the slab's row-major layout. A single query
-    /// point should use [`SketchMatrix::sketch`].
+    /// read from a list of them built once per call, so a row costs its
+    /// weight (128 words at d = 512 and scale 0, under one at the top
+    /// scale) rather than a pass over `d`. Each 64-row group is transposed
+    /// back into the slab's row-major layout. A single query point should
+    /// use [`SketchMatrix::sketch`].
     ///
     /// # Panics
     /// Panics if a point's dimension does not match the matrix or
@@ -199,48 +203,88 @@ impl SketchMatrix {
             points.len() * w,
             "output slab must hold one sketch per point"
         );
+        let set = SetColumns::of(&[self]);
         let mut block = SlicedBlock::new(self.dim);
         for (xs, dst) in points
             .chunks(BLOCK_POINTS)
             .zip(out.chunks_mut(BLOCK_POINTS * w))
         {
             block.load(xs);
-            self.sketch_block_into(&block, dst);
+            set.sketch_block_into(0..self.rows.len(), &block, dst);
         }
+    }
+}
+
+/// The set columns of every row of some matrices, as one flat list: row
+/// `r`, counting the matrices' rows in order, has
+/// `cols[starts[r]..starts[r + 1]]`, ascending. This is what the batch
+/// kernel reads: one walk over the rows' limbs lists them, and one
+/// allocation holds them all. The indices are `u32` because `d` may
+/// exceed 16 bits.
+pub(crate) struct SetColumns {
+    dim: u32,
+    starts: Vec<usize>,
+    cols: Vec<u32>,
+}
+
+impl SetColumns {
+    /// Lists the set columns of every row of `mats`, in order.
+    ///
+    /// # Panics
+    /// If `mats` is empty or the matrices differ in dimension.
+    pub(crate) fn of(mats: &[&SketchMatrix]) -> Self {
+        let dim = mats[0].dim;
+        assert!(
+            mats.iter().all(|m| m.dim == dim),
+            "matrix dimensions differ"
+        );
+        let rows = || mats.iter().flat_map(|m| &m.rows);
+        let mut starts = Vec::with_capacity(rows().count() + 1);
+        let mut cols = Vec::with_capacity(rows().map(|row| row.weight() as usize).sum());
+        starts.push(0);
+        for row in rows() {
+            cols.extend(row.iter_ones());
+            starts.push(cols.len());
+        }
+        SetColumns { dim, starts, cols }
     }
 
     /// Sketches a loaded block into its region of a slab: `out` holds
-    /// `block`'s points' sketches, `sketch_limbs()` limbs each.
+    /// `block`'s points' sketches under the matrix whose rows are this
+    /// list's `rows`, `⌈rows.len()/64⌉` limbs each.
     ///
     /// # Panics
-    /// Panics if the block's dimension does not match the matrix or `out`
-    /// is not exactly the block's sketches.
-    pub(crate) fn sketch_block_into(&self, block: &SlicedBlock, out: &mut [u64]) {
+    /// Panics if the block's dimension does not match the matrices, `rows`
+    /// is out of range, or `out` is not exactly the block's sketches.
+    pub(crate) fn sketch_block_into(
+        &self,
+        rows: Range<usize>,
+        block: &SlicedBlock,
+        out: &mut [u64],
+    ) {
         assert_eq!(block.dim, self.dim, "point/matrix dimension mismatch");
-        let w = self.sketch_limbs();
+        let w = rows.len().div_ceil(LIMB);
         assert_eq!(
             out.len(),
             block.len * w,
             "output must hold the block's sketches"
         );
         let mut group = [[0u64; LANES]; LIMB];
-        for (limb, rows) in self.rows.chunks(LIMB).enumerate() {
-            for (word, row) in group.iter_mut().zip(rows) {
+        for limb in 0..w {
+            let first = rows.start + limb * LIMB;
+            let group_rows = first..rows.end.min(first + LIMB);
+            let height = group_rows.len();
+            for (word, r) in group.iter_mut().zip(group_rows) {
                 // A local accumulator stays in registers.
                 let mut acc = [0u64; LANES];
-                for (&bits, cols) in row.limbs().iter().zip(block.cols.chunks_exact(LIMB)) {
-                    let mut bits = bits;
-                    while bits != 0 {
-                        let col = &cols[bits.trailing_zeros() as usize];
-                        for (a, c) in acc.iter_mut().zip(col) {
-                            *a ^= c;
-                        }
-                        bits &= bits - 1;
+                for &c in &self.cols[self.starts[r]..self.starts[r + 1]] {
+                    for (a, x) in acc.iter_mut().zip(&block.cols[c as usize]) {
+                        *a ^= x;
                     }
                 }
                 *word = acc;
             }
-            group[rows.len()..].fill([0; LANES]);
+            group[height..].fill([0; LANES]);
             // Word `p`, lane `g` now holds this group's 64 sketch bits of
             // point `g·64 + p`.
             transpose(&mut group);
