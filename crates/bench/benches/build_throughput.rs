@@ -22,12 +22,21 @@
 //! `M_i` half only; `ann_index_alg2_ready_n*` adds the `N_j` half as
 //! registering an Algorithm 2 shard forces it, so the deferred work stays
 //! measured. `db_sketches_n32768` is the `unique-large` build at the
-//! default `BuildOptions` thread count. Each line prints the median
-//! sample with its `[min, max]`.
+//! default `BuildOptions` thread count. `save_bundle_n*` times
+//! `Registry::save_bundle` of one Algorithm 1 shard over an index built
+//! once with its `N` half forced (a 47.6 MB bundle at n = 32768): the
+//! streamed encode, the writeback kicked per MiB, `sync_all`, the rename
+//! and the directory sync, into a file under the system temporary
+//! directory, so it measures that directory's device. Each line prints
+//! the median sample with its `[min, max]`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use std::sync::Arc;
+
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion};
 
 use anns_core::{AnnIndex, BuildOptions};
+use anns_engine::testkit::TempDir;
+use anns_engine::Registry;
 use anns_hamming::gen;
 use anns_lsh::{LshIndex, LshParams};
 use anns_sketch::{DbSketches, SketchFamily, SketchParams};
@@ -35,6 +44,19 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const D: u32 = 512;
+
+/// Times saving `index` as a one-shard bundle, `N` half forced first.
+fn bench_save(group: &mut BenchmarkGroup<'_>, index: AnnIndex) {
+    let n = index.dataset().len();
+    index.db_sketches();
+    let mut registry = Registry::new();
+    registry.register_alg1("alg1-k3", Arc::new(index), 3);
+    let dir = TempDir::new(&format!("save-bundle-n{n}"));
+    let path = dir.file("bundle.anns");
+    group.bench_function(format!("save_bundle_n{n}"), |b| {
+        b.iter(|| registry.save_bundle(&path).expect("save"))
+    });
+}
 
 fn bench_builds(c: &mut Criterion) {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -86,15 +108,27 @@ fn bench_builds(c: &mut Criterion) {
                 LshIndex::build(ds.clone(), lsh, &mut rng2)
             })
         });
+        if n == 8192 {
+            bench_save(
+                &mut group,
+                AnnIndex::build(ds, params, BuildOptions::default()),
+            );
+        }
     }
     let n = 32768;
     let mut rng = StdRng::seed_from_u64(n as u64);
     let ds = gen::uniform(n, D, &mut rng);
-    let family = SketchFamily::generate(D, n, &SketchParams::practical(2.0, 7));
+    let params = SketchParams::practical(2.0, 7);
+    let family = SketchFamily::generate(D, n, &params);
     let threads = BuildOptions::default().threads;
     group.bench_function(format!("db_sketches_n{n}"), |b| {
         b.iter(|| DbSketches::build(&family, &ds, threads))
     });
+    drop(family);
+    bench_save(
+        &mut group,
+        AnnIndex::build(ds, params, BuildOptions::default()),
+    );
     group.finish();
 }
 

@@ -27,9 +27,12 @@
 //! sketches, which the main tables read, and not the `N_j` or their
 //! sketches, which only Algorithm 2 reads. Those follow once, at their
 //! first need: an Algorithm 2 address or auxiliary-cell read, `ready()`
-//! on an Algorithm 2 shard, its registration with an engine, encoding
-//! the index, or [`AnnIndex::db_sketches`]. A decoded index holds both
-//! halves, as stored.
+//! on an Algorithm 2 shard, its registration with an engine, or
+//! [`AnnIndex::db_sketches`]. Encoding the index samples the `N_j` (they
+//! stay: 0.29 MiB at n = 32768, d = 512) and writes the `N` sketches,
+//! but an index that does not hold them sketches them for the write
+//! alone and drops them after it. A decoded index holds both halves, as
+//! stored.
 
 use std::sync::Arc;
 
@@ -412,10 +415,21 @@ impl AnnIndex {
         Ok(Self::assemble(dataset, family, db, opts))
     }
 
-    /// The database-side sketches, both halves (the store encode path):
-    /// sketches the `N` half first if this is its first need.
+    /// The database-side sketches, both halves: sketches the `N` half
+    /// first, and keeps it, if this is its first need.
     pub fn db_sketches(&self) -> &DbSketches {
         self.inner.db_n()
+    }
+
+    /// Encodes the database sketches, both halves, in the stored layout
+    /// (the store encode path). An `N` half not yet sketched is sketched
+    /// for the write and dropped after it, so an index serving
+    /// Algorithm 1 alone holds no more after a save than before it.
+    pub(crate) fn encode_db_sketches(&self, w: &mut anns_store::ByteWriter) {
+        let inner = &*self.inner;
+        inner
+            .db
+            .encode_with(&inner.family, &inner.dataset, inner.threads, w);
     }
 
     /// The fault-injection model the index was built with, if any.

@@ -55,7 +55,7 @@ impl Codec for AnnIndex {
     fn encode(&self, w: &mut ByteWriter) {
         self.dataset().encode(w);
         self.family().encode(w);
-        self.db_sketches().encode(w);
+        self.encode_db_sketches(w);
         self.erasure_model().encode(w);
     }
 

@@ -36,6 +36,7 @@ use anns_core::{
 use anns_store::pool::decode_pool_table;
 use anns_store::{
     ByteReader, ByteWriter, Codec, Manifest, MappedStore, SectionDigest, SectionWriter, StoreError,
+    WritebackFile,
 };
 
 use crate::lazy::{LazyPool, LazyServable};
@@ -540,11 +541,31 @@ impl Registry {
         writer.finish().map(drop)
     }
 
-    /// [`Registry::save_bundle_to`] targeting a file path, atomically:
-    /// the bundle is written to a sibling temporary file, synced, and
-    /// renamed over `path`. A bundle mounted from `path` keeps reading
-    /// the old file, which a mapped mount scans in place; rewriting that
-    /// file's bytes would change them under the live mapping.
+    /// [`Registry::save_bundle_to`] targeting a file path, atomically
+    /// and durably. The protocol:
+    ///
+    /// 1. the bundle streams into a sibling temporary file,
+    ///    `<path>.tmp-<pid>-<n>`, created in `path`'s directory;
+    /// 2. while it streams, each whole MiB the writes pass is handed to
+    ///    the kernel's writeback ([`WritebackFile`]: an advisory
+    ///    `sync_file_range` on Linux, nothing elsewhere), so the device
+    ///    writes during the encode;
+    /// 3. `sync_all` makes the temporary file's bytes and length durable,
+    ///    waiting only for what writeback has not finished;
+    /// 4. the file is renamed over `path`;
+    /// 5. on Unix, `path`'s directory is synced, which makes the rename
+    ///    durable.
+    ///
+    /// When this returns `Ok`, `path` names the complete new bundle, and
+    /// both its bytes and the name survive a crash or power loss. A crash
+    /// before step 4 leaves the old file at `path` (or none) and a
+    /// temporary file beside it, partial or whole, that nothing reads; a
+    /// crash between steps 4 and 5 leaves `path` naming the old bundle
+    /// or the new one, each complete. An error removes the temporary
+    /// file and leaves `path` as it was. A bundle mounted from `path`
+    /// keeps reading the old file, which a mapped mount scans in place;
+    /// rewriting that file's bytes would change them under the live
+    /// mapping.
     pub fn save_bundle(&self, path: impl AsRef<std::path::Path>) -> Result<(), StoreError> {
         static SAVES: AtomicU64 = AtomicU64::new(0);
         let path = path.as_ref();
@@ -556,9 +577,11 @@ impl Registry {
         ));
         let tmp = std::path::PathBuf::from(tmp);
         let written = (|| -> Result<(), StoreError> {
-            let mut out = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
+            let file = WritebackFile::new(std::fs::File::create(&tmp)?);
+            let mut out = std::io::BufWriter::new(file);
             self.save_bundle_to(&mut out)?;
-            out.into_inner().map_err(|e| e.into_error())?.sync_all()?;
+            let file = out.into_inner().map_err(|e| e.into_error())?;
+            file.into_file().sync_all()?;
             std::fs::rename(&tmp, path)?;
             // Make the rename itself durable.
             #[cfg(unix)]
@@ -1208,6 +1231,41 @@ mod tests {
                 ("MNFT".into(), 64, 0xb29a_2851),
             ]
         );
+    }
+
+    #[test]
+    fn a_file_save_writes_the_bytes_of_a_buffered_one() {
+        // A pool entry of several MiB, so writeback is kicked inside the
+        // pool and the seek-back stamp rewrites an already-kicked range,
+        // and a linear-scan shard of 4 MiB more behind it.
+        let mut rng = StdRng::seed_from_u64(51);
+        let index = Arc::new(AnnIndex::build(
+            gen::uniform(4096, 256, &mut rng),
+            SketchParams::practical(2.0, 51),
+            BuildOptions::default(),
+        ));
+        let scan = anns_lsh::LinearScan::new(gen::uniform(16384, 2048, &mut rng));
+        let mut reg = Registry::new();
+        reg.register_alg1("alg1-k3", index, 3);
+        reg.register(
+            "lin",
+            Box::new(anns_lsh::ServeLinear {
+                scan: Arc::new(scan),
+            }),
+        );
+        let mut buffered = Cursor::new(Vec::new());
+        reg.save_bundle_to(&mut buffered).unwrap();
+        let buffered = buffered.into_inner();
+        assert!(buffered.len() as u64 > 8 * anns_store::WRITEBACK_STEP_BYTES);
+        let dir = crate::testkit::TempDir::new("registry-file-save");
+        let path = dir.file("bundle.anns");
+        reg.save_bundle(&path).unwrap();
+        assert!(
+            std::fs::read(&path).unwrap() == buffered,
+            "file bytes differ"
+        );
+        let leftovers: Vec<_> = std::fs::read_dir(dir.path()).unwrap().collect();
+        assert_eq!(leftovers.len(), 1, "no temporary file left behind");
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! only; the `N_j` and their sketches, which only Algorithm 2 reads,
 //! follow at their first need. Serving Algorithm 1 and λ never makes
 //! them; registering or readying Algorithm 2 does, before any query;
-//! encoding forces them and writes the same bytes either way; and
+//! encoding writes the same bytes either way, and on an index that does
+//! not hold the `N` sketches it makes them for the write alone; and
 //! Algorithm 2 answers a never-forced built index exactly as it answers
 //! the decoded copy.
 
@@ -10,7 +11,7 @@ use std::sync::Arc;
 
 use anns_core::serve::{ServableScheme, ServeAlg2};
 use anns_core::{Aggregation, Alg2Config, AnnIndex, SubsampledRepetition};
-use anns_engine::testkit::{clustered_index, hot_set_workload};
+use anns_engine::testkit::{clustered_index, hot_set_workload, TempDir};
 use anns_engine::{Engine, EngineOptions, NamedRequest, Registry};
 use anns_store::Codec;
 
@@ -81,6 +82,7 @@ fn registering_alg2_sketches_n_before_any_query() {
 #[test]
 fn encoding_writes_the_same_bytes_forced_or_not() {
     let never = index();
+    let (m_only, both) = slab_bytes(&never);
     let forced = index();
     forced.db_sketches();
     let bytes = forced.to_bytes();
@@ -89,7 +91,39 @@ fn encoding_writes_the_same_bytes_forced_or_not() {
         bytes,
         "encoding sketches N as a build would"
     );
-    assert_eq!(never.memory(), forced.memory());
+    // The encode sampled the `N_j`, which stay, and dropped the `N`
+    // sketches it made.
+    assert_eq!(never.memory().family, forced.memory().family);
+    assert_eq!(never.memory().slabs_owned, m_only);
+    assert_eq!(forced.memory().slabs_owned, both);
+}
+
+#[test]
+fn saving_an_alg1_index_keeps_the_m_half_alone() {
+    let index = index();
+    let (m_only, both) = slab_bytes(&index);
+    let mut registry = Registry::new();
+    registry.register_alg1("alg1", Arc::clone(&index), 3);
+    let dir = TempDir::new("deferred-n-save");
+    let (first, second) = (dir.file("first.anns"), dir.file("second.anns"));
+    registry.save_bundle(&first).expect("save");
+    assert_eq!(
+        index.memory().slabs_owned,
+        m_only,
+        "the save kept no N slab"
+    );
+    registry.save_bundle(&second).expect("save again");
+    assert_eq!(index.memory().slabs_owned, m_only);
+    let bytes = std::fs::read(&first).expect("read back");
+    assert_eq!(std::fs::read(&second).expect("read back"), bytes);
+    // Registering Algorithm 2 afterwards still builds the `N` half, and
+    // a save then writes the held half: the same bytes again.
+    registry.register_alg2("alg2", Arc::clone(&index), Alg2Config::with_k(8));
+    assert_eq!(index.memory().slabs_owned, both);
+    let mut alg1_only = Registry::new();
+    alg1_only.register_alg1("alg1", Arc::clone(&index), 3);
+    alg1_only.save_bundle(&second).expect("save held");
+    assert_eq!(std::fs::read(&second).expect("read back"), bytes);
 }
 
 #[test]

@@ -313,6 +313,18 @@ fn sample_scales(rows: u32, d: u32, alpha: f64, top: u32, rng: &mut StdRng) -> V
         .collect()
 }
 
+/// The `N` half of the database sketches under `family`'s coarse
+/// matrices, by the kernel and worker layout that sketch the `M` half,
+/// held by nothing: [`DbSketches::ensure_n`] keeps it, and encoding an
+/// index that lacks it writes it and drops it.
+pub(crate) fn sketch_n(family: &SketchFamily, dataset: &Dataset, threads: usize) -> SketchSlabs {
+    let mats: Vec<&SketchMatrix> = family.n_matrices().iter().collect();
+    SketchSlabs {
+        rows: family.n_rows(),
+        scales: sketch_slabs(&mats, dataset, threads),
+    }
+}
+
 /// All database sketches of one kind (every `M_i`, or every `N_j`) as flat
 /// limb slabs: one slab per scale, `points · w` limbs with
 /// `w = ⌈rows/64⌉`, point `z` at `[z·w, (z+1)·w)`. The row count is stored
@@ -359,10 +371,12 @@ impl SketchSlabs {
 /// slabs feed only Algorithm 2's auxiliary tables. So the `N` half may be
 /// deferred: [`DbSketches::build_m`] sketches the `M` slabs alone, and
 /// [`DbSketches::ensure_n`] sketches the `N` slabs at their first need, at
-/// most once; [`DbSketches::build`] and a decode hold both. Built or
-/// decoded by copy, each kind's slabs are `top+1` heap allocations. A
-/// mapped mount borrows them in place from the bundle (store format v3
-/// writes each scale as one raw 8-aligned slab), so they cost
+/// most once; [`DbSketches::build`] and a decode hold both, and
+/// [`DbSketches::encode_with`] writes an `N` half it does not hold
+/// without keeping it. Built or decoded by copy, each kind's slabs are
+/// `top+1` heap allocations. A mapped mount borrows them in place from
+/// the bundle (store format v3 writes each scale as one raw 8-aligned
+/// slab), so they cost
 /// file-backed page cache, shared and reclaimable, instead of anonymous
 /// memory, and only once scanned: a borrowed slab checks its tail bits
 /// on its first scan, and the entry's CRC is read through the file.
@@ -410,13 +424,7 @@ impl DbSketches {
     /// `family` and `dataset` must be the ones the `M` half was built
     /// from.
     pub fn ensure_n(&self, family: &SketchFamily, dataset: &Dataset, threads: usize) -> &Self {
-        self.n.get_or_init(|| {
-            let mats: Vec<&SketchMatrix> = family.n_matrices().iter().collect();
-            SketchSlabs {
-                rows: family.n_rows(),
-                scales: sketch_slabs(&mats, dataset, threads),
-            }
-        });
+        self.n.get_or_init(|| sketch_n(family, dataset, threads));
         self
     }
 
@@ -506,12 +514,17 @@ impl DbSketches {
         &self.m
     }
 
+    /// The coarse slabs, if held (the store encode path).
+    pub(crate) fn n_held(&self) -> Option<&SketchSlabs> {
+        self.n.get()
+    }
+
     /// The coarse slabs.
     ///
     /// # Panics
     /// If they have not been sketched: only a [`DbSketches::build_m`]
     /// result lacks them, until [`DbSketches::ensure_n`].
-    pub(crate) fn n_slabs(&self) -> &SketchSlabs {
+    fn n_slabs(&self) -> &SketchSlabs {
         self.n
             .get()
             .expect("the N sketches are read before DbSketches::ensure_n")

@@ -8,10 +8,11 @@
 //! inside [`SketchParams`] as provenance, not as the decode path.
 
 use anns_hamming::point::LIMB_BITS;
+use anns_hamming::Dataset;
 use anns_store::{decode_capacity, encode_slice, ByteReader, ByteWriter, Codec, Limbs, StoreError};
 
 use crate::delta::ThresholdMode;
-use crate::family::{DbSketches, SketchFamily, SketchParams, SketchSlabs};
+use crate::family::{sketch_n, DbSketches, SketchFamily, SketchParams, SketchSlabs};
 use crate::matrix::SketchMatrix;
 
 impl Codec for ThresholdMode {
@@ -102,9 +103,7 @@ fn encode_slabs(slabs: &SketchSlabs, points: usize, w: &mut ByteWriter) {
     w.put_u64(points as u64);
     w.align(8);
     for slab in &slabs.scales {
-        for &limb in slab.iter() {
-            w.put_u64(limb);
-        }
+        w.put_u64s(slab);
     }
 }
 
@@ -146,10 +145,35 @@ fn decode_slabs(r: &mut ByteReader<'_>) -> Result<(SketchSlabs, usize), StoreErr
     Ok((SketchSlabs { rows, scales }, points))
 }
 
+impl DbSketches {
+    /// Writes the bytes [`Codec::encode`] writes once the `N` half is
+    /// held, without keeping that half: an `N` half not held is sketched
+    /// as [`DbSketches::ensure_n`] would sketch it, written, and dropped.
+    /// `family` and `dataset` must be the ones the `M` half was built
+    /// from.
+    pub fn encode_with(
+        &self,
+        family: &SketchFamily,
+        dataset: &Dataset,
+        threads: usize,
+        w: &mut ByteWriter,
+    ) {
+        encode_slabs(self.m_slabs(), self.len(), w);
+        match self.n_held() {
+            Some(n) => encode_slabs(n, self.len(), w),
+            None => encode_slabs(&sketch_n(family, dataset, threads), self.len(), w),
+        }
+    }
+}
+
 impl Codec for DbSketches {
+    /// # Panics
+    /// If the `N` half is not held: encode a [`DbSketches::build_m`]
+    /// result with [`DbSketches::encode_with`].
     fn encode(&self, w: &mut ByteWriter) {
         encode_slabs(self.m_slabs(), self.len(), w);
-        encode_slabs(self.n_slabs(), self.len(), w);
+        let n = self.n_held().expect("encoding N sketches never sketched");
+        encode_slabs(n, self.len(), w);
     }
 
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, StoreError> {
@@ -223,16 +247,11 @@ mod tests {
         assert_eq!(back.to_bytes(), db.to_bytes());
     }
 
-    #[test]
-    fn db_sketches_encode_the_slab_layout() {
-        // Pins the bytes against a hand-encoded reference in the stored
-        // layout: per kind a u32 row count, u64 scale and point counts,
-        // four zero bytes of padding, then every sketch's raw limbs.
-        let mut rng = StdRng::seed_from_u64(8);
-        let ds = gen::uniform(5, 64, &mut rng);
-        let family = SketchFamily::generate(64, 5, &SketchParams::practical(2.0, 4));
-        let db = DbSketches::build(&family, &ds, 1);
-        let mut w = ByteWriter::new();
+    /// `ds`'s sketches under `family`, hand-encoded in the stored layout
+    /// from each point's row-path sketch, one `put_u64` per limb: per
+    /// kind a u32 row count, u64 scale and point counts, four zero bytes
+    /// of padding, then every sketch's raw limbs.
+    fn hand_encoded(family: &SketchFamily, ds: &anns_hamming::Dataset, w: &mut ByteWriter) {
         for mats in [family.m_matrices(), family.n_matrices()] {
             w.put_u32(mats[0].rows());
             w.put_u64(mats.len() as u64);
@@ -246,7 +265,65 @@ mod tests {
                 }
             }
         }
-        assert_eq!(db.to_bytes(), w.into_bytes());
+    }
+
+    #[test]
+    fn db_sketches_encode_the_slab_layout() {
+        // Pins the bytes against the hand-encoded reference, in memory
+        // and through the pool writer, which drains in 64 KiB chunks. At
+        // the second shape, 139-bit `M` rows (3 limbs) over 3001 points,
+        // every `M` slab (72,024 bytes) crosses a chunk boundary at an
+        // odd limb count, behind the pool table at an offset the 64-byte
+        // entry alignment leaves.
+        for (points, c, m_rows) in [(5, 24.0, 56), (3001, 12.0, 139)] {
+            let mut rng = StdRng::seed_from_u64(8);
+            let ds = gen::uniform(points, 64, &mut rng);
+            let params = SketchParams {
+                c1: c,
+                c2: c,
+                ..SketchParams::practical(2.0, 4)
+            };
+            let family = SketchFamily::generate(64, points, &params);
+            assert_eq!(family.m_rows(), m_rows);
+            let db = DbSketches::build(&family, &ds, 2);
+            let mut w = ByteWriter::new();
+            hand_encoded(&family, &ds, &mut w);
+            assert_eq!(db.to_bytes(), w.into_bytes(), "{points} points in memory");
+            let pooled = |encode: &dyn Fn(&mut ByteWriter)| {
+                let mut out = std::io::Cursor::new(Vec::new());
+                let mut writer = anns_store::SectionWriter::new(&mut out, 0, 1).unwrap();
+                writer.pool_section(&[()], |_, w| encode(w)).unwrap();
+                writer.finish().unwrap();
+                out.into_inner()
+            };
+            assert_eq!(
+                pooled(&|w| db.encode(w)),
+                pooled(&|w| hand_encoded(&family, &ds, w)),
+                "{points} points drained"
+            );
+        }
+    }
+
+    #[test]
+    fn encoding_a_deferred_n_half_writes_it_and_keeps_none() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let ds = gen::uniform(40, 96, &mut rng);
+        let family = SketchFamily::generate(96, 40, &SketchParams::practical(2.0, 12));
+        let m_only = DbSketches::build_m(&family, &ds, 2);
+        let held = m_only.slab_bytes();
+        let mut w = ByteWriter::new();
+        m_only.encode_with(&family, &ds, 2, &mut w);
+        assert_eq!(
+            w.into_bytes(),
+            DbSketches::build(&family, &ds, 1).to_bytes()
+        );
+        assert_eq!(m_only.slab_bytes(), held, "the N half is not kept");
+        // Held, the N half is written as it is.
+        let mut w = ByteWriter::new();
+        m_only
+            .ensure_n(&family, &ds, 2)
+            .encode_with(&family, &ds, 2, &mut w);
+        assert_eq!(w.into_bytes(), m_only.to_bytes());
     }
 
     #[test]

@@ -195,6 +195,29 @@ impl<'a> ByteWriter<'a> {
         self.put_array(v.to_le_bytes());
     }
 
+    /// Appends little-endian `u64`s: the bytes of one
+    /// [`ByteWriter::put_u64`] per value, copied a run at a time. A
+    /// draining writer spills where those puts would, once its chunk has
+    /// no room for another whole value.
+    pub fn put_u64s(&mut self, values: &[u64]) {
+        let mut rest = values;
+        while !rest.is_empty() {
+            let room = (self.limit - self.buf.len()) / 8;
+            if room == 0 {
+                self.spill();
+                continue;
+            }
+            let (run, tail) = rest.split_at(room.min(rest.len()));
+            let start = self.buf.len();
+            self.buf.resize(start + 8 * run.len(), 0);
+            let (dst, _) = self.buf[start..].as_chunks_mut::<8>();
+            for (dst, v) in dst.iter_mut().zip(run) {
+                *dst = v.to_le_bytes();
+            }
+            rest = tail;
+        }
+    }
+
     /// Appends an `f64` as its IEEE-754 bit pattern.
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
@@ -737,6 +760,71 @@ mod tests {
         );
         assert_eq!(sink, kept);
         assert_eq!(crc, crate::crc32(&kept));
+    }
+
+    /// A sink that keeps every write it is handed, as one chunk each.
+    #[derive(Debug, Default, PartialEq)]
+    struct Chunks(Vec<Vec<u8>>);
+
+    impl Write for Chunks {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.0.push(bytes.to_vec());
+            Ok(bytes.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn bulk_u64s_write_and_spill_as_single_puts() {
+        // Runs led by an odd byte count, so values straddle the chunk
+        // edge unless the spill falls where single puts put it, and
+        // long enough to cross the drain boundary several times.
+        let per_chunk = DRAIN_CHUNK_BYTES / 8;
+        for lead in [0, 1, 3, 8, 13] {
+            for count in [
+                0,
+                1,
+                3,
+                per_chunk - 1,
+                per_chunk,
+                per_chunk + 1,
+                3 * per_chunk + 5,
+            ] {
+                let values: Vec<u64> = (0..count as u64)
+                    .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                    .collect();
+                let encode = |w: &mut ByteWriter, bulk: bool| {
+                    w.put_raw(&vec![0xAB; lead]);
+                    for run in [&values[..], &values[..count.min(3)]] {
+                        if bulk {
+                            w.put_u64s(run);
+                        } else {
+                            run.iter().for_each(|&v| w.put_u64(v));
+                        }
+                        w.put_u8(7);
+                    }
+                };
+                let drained = |bulk: bool| {
+                    let mut sink = Chunks::default();
+                    let mut w = ByteWriter::draining(&mut sink, Vec::new());
+                    encode(&mut w, bulk);
+                    let len = w.len();
+                    let (_, crc) = w.finish_drain().expect("Vec write cannot fail");
+                    (sink, len, crc)
+                };
+                let kept = |bulk: bool| {
+                    let mut w = ByteWriter::new();
+                    encode(&mut w, bulk);
+                    w.into_bytes()
+                };
+                let (bulk, single) = (drained(true), drained(false));
+                assert_eq!(bulk, single, "lead {lead}, {count} values");
+                assert_eq!(kept(true), kept(false), "lead {lead}, {count} values");
+                assert_eq!(bulk.0 .0.concat(), kept(false));
+            }
+        }
     }
 
     #[test]

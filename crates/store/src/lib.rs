@@ -70,6 +70,7 @@ mod limbs;
 pub mod manifest;
 pub mod mapped;
 pub mod pool;
+mod writeback;
 
 pub use checksum::{crc32, crc32_concat, crc32_pair};
 pub use codec::{
@@ -82,6 +83,7 @@ pub use error::{PayloadFault, StoreError};
 pub use limbs::Limbs;
 pub use manifest::{scan, scan_file, Manifest, SectionDigest};
 pub use mapped::{LazySection, MappedStore, PayloadSource};
+pub use writeback::{WritebackFile, WRITEBACK_STEP_BYTES};
 
 /// The four magic bytes opening every store file.
 pub const MAGIC: [u8; 4] = *b"ANNS";

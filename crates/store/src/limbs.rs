@@ -1,9 +1,13 @@
 //! [`Limbs`]: a slab of `u64` limbs that is either owned or borrowed in
 //! place from the bytes of a mapped bundle.
 //!
-//! This is the codec's only `unsafe` code (the crate's other is the
-//! CRC folding kernel in `checksum.rs`; `docs/ROBUSTNESS.md` lists
-//! both with their safety arguments). A borrowed slab is a raw
+//! This is the codec's only `unsafe` code. The crate's other `unsafe`
+//! code is the CRC folding kernel in `checksum.rs` and, in `mapped.rs`,
+//! the `sys` FFI (`mmap`/`munmap`, `Send`/`Sync` for its `Mapping`, the
+//! `from_raw_parts` view of a mapping, and the Linux
+//! `sync_file_range` writeback hint) and `unsafe impl KeepAlive for
+//! Inner`; `docs/ROBUSTNESS.md` lists each with its safety argument.
+//! A borrowed slab is a raw
 //! pointer into memory a [`KeepAlive`] owner holds; every check that
 //! makes the pointer sound runs once, at construction in
 //! [`Limbs::borrow`]: the bytes lie inside the owner's bytes, start on

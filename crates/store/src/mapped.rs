@@ -45,13 +45,15 @@ use crate::limbs::KeepAlive;
 use crate::manifest::{Manifest, SectionDigest};
 use crate::{Codec, FORMAT_VERSION, MAGIC, SECTION_ALIGN};
 
-/// Read-only mapping of a whole file: a real `mmap(PROT_READ,
-/// MAP_PRIVATE)` through a minimal hand-rolled FFI (std already links
-/// libc). Elsewhere [`MappedStore::open`] reads the file into an owned
-/// buffer instead, so every backend-generic caller still compiles and
-/// behaves identically, minus the paging benefits.
+/// The crate's system calls, through a minimal hand-rolled FFI (std
+/// already links libc): a read-only mapping of a whole file, a real
+/// `mmap(PROT_READ, MAP_PRIVATE)`, and (Linux only) the writeback hint
+/// [`crate::writeback`] gives while a save streams. Elsewhere
+/// [`MappedStore::open`] reads the file into an owned buffer instead, so
+/// every backend-generic caller still compiles and behaves identically,
+/// minus the paging benefits, and the hint is a no-op.
 #[cfg(unix)]
-mod sys {
+pub(crate) mod sys {
     use std::fs::File;
     use std::os::unix::io::AsRawFd;
 
@@ -60,16 +62,41 @@ mod sys {
         fn munmap(addr: *mut u8, len: usize) -> i32;
     }
 
+    #[cfg(target_os = "linux")]
+    extern "C" {
+        fn sync_file_range(fd: i32, offset: i64, nbytes: i64, flags: u32) -> i32;
+    }
+
     const PROT_READ: i32 = 1;
     const MAP_PRIVATE: i32 = 2;
+    #[cfg(target_os = "linux")]
+    const SYNC_FILE_RANGE_WRITE: u32 = 2;
+
+    /// Asks the kernel to start writing `len` bytes of `file` from `from`
+    /// back to the device, and returns without waiting. Advisory: its
+    /// error, like a range past `i64`, is ignored, since the caller's
+    /// closing `sync_all` alone makes the bytes durable.
+    #[cfg(target_os = "linux")]
+    pub fn start_writeback(file: &File, from: u64, len: u64) {
+        if let (Ok(from), Ok(len)) = (i64::try_from(from), i64::try_from(len)) {
+            // SAFETY: the call reads and writes no memory of this
+            // process: it takes an open descriptor (`file` keeps it open
+            // for the call) and three integers, and only schedules I/O
+            // of the file's own page cache.
+            unsafe {
+                sync_file_range(file.as_raw_fd(), from, len, SYNC_FILE_RANGE_WRITE);
+            }
+        }
+    }
 
     pub struct Mapping {
         ptr: *mut u8,
         len: usize,
     }
 
-    // The mapping is read-only and owned: sharing &self across threads
-    // only ever reads the mapped bytes.
+    // SAFETY: both fields describe one read-only mapping this value owns
+    // and never remaps: sending it moves the sole owner, and sharing
+    // `&Mapping` across threads only ever reads the mapped bytes.
     unsafe impl Send for Mapping {}
     unsafe impl Sync for Mapping {}
 
@@ -83,6 +110,9 @@ mod sys {
                     len: 0,
                 });
             }
+            // SAFETY: a fresh read-only private mapping at an address
+            // the kernel picks aliases no Rust object; `file` keeps the
+            // descriptor open for the call, and the mapping outlives it.
             let ptr = unsafe {
                 mmap(
                     std::ptr::null_mut(),
@@ -109,6 +139,9 @@ mod sys {
     impl Drop for Mapping {
         fn drop(&mut self) {
             if self.len != 0 {
+                // SAFETY: ptr/len are the live mapping `map` made, and no
+                // borrow of it outlives `self`: `bytes` borrows `self`, and
+                // a borrowed slab holds the store that owns it alive.
                 unsafe {
                     munmap(self.ptr, self.len);
                 }
