@@ -27,8 +27,10 @@
 //! once with its `N` half forced (a 47.6 MB bundle at n = 32768): the
 //! streamed encode, the writeback kicked per MiB, `sync_all`, the rename
 //! and the directory sync, into a file under the system temporary
-//! directory, so it measures that directory's device. Each line prints
-//! the median sample with its `[min, max]`.
+//! directory, so it measures that directory's device.
+//! `save_bundle_alg1_n32768` saves the same shard over the index never
+//! forced, as `unique-large` saves it: a bundle without the `N` slabs
+//! (32.7 MB). Each line prints the median sample with its `[min, max]`.
 
 use std::sync::Arc;
 
@@ -45,15 +47,14 @@ use rand::SeedableRng;
 
 const D: u32 = 512;
 
-/// Times saving `index` as a one-shard bundle, `N` half forced first.
-fn bench_save(group: &mut BenchmarkGroup<'_>, index: AnnIndex) {
-    let n = index.dataset().len();
-    index.db_sketches();
+/// Times saving `index` as a one-shard Algorithm 1 bundle, as bench
+/// `name`.
+fn bench_save(group: &mut BenchmarkGroup<'_>, name: &str, index: Arc<AnnIndex>) {
     let mut registry = Registry::new();
-    registry.register_alg1("alg1-k3", Arc::new(index), 3);
-    let dir = TempDir::new(&format!("save-bundle-n{n}"));
+    registry.register_alg1("alg1-k3", index, 3);
+    let dir = TempDir::new(name);
     let path = dir.file("bundle.anns");
-    group.bench_function(format!("save_bundle_n{n}"), |b| {
+    group.bench_function(name, |b| {
         b.iter(|| registry.save_bundle(&path).expect("save"))
     });
 }
@@ -109,10 +110,9 @@ fn bench_builds(c: &mut Criterion) {
             })
         });
         if n == 8192 {
-            bench_save(
-                &mut group,
-                AnnIndex::build(ds, params, BuildOptions::default()),
-            );
+            let index = Arc::new(AnnIndex::build(ds, params, BuildOptions::default()));
+            index.db_sketches();
+            bench_save(&mut group, &format!("save_bundle_n{n}"), index);
         }
     }
     let n = 32768;
@@ -125,10 +125,14 @@ fn bench_builds(c: &mut Criterion) {
         b.iter(|| DbSketches::build(&family, &ds, threads))
     });
     drop(family);
+    let index = Arc::new(AnnIndex::build(ds, params, BuildOptions::default()));
     bench_save(
         &mut group,
-        AnnIndex::build(ds, params, BuildOptions::default()),
+        &format!("save_bundle_alg1_n{n}"),
+        Arc::clone(&index),
     );
+    index.db_sketches();
+    bench_save(&mut group, &format!("save_bundle_n{n}"), index);
     group.finish();
 }
 

@@ -57,7 +57,7 @@ fn doctored_exact_rows_fail_and_name_their_key() {
         (
             "BENCH_store_quick.json",
             "store.large.file_bytes",
-            4_853_151.0,
+            3_181_983.0,
         ),
         (
             "BENCH_attack_quick.json",

@@ -29,10 +29,10 @@
 //! first need: an Algorithm 2 address or auxiliary-cell read, `ready()`
 //! on an Algorithm 2 shard, its registration with an engine, or
 //! [`AnnIndex::db_sketches`]. Encoding the index samples the `N_j` (they
-//! stay: 0.29 MiB at n = 32768, d = 512) and writes the `N` sketches,
-//! but an index that does not hold them sketches them for the write
-//! alone and drops them after it. A decoded index holds both halves, as
-//! stored.
+//! stay: 0.29 MiB at n = 32768, d = 512) and writes the sketch halves
+//! it holds: an index serving Algorithm 1 alone stores no `N` sketch.
+//! A decoded index holds what was stored, and sketches a missing `N`
+//! half at its first need, from the stored `N_j`, as a build would.
 
 use std::sync::Arc;
 
@@ -86,7 +86,8 @@ struct Inner {
     dataset: Dataset,
     family: SketchFamily,
     /// The database sketches: the `N` half is sketched at its first
-    /// need ([`Inner::db_n`]) on a built index.
+    /// need ([`Inner::db_n`]) on a built index, and on a decoded one
+    /// whose bundle stored none.
     db: DbSketches,
     /// Worker threads for sketching that `N` half.
     threads: usize,
@@ -421,15 +422,10 @@ impl AnnIndex {
         self.inner.db_n()
     }
 
-    /// Encodes the database sketches, both halves, in the stored layout
-    /// (the store encode path). An `N` half not yet sketched is sketched
-    /// for the write and dropped after it, so an index serving
-    /// Algorithm 1 alone holds no more after a save than before it.
-    pub(crate) fn encode_db_sketches(&self, w: &mut anns_store::ByteWriter) {
-        let inner = &*self.inner;
-        inner
-            .db
-            .encode_with(&inner.family, &inner.dataset, inner.threads, w);
+    /// The database-side sketches as held, the `N` half only once
+    /// sketched (the store encode path, which writes what is held).
+    pub(crate) fn held_db_sketches(&self) -> &DbSketches {
+        &self.inner.db
     }
 
     /// The fault-injection model the index was built with, if any.

@@ -55,7 +55,7 @@ impl Codec for AnnIndex {
     fn encode(&self, w: &mut ByteWriter) {
         self.dataset().encode(w);
         self.family().encode(w);
-        self.encode_db_sketches(w);
+        self.held_db_sketches().encode(w);
         self.erasure_model().encode(w);
     }
 
@@ -260,15 +260,19 @@ mod tests {
         assert_eq!(l1, l2);
     }
 
-    /// An index payload with hand-encoded db sketches: `scales` scales per
-    /// kind, every M sketch `m_bits` and every N sketch `n_bits` wide (all
-    /// zero limbs), in the stored slab layout.
-    fn payload_with_db(index: &AnnIndex, m_bits: u32, n_bits: u32, scales: usize) -> Vec<u8> {
+    /// An index payload with hand-encoded db sketches: `m_scales` M and
+    /// `n_scales` N scales, every M sketch `m_bits` and every N sketch
+    /// `n_bits` wide (all zero limbs), in the stored slab layout.
+    fn payload_with_db(
+        index: &AnnIndex,
+        (m_bits, m_scales): (u32, usize),
+        (n_bits, n_scales): (u32, usize),
+    ) -> Vec<u8> {
         let mut w = ByteWriter::new();
         index.dataset().encode(&mut w);
         index.family().encode(&mut w);
         let points = index.dataset().len();
-        for bits in [m_bits, n_bits] {
+        for (bits, scales) in [(m_bits, m_scales), (n_bits, n_scales)] {
             w.put_u32(bits);
             w.put_u64(scales as u64);
             w.put_u64(points as u64);
@@ -285,25 +289,34 @@ mod tests {
         let family = index.family();
         let (m_rows, n_rows) = (family.m_rows(), family.n_rows());
         let scales = family.top() as usize + 1;
-        // Control: the family's shape decodes and serves.
-        let ok = AnnIndex::from_bytes(&payload_with_db(&index, m_rows, n_rows, scales))
-            .expect("family-shaped sketches decode");
-        let _ = ok.query(&query, 3);
+        // Control: the family's shape decodes and serves, with the `N`
+        // kind stored or absent (no scale).
+        for n_scales in [scales, 0] {
+            let bytes = payload_with_db(&index, (m_rows, scales), (n_rows, n_scales));
+            let ok = AnnIndex::from_bytes(&bytes).expect("family-shaped sketches decode");
+            let _ = ok.query(&query, 3);
+        }
         // Narrower sketches (fewer limbs, or the same limbs but fewer
         // bits), and too few or too many scales, are typed errors at
-        // decode instead of panics at the first query.
-        for (m_bits, n_bits, scales) in [
-            (8, 8, scales),
-            (m_rows - 1, n_rows, scales),
-            (m_rows, n_rows - 1, scales),
-            (m_rows + 64, n_rows, scales),
-            (m_rows, n_rows, scales - 1),
-            (m_rows, n_rows, scales + 1),
+        // decode instead of panics at the first query. So is an absent
+        // `N` kind of another width, and an `M` kind with no scale.
+        for (m, n) in [
+            ((8, scales), (8, scales)),
+            ((m_rows - 1, scales), (n_rows, scales)),
+            ((m_rows, scales), (n_rows - 1, scales)),
+            ((m_rows + 64, scales), (n_rows, scales)),
+            ((m_rows, scales - 1), (n_rows, scales - 1)),
+            ((m_rows, scales + 1), (n_rows, scales + 1)),
+            ((m_rows, scales), (n_rows - 1, 0)),
+            ((m_rows, scales), (n_rows + 64, 0)),
+            ((m_rows, 0), (n_rows, scales)),
+            ((m_rows, 0), (n_rows, 0)),
+            ((m_rows, scales), (n_rows, scales - 1)),
         ] {
-            let bytes = payload_with_db(&index, m_bits, n_bits, scales);
+            let bytes = payload_with_db(&index, m, n);
             assert!(
                 matches!(AnnIndex::from_bytes(&bytes), Err(StoreError::Malformed(_))),
-                "m_bits={m_bits} n_bits={n_bits} scales={scales}"
+                "M {m:?}, N {n:?}"
             );
         }
     }

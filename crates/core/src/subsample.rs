@@ -39,12 +39,19 @@ use anns_cellprobe::{
 };
 use anns_hamming::Point;
 
+use crate::instance::table_ids;
 use crate::lambda::LambdaAnswer;
 use crate::serve::{QueryMachine, ServableScheme, ServedAnswer};
 
 /// Table-id block reserved per replica: replica `i`'s inner table `t`
-/// appears on the shared oracle as `i × REPLICA_STRIDE + t`.
+/// appears on the shared oracle as `i × REPLICA_STRIDE + t`, and an
+/// Algorithm 2 auxiliary table `table_ids::AUX_BASE + u`, which lies
+/// past every block, as `i × REPLICA_STRIDE + AUX_SLOT + u`.
 pub const REPLICA_STRIDE: TableId = 1 << 24;
+
+/// Where a block's auxiliary tables start; inner ids below it map as
+/// they are.
+const AUX_SLOT: TableId = REPLICA_STRIDE / 2;
 
 /// How the `K` subsampled answers collapse into one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -358,8 +365,14 @@ impl Table for ReplicaRouter {
             addr.table,
             self.inners.len()
         );
-        let inner = Address::new(addr.table % REPLICA_STRIDE, addr.key.clone());
-        self.inners[replica].table().read(&inner)
+        let slot = addr.table % REPLICA_STRIDE;
+        let table = match slot.checked_sub(AUX_SLOT) {
+            Some(u) => table_ids::AUX_BASE + u,
+            None => slot,
+        };
+        self.inners[replica]
+            .table()
+            .read(&Address::new(table, addr.key.clone()))
     }
 
     fn space_model(&self) -> SpaceModel {
@@ -374,11 +387,22 @@ fn replica_base(replica: usize) -> TableId {
     replica as TableId * REPLICA_STRIDE
 }
 
-/// Shifts inner addresses into a replica's table-id block.
+/// Shifts inner addresses into a replica's table-id block, the
+/// auxiliary tables into its upper half ([`REPLICA_STRIDE`]).
 fn shifted(base: TableId, addrs: &[Address]) -> Vec<Address> {
+    let slot = |t: TableId| match t.checked_sub(table_ids::AUX_BASE) {
+        Some(u) if u < REPLICA_STRIDE - AUX_SLOT => AUX_SLOT + u,
+        _ => {
+            assert!(
+                t < AUX_SLOT,
+                "inner table id {t} has no slot in a replica block"
+            );
+            t
+        }
+    };
     addrs
         .iter()
-        .map(|a| Address::new(base + a.table, a.key.clone()))
+        .map(|a| Address::new(base + slot(a.table), a.key.clone()))
         .collect()
 }
 

@@ -20,9 +20,11 @@
 //!
 //! [`LazyServable`] is the registry-facing face of one deferred shard:
 //! it carries the parsed shard record and instantiates the real scheme
-//! behind a `OnceLock` on first use. `ready()` forces it fallibly — the
-//! engine's name-addressed path calls that before routing, so bit rot in
-//! a cold index surfaces as `ServeError::ShardFault`, not a panic.
+//! behind a `OnceLock` on first use. `ready()` forces it fallibly, then
+//! readies the real scheme, so an Algorithm 2 shard over an index whose
+//! bundle stored no `N` sketches makes them here, not inside a query.
+//! The engine's name-addressed path calls it before routing, so bit rot
+//! in a cold index surfaces as `ServeError::ShardFault`, not a panic.
 
 use std::sync::{Arc, OnceLock};
 
@@ -212,7 +214,7 @@ impl ServableScheme for LazyServable {
     }
 
     fn ready(&self) -> Result<(), PayloadFault> {
-        self.force().map(|_| ())
+        self.force()?.ready()
     }
 
     fn table(&self) -> &dyn Table {

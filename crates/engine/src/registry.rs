@@ -1245,6 +1245,9 @@ mod tests {
             BuildOptions::default(),
         ));
         let scan = anns_lsh::LinearScan::new(gen::uniform(16384, 2048, &mut rng));
+        // Both sketch halves held, so the bundle spans more than eight
+        // writeback steps.
+        index.db_sketches();
         let mut reg = Registry::new();
         reg.register_alg1("alg1-k3", index, 3);
         reg.register(

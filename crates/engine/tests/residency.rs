@@ -25,8 +25,9 @@ use anns_sketch::SketchParams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Saves a two-shard bundle over one `n`-point index at `path` and
-/// returns the bytes of the index's database-sketch slabs.
+/// Saves a two-shard bundle over one `n`-point index, both sketch halves
+/// held, at `path` and returns the bytes of the index's database-sketch
+/// slabs.
 fn save(n: usize, seed: u64, path: &std::path::Path) -> u64 {
     let mut rng = StdRng::seed_from_u64(seed);
     let index = Arc::new(AnnIndex::build(
@@ -37,6 +38,10 @@ fn save(n: usize, seed: u64, path: &std::path::Path) -> u64 {
     let family = index.family();
     let limbs_per_point = family.m_rows().div_ceil(64) + family.n_rows().div_ceil(64);
     let slab_bytes = (family.top() as u64 + 1) * n as u64 * limbs_per_point as u64 * 8;
+    // Both halves stored, so both kinds are measured borrowed: the
+    // `db_sketches()` that scans every slab below would otherwise
+    // sketch a missing `N` half onto the heap.
+    index.db_sketches();
     let mut registry = Registry::new();
     registry.register_alg1("alg1-k3", Arc::clone(&index), 3);
     registry.register_lambda("lambda-8", index, 8.0);

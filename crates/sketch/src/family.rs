@@ -313,18 +313,6 @@ fn sample_scales(rows: u32, d: u32, alpha: f64, top: u32, rng: &mut StdRng) -> V
         .collect()
 }
 
-/// The `N` half of the database sketches under `family`'s coarse
-/// matrices, by the kernel and worker layout that sketch the `M` half,
-/// held by nothing: [`DbSketches::ensure_n`] keeps it, and encoding an
-/// index that lacks it writes it and drops it.
-pub(crate) fn sketch_n(family: &SketchFamily, dataset: &Dataset, threads: usize) -> SketchSlabs {
-    let mats: Vec<&SketchMatrix> = family.n_matrices().iter().collect();
-    SketchSlabs {
-        rows: family.n_rows(),
-        scales: sketch_slabs(&mats, dataset, threads),
-    }
-}
-
 /// All database sketches of one kind (every `M_i`, or every `N_j`) as flat
 /// limb slabs: one slab per scale, `points · w` limbs with
 /// `w = ⌈rows/64⌉`, point `z` at `[z·w, (z+1)·w)`. The row count is stored
@@ -371,9 +359,12 @@ impl SketchSlabs {
 /// slabs feed only Algorithm 2's auxiliary tables. So the `N` half may be
 /// deferred: [`DbSketches::build_m`] sketches the `M` slabs alone, and
 /// [`DbSketches::ensure_n`] sketches the `N` slabs at their first need, at
-/// most once; [`DbSketches::build`] and a decode hold both, and
-/// [`DbSketches::encode_with`] writes an `N` half it does not hold
-/// without keeping it. Built or decoded by copy, each kind's slabs are
+/// most once; [`DbSketches::build`] holds both. The store codec writes
+/// the halves held: an `N` half not held is written as its kind header
+/// alone (`scales = 0`), and decoding that form leaves the `N` half to
+/// [`DbSketches::ensure_n`], as on a build, so an index saved serving
+/// Algorithm 1 alone stores no `N` slab (14.25 MiB of 47.6 MB at
+/// unique-large's shape). Built or decoded by copy, each kind's slabs are
 /// `top+1` heap allocations. A mapped mount borrows them in place from
 /// the bundle (store format v3 writes each scale as one raw 8-aligned
 /// slab), so they cost
@@ -391,7 +382,10 @@ impl SketchSlabs {
 pub struct DbSketches {
     points: usize,
     m: SketchSlabs,
-    /// Set by a decode, or by the first [`DbSketches::ensure_n`].
+    /// Bits per `N` sketch, held or not: the family's `n_rows`.
+    n_rows: u32,
+    /// Set by a decode that finds the `N` slabs stored, or by the first
+    /// [`DbSketches::ensure_n`].
     n: OnceLock<SketchSlabs>,
 }
 
@@ -415,6 +409,7 @@ impl DbSketches {
                 rows: family.m_rows(),
                 scales: sketch_slabs(&mats, dataset, threads),
             },
+            n_rows: family.n_rows(),
             n: OnceLock::new(),
         }
     }
@@ -424,22 +419,31 @@ impl DbSketches {
     /// `family` and `dataset` must be the ones the `M` half was built
     /// from.
     pub fn ensure_n(&self, family: &SketchFamily, dataset: &Dataset, threads: usize) -> &Self {
-        self.n.get_or_init(|| sketch_n(family, dataset, threads));
+        self.n.get_or_init(|| {
+            let mats: Vec<&SketchMatrix> = family.n_matrices().iter().collect();
+            SketchSlabs {
+                rows: family.n_rows(),
+                scales: sketch_slabs(&mats, dataset, threads),
+            }
+        });
         self
     }
 
     /// Reassembles database sketches from decoded slabs (the store decode
     /// path, which has already checked that every slab holds exactly
-    /// `points` sketches of its kind's width). Both kinds must cover the
-    /// same scales.
+    /// `points` sketches of its kind's width). The `M` kind must hold
+    /// scales; the `N` kind holds as many, or none when it was not
+    /// sketched, which leaves the `N` half to [`DbSketches::ensure_n`].
     pub(crate) fn from_slabs(
         points: usize,
         m: SketchSlabs,
         n: SketchSlabs,
     ) -> Result<Self, String> {
-        if m.scales.is_empty() || m.scales.len() != n.scales.len() {
+        let absent = n.scales.is_empty();
+        if m.scales.is_empty() || !(absent || m.scales.len() == n.scales.len()) {
             return Err(format!(
-                "db sketches need matching non-empty scale lists, got {}/{}",
+                "db sketches need a non-empty M scale list and an N list as long or empty, \
+                 got {}/{}",
                 m.scales.len(),
                 n.scales.len()
             ));
@@ -447,16 +451,28 @@ impl DbSketches {
         Ok(DbSketches {
             points,
             m,
-            n: OnceLock::from(n),
+            n_rows: n.rows,
+            n: if absent {
+                OnceLock::new()
+            } else {
+                OnceLock::from(n)
+            },
         })
     }
 
     /// Errors unless these sketches were made by `family`'s shape: exactly
     /// `top+1` scales per kind held, `m_rows()` / `n_rows()` bits per
-    /// sketch, and full slabs. Decoded indexes pass through this before
-    /// serving, so a mismatched bundle is rejected at load rather than
-    /// panicking at its first query.
+    /// sketch, held or not, and full slabs. Decoded indexes pass through
+    /// this before serving, so a mismatched bundle is rejected at load
+    /// rather than panicking at its first query.
     pub fn check_family(&self, family: &SketchFamily) -> Result<(), String> {
+        if self.n_rows != family.n_rows() {
+            return Err(format!(
+                "db sketch N width {} bits != family rows {}",
+                self.n_rows,
+                family.n_rows()
+            ));
+        }
         let scales = family.top() as usize + 1;
         let n = self.n.get().map(|n| (n, family.n_rows()));
         for (kind, rows) in std::iter::once((&self.m, family.m_rows())).chain(n) {
@@ -509,14 +525,11 @@ impl DbSketches {
         })
     }
 
-    /// The accurate slabs (the store encode path).
-    pub(crate) fn m_slabs(&self) -> &SketchSlabs {
-        &self.m
-    }
-
-    /// The coarse slabs, if held (the store encode path).
-    pub(crate) fn n_held(&self) -> Option<&SketchSlabs> {
-        self.n.get()
+    /// Each kind's bits per sketch and the slabs held, `M` then `N`:
+    /// none for an `N` half not yet sketched (the store encode path).
+    pub(crate) fn kinds(&self) -> [(u32, &[Limbs]); 2] {
+        let n = self.n.get().map_or(&[][..], |n| &n.scales[..]);
+        [(self.m.rows, &self.m.scales[..]), (self.n_rows, n)]
     }
 
     /// The coarse slabs.

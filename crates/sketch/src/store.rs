@@ -8,11 +8,10 @@
 //! inside [`SketchParams`] as provenance, not as the decode path.
 
 use anns_hamming::point::LIMB_BITS;
-use anns_hamming::Dataset;
 use anns_store::{decode_capacity, encode_slice, ByteReader, ByteWriter, Codec, Limbs, StoreError};
 
 use crate::delta::ThresholdMode;
-use crate::family::{sketch_n, DbSketches, SketchFamily, SketchParams, SketchSlabs};
+use crate::family::{DbSketches, SketchFamily, SketchParams, SketchSlabs};
 use crate::matrix::SketchMatrix;
 
 impl Codec for ThresholdMode {
@@ -96,13 +95,14 @@ impl Codec for SketchFamily {
 /// Encodes one kind of database sketches in the stored layout
 /// (`docs/STORE_FORMAT.md` §3): the kind's `u32` row count, `u64` scale
 /// count and `u64` point count, zero padding to the next multiple of 8,
-/// then each scale's slab as raw little-endian limbs.
-fn encode_slabs(slabs: &SketchSlabs, points: usize, w: &mut ByteWriter) {
-    w.put_u32(slabs.rows);
-    w.put_u64(slabs.scales.len() as u64);
+/// then each scale's slab as raw little-endian limbs. A kind not
+/// sketched has no slab: its header alone, with a scale count of 0.
+fn encode_slabs(rows: u32, scales: &[Limbs], points: usize, w: &mut ByteWriter) {
+    w.put_u32(rows);
+    w.put_u64(scales.len() as u64);
     w.put_u64(points as u64);
     w.align(8);
-    for slab in &slabs.scales {
+    for slab in scales {
         w.put_u64s(slab);
     }
 }
@@ -145,35 +145,14 @@ fn decode_slabs(r: &mut ByteReader<'_>) -> Result<(SketchSlabs, usize), StoreErr
     Ok((SketchSlabs { rows, scales }, points))
 }
 
-impl DbSketches {
-    /// Writes the bytes [`Codec::encode`] writes once the `N` half is
-    /// held, without keeping that half: an `N` half not held is sketched
-    /// as [`DbSketches::ensure_n`] would sketch it, written, and dropped.
-    /// `family` and `dataset` must be the ones the `M` half was built
-    /// from.
-    pub fn encode_with(
-        &self,
-        family: &SketchFamily,
-        dataset: &Dataset,
-        threads: usize,
-        w: &mut ByteWriter,
-    ) {
-        encode_slabs(self.m_slabs(), self.len(), w);
-        match self.n_held() {
-            Some(n) => encode_slabs(n, self.len(), w),
-            None => encode_slabs(&sketch_n(family, dataset, threads), self.len(), w),
-        }
-    }
-}
-
 impl Codec for DbSketches {
-    /// # Panics
-    /// If the `N` half is not held: encode a [`DbSketches::build_m`]
-    /// result with [`DbSketches::encode_with`].
+    /// Writes the halves held: an `N` half not yet sketched is written
+    /// as its kind header alone, which decodes to the same unsketched
+    /// half.
     fn encode(&self, w: &mut ByteWriter) {
-        encode_slabs(self.m_slabs(), self.len(), w);
-        let n = self.n_held().expect("encoding N sketches never sketched");
-        encode_slabs(n, self.len(), w);
+        for (rows, scales) in self.kinds() {
+            encode_slabs(rows, scales, self.len(), w);
+        }
     }
 
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, StoreError> {
@@ -305,25 +284,35 @@ mod tests {
     }
 
     #[test]
-    fn encoding_a_deferred_n_half_writes_it_and_keeps_none() {
+    fn a_deferred_n_half_is_stored_as_its_header_alone() {
         let mut rng = StdRng::seed_from_u64(11);
         let ds = gen::uniform(40, 96, &mut rng);
         let family = SketchFamily::generate(96, 40, &SketchParams::practical(2.0, 12));
         let m_only = DbSketches::build_m(&family, &ds, 2);
         let held = m_only.slab_bytes();
+        let whole = DbSketches::build(&family, &ds, 1).to_bytes();
+        let bytes = m_only.to_bytes();
+        assert_eq!(m_only.slab_bytes(), held, "encoding sketches nothing");
+        // The `M` kind as a build writes it, then the `N` kind's 24-byte
+        // header with no scale: every `N` slab byte left out.
+        let n_slabs = (family.top() as usize + 1) * 40 * 8 * family.n_rows().div_ceil(64) as usize;
+        let m_kind = whole.len() - 24 - n_slabs;
         let mut w = ByteWriter::new();
-        m_only.encode_with(&family, &ds, 2, &mut w);
-        assert_eq!(
-            w.into_bytes(),
-            DbSketches::build(&family, &ds, 1).to_bytes()
-        );
-        assert_eq!(m_only.slab_bytes(), held, "the N half is not kept");
-        // Held, the N half is written as it is.
-        let mut w = ByteWriter::new();
-        m_only
-            .ensure_n(&family, &ds, 2)
-            .encode_with(&family, &ds, 2, &mut w);
-        assert_eq!(w.into_bytes(), m_only.to_bytes());
+        w.put_raw(&whole[..m_kind]);
+        w.put_u32(family.n_rows());
+        w.put_u64(0);
+        w.put_u64(40);
+        w.put_u32(0);
+        assert_eq!(bytes, w.into_bytes());
+        // Decoded, the `N` half is unsketched until its first need, which
+        // sketches the bits a build does.
+        let back = DbSketches::from_bytes(&bytes).unwrap();
+        assert!(back.check_family(&family).is_ok());
+        assert_eq!(back.slab_bytes(), held);
+        assert_eq!(back.to_bytes(), bytes);
+        assert_eq!(back.ensure_n(&family, &ds, 2).to_bytes(), whole);
+        // Held, the `N` half is written as it is.
+        assert_eq!(m_only.ensure_n(&family, &ds, 2).to_bytes(), whole);
     }
 
     #[test]
@@ -343,18 +332,25 @@ mod tests {
             SketchFamily::from_bytes(&w.into_bytes()),
             Err(StoreError::Malformed(_))
         ));
-        // Mismatched db-sketch scale lists: one M scale, no N scales.
-        let mut w = ByteWriter::new();
-        for scales in [1u64, 0] {
-            w.put_u32(8);
-            w.put_u64(scales);
-            w.put_u64(1);
-            w.align(8);
-            w.put_raw(&vec![0; 8 * scales as usize]);
+        // Db-sketch scale lists that disagree (one M scale, two N
+        // scales), or an M kind with none. An N kind with none is the
+        // legal form of an unsketched half.
+        for counts in [[1u64, 2], [0, 0], [0, 1]] {
+            let mut w = ByteWriter::new();
+            for scales in counts {
+                w.put_u32(8);
+                w.put_u64(scales);
+                w.put_u64(1);
+                w.align(8);
+                w.put_raw(&vec![0; 8 * scales as usize]);
+            }
+            assert!(
+                matches!(
+                    DbSketches::from_bytes(&w.into_bytes()),
+                    Err(StoreError::Malformed(_))
+                ),
+                "{counts:?}"
+            );
         }
-        assert!(matches!(
-            DbSketches::from_bytes(&w.into_bytes()),
-            Err(StoreError::Malformed(_))
-        ));
     }
 }

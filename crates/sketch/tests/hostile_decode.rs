@@ -290,3 +290,103 @@ fn tail_bits_are_masked_on_decode() {
         assert_eq!(back.to_bytes(), clean);
     }
 }
+
+/// The fixture with its `N` half never sketched, and its encoding, whose
+/// `N` kind is its header alone: the family's `n_rows`, no scale, and the
+/// fixture's point count.
+fn fixture_without_n(seed: u64) -> (SketchFamily, Vec<u8>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let ds = gen::uniform(N, D, &mut rng);
+    let family = SketchFamily::generate(D, N, &SketchParams::practical(2.0, seed));
+    let bytes = DbSketches::build_m(&family, &ds, 1).to_bytes();
+    (family, bytes)
+}
+
+#[test]
+fn an_absent_n_kind_decodes_unsketched() {
+    let (family, bytes) = fixture_without_n(8);
+    let at = n_kind_at(&family);
+    assert_eq!(bytes.len(), at + KIND_HEADER, "the N kind is its header");
+    let m_bytes = (family.top() as usize + 1) * N * 8 * m_width(&family);
+    for decode in [decode_copied, decode_in_place] {
+        let db = decode(&bytes).expect("the absent form decodes");
+        assert!(db.check_family(&family).is_ok());
+        let (owned, borrowed) = db.slab_bytes();
+        assert_eq!(owned + borrowed, m_bytes, "the M slabs alone");
+        assert_eq!(db.to_bytes(), bytes);
+    }
+}
+
+/// An absent `N` kind still names its width and point count. Another
+/// width parses (it has no slab to disagree with) but fails its family,
+/// the check every decoded index passes before it serves; another point
+/// count, or a width of 0, is `Malformed` at decode.
+#[test]
+fn an_absent_n_kind_of_another_shape_is_rejected() {
+    let (family, bytes) = fixture_without_n(9);
+    let at = n_kind_at(&family);
+    for rows in [family.n_rows() - 1, family.n_rows() + 64] {
+        let mut other = bytes.clone();
+        other[at..at + 4].copy_from_slice(&rows.to_le_bytes());
+        for decode in [decode_copied, decode_in_place] {
+            let db = decode(&other).expect("the layout parses");
+            assert!(db.check_family(&family).is_err(), "{rows} rows");
+        }
+    }
+    let mut zero_rows = bytes.clone();
+    zero_rows[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
+    let mut cases = vec![zero_rows];
+    for points in [0, N as u64 - 1, N as u64 + 1, u64::MAX] {
+        let mut other = bytes.clone();
+        other[at + 12..at + 20].copy_from_slice(&points.to_le_bytes());
+        cases.push(other);
+    }
+    for (case, bad) in cases.iter().enumerate() {
+        for decode in [decode_copied, decode_in_place] {
+            assert!(
+                matches!(decode(bad), Err(StoreError::Malformed(_))),
+                "case {case}"
+            );
+        }
+    }
+}
+
+/// An `M` kind with no scale is `Malformed`, beside a stored `N` kind or
+/// an absent one: only the `N` half may be left unsketched.
+#[test]
+fn an_m_kind_without_scales_is_malformed() {
+    let (family, _, whole) = fixture(10);
+    let (_, without_n) = fixture_without_n(10);
+    let at = n_kind_at(&family);
+    for n_kind in [&whole[at..], &without_n[at..]] {
+        let mut bytes = whole[..KIND_HEADER].to_vec();
+        bytes[4..12].copy_from_slice(&0u64.to_le_bytes());
+        bytes.extend_from_slice(n_kind);
+        for decode in [decode_copied, decode_in_place] {
+            assert!(matches!(decode(&bytes), Err(StoreError::Malformed(_))));
+        }
+    }
+}
+
+/// A stored `N` kind holds every scale the `M` kind holds: one with
+/// fewer or more (but some), whose slabs are all present, is `Malformed`.
+#[test]
+fn an_n_kind_of_another_scale_count_is_malformed() {
+    let (family, _, bytes) = fixture(11);
+    let at = n_kind_at(&family);
+    let slab = N * 8 * family.n_rows().div_ceil(64) as usize;
+    let scales = family.top() as usize + 1;
+    for count in [1, scales - 1, scales + 1] {
+        let mut bad = bytes[..at + KIND_HEADER + count.min(scales) * slab].to_vec();
+        if count > scales {
+            bad.extend_from_slice(&bytes[at + KIND_HEADER..][..slab]);
+        }
+        bad[at + 4..at + 12].copy_from_slice(&(count as u64).to_le_bytes());
+        for decode in [decode_copied, decode_in_place] {
+            assert!(
+                matches!(decode(&bad), Err(StoreError::Malformed(_))),
+                "{count} N scales"
+            );
+        }
+    }
+}
